@@ -11,28 +11,23 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .scenarios import SCENARIOS, ConfigError, ScenarioConfig, run_predictions
+from .scenarios import G_TABLES, SCENARIOS, ConfigError, ScenarioConfig, g_tables_from
 
 SCHEMA_VERSION = 1
 
-CHECK_NAMES = {"schur", "ez", "koszul", "cauchy", "gamma", "l31"}
-ALL_ORDER = [
-    "gk",
-    "cross2",
-    "cross3",
-    "tor-powers",
-    "predict",
-    "check-schur",
-    "check-l31",
-    "check-koszul",
-    "check-ez",
-    "check-cauchy",
-    "check-gamma",
-]
+ALL_ORDER = list(SCENARIOS)
+CHECK_NAMES = [n.removeprefix("check-") for n in ALL_ORDER if n.startswith("check-")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports a bad flag or value as a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--prime", type=int, default=97, help="coefficient field modulus")
     common.add_argument(
         "--rationals", action="store_true", help="use rational coefficients instead of F_p"
@@ -43,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--nmax", type=int, default=7, help="simplicial truncation degree")
     common.add_argument("--tmax", type=int, default=12, help="internal degree bound")
-    common.add_argument(
-        "--engine", choices=["graded", "groebner", "both"], default="graded"
-    )
     common.add_argument("--out", default=None, help="write the report to this path")
     common.add_argument("--format", choices=["json", "markdown"], default="json")
     common.add_argument("--jobs", type=int, default=1, help="parallel scenarios for 'all'")
@@ -60,13 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--config", default=None, help="JSON file of flag defaults (explicit flags win)"
     )
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dflab",
         description="exact derived-functor rank tables and structure checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     gk = sub.add_parser("gk", parents=[common], help="derived-functor table of the cube pipeline")
-    gk.add_argument("--route", choices=["a", "b", "both"], default="a")
     sub.add_parser("cross2", parents=[common], help="second cross-effect tables")
     sub.add_parser("cross3", parents=[common], help="third cross-effect table")
     sub.add_parser(
@@ -77,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", parents=[common], help="structure check suites")
     chk.add_argument("suite", choices=sorted(CHECK_NAMES))
     allp = sub.add_parser("all", parents=[common], help="every scenario")
-    allp.add_argument("--route", choices=["a", "b", "both"], default="a")
+    for p in (gk, allp):
+        p.add_argument("--engine", choices=["graded", "groebner", "both"], default="graded")
+        p.add_argument("--route", choices=["a", "b", "both"], default="a")
     return ap
 
 
@@ -93,17 +86,33 @@ def _config_from_args(args) -> ScenarioConfig:
         sequence=sequence,
         n_max=args.nmax,
         t_max=args.tmax,
-        engine=args.engine,
+        engine=getattr(args, "engine", "graded"),
         route=getattr(args, "route", "a"),
         budget_s=args.budget_seconds,
     )
 
 
-def _run_named(name: str, cfg_kwargs: dict, extra: dict):
-    cfg = ScenarioConfig(**cfg_kwargs)
-    if name == "predict":
-        return run_predictions(cfg, d=extra.get("d", 2)).to_dict()
-    return SCENARIOS[name](cfg).to_dict()
+def _run_named(name: str, cfg_kwargs: dict, kwargs: dict) -> dict:
+    return SCENARIOS[name](ScenarioConfig(**cfg_kwargs), **kwargs).to_dict()
+
+
+def _run_all(cfg_kwargs: dict, jobs: int) -> list:
+    """Every scenario in registry order; predict reuses the gk, cross2 and
+    cross3 results instead of computing them again."""
+    if jobs <= 1:
+        done = {}  # predict's inputs come before it in ALL_ORDER
+        for n in ALL_ORDER:
+            done[n] = _run_named(n, cfg_kwargs, _predict_kwargs(done) if n == "predict" else {})
+        return list(done.values())
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futs = {n: pool.submit(_run_named, n, cfg_kwargs, {}) for n in ALL_ORDER if n != "predict"}
+        inputs = {n: futs[n].result() for n, _ in G_TABLES.values()}
+        futs["predict"] = pool.submit(_run_named, "predict", cfg_kwargs, _predict_kwargs(inputs))
+        return [futs[n].result() for n in ALL_ORDER]
+
+
+def _predict_kwargs(done: dict) -> dict:
+    return {"g_tables": g_tables_from({n: r["computed"] for n, r in done.items()})}
 
 
 def _render_markdown(doc: dict) -> str:
@@ -131,68 +140,45 @@ def _render_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_CONFIG_FLAGS = {
-    "prime": "--prime",
-    "rationals": "--rationals",
-    "vars": "--vars",
-    "seq": "--seq",
-    "nmax": "--nmax",
-    "tmax": "--tmax",
-    "engine": "--engine",
-    "out": "--out",
-    "format": "--format",
-    "jobs": "--jobs",
-    "budget_seconds": "--budget-seconds",
-    "no_timing": "--no-timing",
-    "route": "--route",
-    "d": "--d",
-}
-
-
-def _apply_config_file(args, argv):
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
-        values = json.load(fh)
-    tokens = set(argv if argv is not None else sys.argv[1:])
+def _config_flags(argv: list) -> list:
+    """The values of a ``--config`` JSON file as command line flags."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    flags = []
     for key, val in values.items():
-        flag = _CONFIG_FLAGS.get(key)
-        if flag is None:
-            raise SystemExit(f"unknown config key {key!r}")
-        if flag in tokens or any(t.startswith(flag + "=") for t in tokens):
-            continue  # explicit flags win
-        if hasattr(args, key):
-            setattr(args, key, val)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if val is True:
+            flags.append(flag)
+        elif val is not False:
+            flags += [flag, str(val)]
+    return flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args = _apply_config_file(args, argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        # config file values go right after the subcommand, so explicit
+        # flags, which argparse reads later, win
+        args = build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
         cfg = _config_from_args(args)
         ring_echo = cfg.ring().describe()
-    except (ConfigError, ValueError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    if args.command == "check":
-        names = [f"check-{args.suite}"]
-    elif args.command == "all":
-        names = list(ALL_ORDER)
-    else:
-        names = [args.command]
-
-    extra = {"d": getattr(args, "d", 2)}
-    cfg_kwargs = dict(cfg.__dict__)
-    results = []
-    try:
-        if args.command == "all" and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futs = [pool.submit(_run_named, n, cfg_kwargs, extra) for n in names]
-                results = [f.result() for f in futs]
+        cfg_kwargs = dict(cfg.__dict__)
+        if args.command == "all":
+            results = _run_all(cfg_kwargs, args.jobs)
         else:
-            for n in names:
-                results.append(_run_named(n, cfg_kwargs, extra))
+            name = f"check-{args.suite}" if args.command == "check" else args.command
+            kwargs = {"d": args.d} if name == "predict" else {}
+            results = [_run_named(name, cfg_kwargs, kwargs)]
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -183,9 +183,6 @@ class HomologyReport:
             out.append(0 if d is None else (d.ri_rank if d.ri_rank is not None else d.total))
         return out
 
-    def dim_table(self) -> dict:
-        return {k: dict(sorted(d.dims.items())) for k, d in sorted(self.degrees.items())}
-
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,

@@ -319,23 +319,11 @@ def cross_effect(tag: FunctorTag, args, ring=None) -> CrossEffect:
 
     args: list of LabeledFreeModule over a plain field ring.
     """
-    k = len(args)
     ring = ring or args[0].ring
     if ring.nvars != 0:
         raise ValueError("cross-effects are computed over a plain field ring")
-    Vsum = direct_sum_modules(args)
-    FV = _f_module(tag, Vsum)
     field = ring.field
-    total = fieldla.zeros(field, FV.rank, FV.rank)
-    for size in range(1, k + 1):
-        sign = (-1) ** (k - size)
-        for subset in combinations(range(k), size):
-            pS = _projection_onto(Vsum, set(subset))
-            FpS = _f_map(tag, pS).materialize()
-            M = FpS.to_field_matrix()
-            total = total + (M if sign > 0 else -M)
-    if fieldla.is_prime_field(field):
-        total = total % field.p
+    FV, total = _idempotent_matrix(tag, direct_sum_modules(args), args, field)
     r, pivcols, _ = fieldla._echelon(field, total)
     basis_labels = [cr(FV.labels[j]) for j in pivcols]
     module = LabeledFreeModule(ring, basis_labels)

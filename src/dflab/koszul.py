@@ -18,6 +18,7 @@ from .functors import div_module, ext_module, sym_module
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
+    atom,
     div as div_label,
     dual_map,
     sym,
@@ -25,7 +26,7 @@ from .linear import (
     tensor_modules,
     wedge,
 )
-from .ring import RingDescriptor
+from .ring import Poly, RingDescriptor
 
 
 def koszul_complex(f: MapMatrix, n: int) -> ChainComplex:
@@ -113,6 +114,17 @@ def two_term_complex(f: MapMatrix) -> ChainComplex:
     return ChainComplex(f.source.ring, {0: f.target, 1: f.source}, {1: f})
 
 
+def cyclic_two_term(ring: RingDescriptor, name: str, f: Poly, deg: int | None = None) -> ChainComplex:
+    """R(-deg) --f--> R as a two-term complex with basis labels name1, name0.
+
+    ``deg`` defaults to the degree of f, so the differential is homogeneous
+    of degree 0 whenever f is homogeneous.
+    """
+    M0 = LabeledFreeModule(ring, [atom(f"{name}0", 0)])
+    M1 = LabeledFreeModule(ring, [atom(f"{name}1", max(f.degree(), 0) if deg is None else deg)])
+    return two_term_complex(MapMatrix(M1, M0, {0: {0: f}}))
+
+
 def regular_sequence_resolution(ring: RingDescriptor) -> ChainComplex:
     """Koszul resolution of R/(regular sequence), as Tot of two-term pieces.
 
@@ -121,17 +133,7 @@ def regular_sequence_resolution(ring: RingDescriptor) -> ChainComplex:
     """
     if not ring.regular_sequence:
         raise ValueError("ring has no configured regular sequence")
-    seq = ring.regular_sequence
-    pieces = []
-    names = ("k", "l")
-    for idx, f in enumerate(seq):
-        from .linear import atom
-
-        M0 = LabeledFreeModule(ring, [atom(f"{names[idx]}0", 0)])
-        M1 = LabeledFreeModule(ring, [atom(f"{names[idx]}1", max(f.degree(), 0))])
-        pieces.append(
-            ChainComplex(ring, {0: M0, 1: M1}, {1: MapMatrix(M1, M0, {0: {0: f}})})
-        )
+    pieces = [cyclic_two_term(ring, name, f) for name, f in zip("kl", ring.regular_sequence)]
     if len(pieces) == 1:
         return pieces[0]
     T = total_complex(pieces[0], pieces[1])
@@ -141,8 +143,6 @@ def regular_sequence_resolution(ring: RingDescriptor) -> ChainComplex:
 
 def _check_koszul_match(ring: RingDescriptor, T: ChainComplex):
     """Verify Tot(K (x) L) is isomorphic to Kos^2((f,g): R^2 -> R)."""
-    from .linear import atom
-
     f, g = ring.regular_sequence
     P = LabeledFreeModule(
         ring, [atom("p1", max(f.degree(), 0)), atom("p2", max(g.degree(), 0))]

@@ -227,20 +227,6 @@ class MapMatrix:
         self._cols = {} if cols is None else cols
         self._provider = provider
 
-    @classmethod
-    def from_entries(cls, source, target, entries):
-        """entries: iterable of (row, col, Poly)."""
-        cols: dict = {}
-        for i, j, poly in entries:
-            if not poly.is_zero():
-                col = cols.setdefault(j, {})
-                col[i] = col.get(i, source.ring.zero()) + poly
-        for j in list(cols):
-            cols[j] = {i: q for i, q in cols[j].items() if not q.is_zero()}
-            if not cols[j]:
-                del cols[j]
-        return cls(source, target, cols)
-
     def col(self, j: int) -> dict:
         c = self._cols.get(j)
         if c is None:
@@ -481,16 +467,3 @@ def multiplication_slice(module: LabeledFreeModule, poly: Poly, t: int, src_basi
             rpos = pos[(i, monomial_mul(mono, mterm))]
             M[rpos, cpos] = field.add(M[rpos, cpos], coeff)
     return M
-
-
-def slice_vector_of(module, vec_col: dict, t: int, basis=None):
-    """Coefficient column of a degree-t element given as {row: Poly}."""
-    ring = module.ring
-    if basis is None:
-        basis = slice_basis(module, t)
-    pos = slice_positions(basis)
-    v = fieldla.zeros(ring.field, len(basis), 1)
-    for i, q in vec_col.items():
-        for mono, coeff in q.terms.items():
-            v[pos[(i, mono)], 0] = ring.field.add(v[pos[(i, mono)], 0], coeff)
-    return v

@@ -1,15 +1,20 @@
 """End-to-end pipelines producing machine-checked rank tables.
 
-Each scenario builds its complexes from scratch, runs a homology
-engine, compares against the frozen expected tables, and returns a
-ScenarioResult with per-degree detail.  Results serialize into the
-report document emitted by the command line tool.
+Each scenario is a ``Spec``: its ring requirement, the expected tables it
+reports and a body that builds its complexes from scratch, runs a homology
+engine and returns its verdict.  One runner, ``run``, does the frame every
+scenario shares (clock, ring, requirement checks, budget, certificates)
+and returns a ScenarioResult with per-degree detail.  Results serialize
+into the report document emitted by the command line tool.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +45,13 @@ from .functors import (
     delta_map,
     plus_map,
 )
-from .koszul import cokoszul_complex, koszul_complex, regular_sequence_resolution, two_term_complex
+from .koszul import (
+    cokoszul_complex,
+    cyclic_two_term,
+    koszul_complex,
+    regular_sequence_resolution,
+    two_term_complex,
+)
 from .linear import LabeledFreeModule, MapMatrix, atom, identity_map
 from .ring import ring_descriptor
 from .simplicial import (
@@ -72,18 +83,19 @@ class ScenarioConfig:
     sequence: tuple | None = None  # default: the variables themselves
     n_max: int = 7
     t_max: int = 12
-    engine: str = "graded"  # graded | groebner | both
+    engine: str = "graded"  # gk only: graded | groebner | both
     route: str = "a"  # gk only: a | b | both
     budget_s: float | None = None
 
-    def ring(self):
+    def ring(self, plain: bool = False):
+        """The configured ring, or with ``plain`` its coefficient field alone."""
         try:
             return ring_descriptor(
                 prime=self.prime,
                 rationals=self.rationals,
-                variables=self.variables,
+                variables=() if plain else self.variables,
                 order=self.order,
-                sequence=self.sequence,
+                sequence=() if plain else self.sequence,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -92,7 +104,6 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     name: str
-    ring: dict
     expected: dict = dc_field(default_factory=dict)
     computed: dict = dc_field(default_factory=dict)
     per_degree: dict = dc_field(default_factory=dict)
@@ -115,107 +126,136 @@ class ScenarioResult:
 
 
 class _Budget:
+    """The scenario clock; ``check`` raises once ``seconds`` have passed."""
+
     def __init__(self, seconds):
         self.t0 = time.monotonic()
         self.seconds = seconds
 
+    def elapsed(self) -> float:
+        return time.monotonic() - self.t0
+
     def check(self):
-        if self.seconds is not None and time.monotonic() - self.t0 > self.seconds:
+        if self.seconds is not None and self.elapsed() > self.seconds:
             raise BudgetExceeded()
 
 
-def _finish(result: ScenarioResult, t0: float) -> ScenarioResult:
-    result.millis = int((time.monotonic() - t0) * 1000)
-    return result
+# --- the runner -----------------------------------------------------------------
 
 
-def _ranks_and_detail(report, ks):
-    ranks = report.rank_vector(ks)
-    detail = report.to_dict()["per_degree"]
-    certified = all(
-        d.ri_rank is not None for k, d in report.degrees.items() if k in set(ks)
-    )
-    return ranks, detail, certified and report.euler_ok
+@dataclass(frozen=True)
+class Spec:
+    """One scenario.
+
+    ``needs`` is the ring requirement: "field" (the coefficient field
+    alone), "sequence" (a regular sequence) or "pair" (a regular sequence
+    of length 2); a sequence must be homogeneous.
+    ``expected`` maps report keys to EXPECTED entries.  ``body(ctx, **kw)``
+    fills ``ctx.res`` and returns its verdict.  Bodies reach dflab through
+    module globals, so a tracer that rebinds module attributes sees them.
+    """
+
+    name: str
+    needs: str
+    expected: dict
+    body: Callable
 
 
-def _resolution_pipeline(ring, n_max, tag):
-    """normalize(F applied levelwise to the level-build of the resolution)."""
-    P = regular_sequence_resolution(ring)
-    GP = gamma(P, n_max)
-    return normalize(apply_pointwise_functor(tag, GP)), P, GP
+class Context:
+    """What a scenario body works with: config, ring, budget and the result."""
+
+    def __init__(self, cfg: ScenarioConfig, ring, res: ScenarioResult, budget: _Budget):
+        self.cfg, self.ring, self.res, self.budget = cfg, ring, res, budget
+        self.certified = True
+
+    def graded(self, C, ks, section=None, certify=False) -> list:
+        """Ranks of H_k(C) over R/I for k in ks from the graded engine.
+
+        The per-degree detail goes to ``per_degree[section]``; with
+        ``certify`` the table must carry its certificates for a pass.
+        """
+        rep = homology_graded(C, self.cfg.t_max)
+        if section is not None:
+            self.res.per_degree[section] = rep.to_dict()["per_degree"]
+        if certify:
+            certified = all(rep.degrees[k].ri_rank is not None for k in ks if k in rep.degrees)
+            self.certified = self.certified and certified and rep.euler_ok
+        return rep.rank_vector(ks)
+
+
+def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
+    """Run one scenario; keywords go to its body (predict takes d, g_tables)."""
+    budget = _Budget(cfg.budget_s)
+    if cfg.n_max < 0 or cfg.t_max < 0:
+        raise ConfigError("--nmax and --tmax must be >= 0")
+    if spec.needs == "field":
+        ring = cfg.ring(plain=True)
+    else:
+        ring = cfg.ring()
+        seq = ring.regular_sequence or ()
+        if not seq or (spec.needs == "pair" and len(seq) != 2):
+            length = " of length 2" if spec.needs == "pair" else ""
+            raise ConfigError(f"{spec.name} needs a regular sequence{length}")
+        if not all(f.is_homogeneous() for f in seq):
+            raise ConfigError(f"{spec.name} needs a homogeneous regular sequence")
+    expected = {key: EXPECTED[entry]["value"] for key, entry in spec.expected.items()}
+    res = ScenarioResult(spec.name, expected=expected)
+    ctx = Context(cfg, ring, res, budget)
+    try:
+        budget.check()
+        res.passed = bool(spec.body(ctx, **kw) and ctx.certified)
+    except BudgetExceeded:
+        res.partial = True
+        res.notes.append("budget exceeded; partial report")
+    res.millis = int(budget.elapsed() * 1000)
+    return res
+
+
+def _one_variable_builds(ring, n_max: int):
+    """Level-builds of the two one-variable pieces K = (f) and L = (g)."""
+    f, g = ring.regular_sequence
+    K, L = cyclic_two_term(ring, "k", f), cyclic_two_term(ring, "l", g)
+    return gamma(K, n_max), gamma(L, n_max)
 
 
 # --- main scenario: the cube pipeline ---------------------------------------
 
 
-def run_gk(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_gk needs a regular sequence of length 2")
-    budget = _Budget(cfg.budget_s)
-    res = ScenarioResult("gk", ring.describe(), expected={"ranks": EXPECTED["gk_ranks"]["value"]})
-    ks = list(range(0, 7))
-    try:
-        N, P, GP = _resolution_pipeline(ring, cfg.n_max, Sym(3))
-        budget.check()
-        if cfg.engine in ("graded", "both"):
-            rep = homology_graded(N, cfg.t_max)
-            ranks, detail, certified = _ranks_and_detail(rep, ks)
-            res.computed["ranks"] = ranks
-            res.per_degree["graded"] = detail
-            res.computed["certified"] = certified
-        budget.check()
-        if cfg.engine in ("groebner", "both"):
-            rep_g = homology_groebner_report(truncate(N, 7), cfg.t_max)
-            ranks_g = rep_g.rank_vector(ks)
-            res.per_degree["groebner"] = rep_g.to_dict()["per_degree"]
-            res.computed.setdefault("ranks", ranks_g)
-            res.computed["groebner_ranks"] = ranks_g
-        budget.check()
-        if cfg.route in ("b", "both"):
-            ranks_b, detail_b = _gk_route_b(ring, cfg, budget)
-            res.computed["route_b_ranks"] = ranks_b
-            res.per_degree["route_b"] = detail_b
-            if cfg.route == "b":
-                res.computed["ranks"] = ranks_b
-        ok = res.computed.get("ranks") == res.expected["ranks"]
-        if cfg.engine == "both":
-            ok = ok and res.computed["groebner_ranks"] == res.expected["ranks"]
-        if cfg.route == "both":
-            ok = ok and res.computed["route_b_ranks"] == res.expected["ranks"]
-            per_t_a = res.per_degree["graded"]
-            per_t_b = res.per_degree["route_b"]
-            ok = ok and _same_dim_tables(per_t_a, per_t_b)
-            res.computed["route_independent"] = _same_dim_tables(per_t_a, per_t_b)
-        if cfg.engine != "groebner":
-            ok = ok and res.computed.get("certified", False)
-        res.passed = bool(ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
-
-
-def _gk_route_b(ring, cfg, budget):
-    """H_k of the normalized cube of the levelwise product of the two
-    one-variable level-builds (the route through the diagonal)."""
-    f, g = ring.regular_sequence
-    K = _two_term(ring, "k", f)
-    L = _two_term(ring, "l", g)
-    GK, GL = gamma(K, cfg.n_max), gamma(L, cfg.n_max)
-    D = diagonal_tensor([GK, GL])
-    NB = normalize(apply_pointwise_functor(Sym(3), D))
-    budget.check()
-    rep = homology_graded(NB, cfg.t_max)
-    ranks, detail, _ = _ranks_and_detail(rep, list(range(0, 7)))
-    return ranks, detail
-
-
-def _two_term(ring, name, f):
-    M0 = LabeledFreeModule(ring, [atom(f"{name}0", 0)])
-    M1 = LabeledFreeModule(ring, [atom(f"{name}1", max(f.degree(), 0))])
-    return ChainComplex(ring, {0: M0, 1: M1}, {1: MapMatrix(M1, M0, {0: {0: f}})})
+def _gk(ctx: Context) -> bool:
+    cfg, res = ctx.cfg, ctx.res
+    ks = range(0, 7)
+    GP = gamma(regular_sequence_resolution(ctx.ring), cfg.n_max)
+    N = normalize(apply_pointwise_functor(Sym(3), GP))
+    ctx.budget.check()
+    if cfg.engine in ("graded", "both"):
+        res.computed["ranks"] = ctx.graded(N, ks, "graded", certify=True)
+        res.computed["certified"] = ctx.certified
+    ctx.budget.check()
+    if cfg.engine in ("groebner", "both"):
+        rep_g = homology_groebner_report(truncate(N, 7), cfg.t_max)
+        ranks_g = rep_g.rank_vector(ks)
+        res.per_degree["groebner"] = rep_g.to_dict()["per_degree"]
+        res.computed.setdefault("ranks", ranks_g)
+        res.computed["groebner_ranks"] = ranks_g
+    ctx.budget.check()
+    if cfg.route in ("b", "both"):
+        # route b: the normalized cube of the levelwise product of the two
+        # one-variable level-builds (the route through the diagonal)
+        D = diagonal_tensor(list(_one_variable_builds(ctx.ring, cfg.n_max)))
+        NB = normalize(apply_pointwise_functor(Sym(3), D))
+        ctx.budget.check()
+        res.computed["route_b_ranks"] = ctx.graded(NB, ks, "route_b")
+        if cfg.route == "b":
+            res.computed["ranks"] = res.computed["route_b_ranks"]
+    want = res.expected["ranks"]
+    ok = res.computed.get("ranks") == want
+    if cfg.engine == "both":
+        ok = ok and res.computed["groebner_ranks"] == want
+    if cfg.route == "both":
+        same = _same_dim_tables(res.per_degree["graded"], res.per_degree["route_b"])
+        res.computed["route_independent"] = same
+        ok = ok and res.computed["route_b_ranks"] == want and same
+    return ok
 
 
 def _same_dim_tables(a: dict, b: dict) -> bool:
@@ -231,138 +271,87 @@ def _same_dim_tables(a: dict, b: dict) -> bool:
 # --- cross-effect scenarios ---------------------------------------------------
 
 
-def run_cross2(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_cross2 needs a regular sequence of length 2")
-    budget = _Budget(cfg.budget_s)
-    res = ScenarioResult(
-        "cross2",
-        ring.describe(),
-        expected={
-            "per_side": EXPECTED["cross2_per_side"]["value"],
-            "totals": EXPECTED["cross2_totals"]["value"],
-            "sym2": EXPECTED["sym2_ranks"]["value"],
-        },
+def _cross2(ctx: Context) -> bool:
+    res = ctx.res
+    GP = gamma(regular_sequence_resolution(ctx.ring), ctx.cfg.n_max)
+    S2GP = apply_pointwise_functor(Sym(2), GP)
+    sides = {}
+    for label, mods in (("left", [S2GP, GP]), ("right", [GP, S2GP])):
+        N = normalize(diagonal_tensor(mods))
+        ctx.budget.check()
+        sides[label] = ctx.graded(N, range(0, 6), label, certify=True)
+        res.computed["certified"] = ctx.certified
+    res.computed["per_side"] = sides
+    res.computed["totals"] = [a + b for a, b in zip(sides["left"], sides["right"])]
+    ctx.budget.check()
+    # square-power sub-table on the same resolution
+    res.computed["sym2"] = ctx.graded(normalize(S2GP), range(0, 4), "sym2")
+    return (
+        sides["left"] == sides["right"] == res.expected["per_side"]
+        and res.computed["totals"] == res.expected["totals"]
+        and res.computed["sym2"] == res.expected["sym2"]
     )
-    ks = list(range(0, 6))
-    try:
-        P = regular_sequence_resolution(ring)
-        GP = gamma(P, cfg.n_max)
-        S2GP = apply_pointwise_functor(Sym(2), GP)
-        sides = {}
-        for label, mods in (("left", [S2GP, GP]), ("right", [GP, S2GP])):
-            N = normalize(diagonal_tensor(mods))
-            budget.check()
-            rep = homology_graded(N, cfg.t_max)
-            ranks, detail, certified = _ranks_and_detail(rep, ks)
-            sides[label] = ranks
-            res.per_degree[label] = detail
-            res.computed.setdefault("certified", True)
-            res.computed["certified"] = res.computed["certified"] and certified
-        res.computed["per_side"] = sides
-        res.computed["totals"] = [a + b for a, b in zip(sides["left"], sides["right"])]
-        # square-power sub-table on the same resolution
-        NS2 = normalize(S2GP)
-        rep2 = homology_graded(NS2, cfg.t_max)
-        res.computed["sym2"] = rep2.rank_vector(range(0, 4))
-        res.per_degree["sym2"] = rep2.to_dict()["per_degree"]
-        ok = (
-            sides["left"] == res.expected["per_side"]
-            and sides["right"] == res.expected["per_side"]
-            and res.computed["totals"] == res.expected["totals"]
-            and res.computed["sym2"] == res.expected["sym2"]
-            and res.computed["certified"]
-        )
-        res.passed = bool(ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
 
 
-def run_cross3(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_cross3 needs a regular sequence of length 2")
-    budget = _Budget(cfg.budget_s)
-    res = ScenarioResult(
-        "cross3", ring.describe(), expected={"ranks": EXPECTED["cross3_ranks"]["value"]}
-    )
-    ks = list(range(0, 6))
-    try:
-        P = regular_sequence_resolution(ring)
-        GP = gamma(P, cfg.n_max)
-        N = normalize(diagonal_tensor([GP, GP, GP]))
-        budget.check()
-        rep = homology_graded(N, cfg.t_max)
-        ranks, detail, certified = _ranks_and_detail(rep, ks)
-        res.computed["ranks"] = ranks
-        res.per_degree["diagonal"] = detail
-        # cross-check through the total complex of the triple power
-        T = total_complex_many([P, P, P])
-        rep_t = homology_graded(T, cfg.t_max)
-        res.computed["total_complex_ranks"] = rep_t.rank_vector(ks)
-        res.per_degree["total_complex"] = rep_t.to_dict()["per_degree"]
-        binom = [_choose(4, k) for k in ks]
-        ok = (
-            ranks == res.expected["ranks"] == binom[: len(ranks)]
-            and res.computed["total_complex_ranks"] == res.expected["ranks"]
-            and certified
-        )
-        res.passed = bool(ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
+def _cross3(ctx: Context) -> bool:
+    res = ctx.res
+    ks = range(0, 6)
+    P = regular_sequence_resolution(ctx.ring)
+    GP = gamma(P, ctx.cfg.n_max)
+    N = normalize(diagonal_tensor([GP, GP, GP]))
+    ctx.budget.check()
+    ranks = res.computed["ranks"] = ctx.graded(N, ks, "diagonal", certify=True)
+    ctx.budget.check()
+    # cross-check through the total complex of the triple power
+    T = total_complex_many([P, P, P])
+    res.computed["total_complex_ranks"] = ctx.graded(T, ks, "total_complex")
+    want = res.expected["ranks"]
+    return ranks == want == [comb(4, k) for k in ks] and res.computed["total_complex_ranks"] == want
 
 
-def run_tor_powers(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_tor_powers needs a regular sequence of length 2")
-    res = ScenarioResult(
-        "tor-powers",
-        ring.describe(),
-        expected={"square": EXPECTED["tor_square"]["value"], "cube": EXPECTED["tor_cube"]["value"]},
-    )
-    P = regular_sequence_resolution(ring)
+def _tor_powers(ctx: Context) -> bool:
+    res = ctx.res
+    P = regular_sequence_resolution(ctx.ring)
     T2 = total_complex(P, P)
-    T3 = total_complex(T2, P)
-    rep2 = homology_graded(T2, cfg.t_max)
-    rep3 = homology_graded(T3, cfg.t_max)
-    res.computed["square"] = rep2.rank_vector(range(0, 3))
-    res.computed["cube"] = rep3.rank_vector(range(0, 5))
-    res.per_degree["square"] = rep2.to_dict()["per_degree"]
-    res.per_degree["cube"] = rep3.to_dict()["per_degree"]
-    certified = all(d.ri_rank is not None for d in rep2.degrees.values()) and all(
-        d.ri_rank is not None for d in rep3.degrees.values()
-    )
-    res.passed = bool(
+    certified = True
+    for label, T, top in (("square", T2, 3), ("cube", total_complex(T2, P), 5)):
+        ctx.budget.check()
+        rep = homology_graded(T, ctx.cfg.t_max)
+        res.computed[label] = rep.rank_vector(range(0, top))
+        res.per_degree[label] = rep.to_dict()["per_degree"]
+        certified = certified and all(d.ri_rank is not None for d in rep.degrees.values())
+    return (
         res.computed["square"] == res.expected["square"]
         and res.computed["cube"] == res.expected["cube"]
         and certified
     )
-    return _finish(res, t0)
 
 
 # --- predictions ---------------------------------------------------------------
 
+# what predict checks at d = 2: g_tables key -> (scenario, computed key)
+G_TABLES = {
+    "gk": ("gk", "ranks"),
+    "cross2_totals": ("cross2", "totals"),
+    "cross3": ("cross3", "ranks"),
+}
 
-def run_predictions(cfg: ScenarioConfig, d: int = 2, g_tables: dict | None = None) -> ScenarioResult:
-    t0 = time.monotonic()
+
+def g_tables_from(computed: dict) -> dict:
+    """predict's ``g_tables`` from the computed dicts of gk, cross2, cross3 by name."""
+    return {key: computed[name].get(field) for key, (name, field) in G_TABLES.items()}
+
+
+def _predict(ctx: Context, d: int = 2, g_tables: dict | None = None) -> bool:
+    """Predicted tables at conormal rank d; at d = 2 they must equal the
+    computed gk, cross2 and cross3 tables, recomputed unless ``g_tables``
+    passes them in."""
     if d < 1:
         raise ConfigError("conormal rank d must be >= 1")
-    ring = cfg.ring()
-    res = ScenarioResult("predict", ring.describe())
+    res = ctx.res
     tables = prediction_tables(d)
-    res.computed["F"] = tables["F"]
-    res.computed["cr2"] = tables["cr2"]
-    res.computed["cr3"] = tables["cr3"]
-    res.computed["cr3_printed_list"] = tables["cr3_printed_list"]
+    for key in ("F", "cr2", "cr3", "cr3_printed_list"):
+        res.computed[key] = tables[key]
     res.computed["d"] = d
     if tables["printed_list_discrepancy"]:
         res.notes.append(
@@ -371,10 +360,7 @@ def run_predictions(cfg: ScenarioConfig, d: int = 2, g_tables: dict | None = Non
             f"{tables['cr3'][2]}; the latter matches the three-argument theorem"
         )
     # confirm the composition-factor evaluation by brute-force cross-effects
-    plain = ring_descriptor(
-        prime=cfg.prime, rationals=cfg.rationals, variables=(), sequence=()
-    )
-    k1 = [LabeledFreeModule(plain, [atom(f"a{i}", 0)]) for i in range(3)]
+    k1 = [LabeledFreeModule(ctx.ring, [atom(f"a{i}", 0)]) for i in range(3)]
     d2v = ProductFunctor([Div(2), TensorPow(1)])
     lam2 = d * (d - 1) // 2
     sym2 = d * (d + 1) // 2
@@ -384,43 +370,28 @@ def run_predictions(cfg: ScenarioConfig, d: int = 2, g_tables: dict | None = Non
     )
     res.computed["cr3_k2_brute_force"] = brute
     ok = brute == tables["cr3"][2]
-    if d == 2:
-        if g_tables is None:
-            sub = ScenarioConfig(**{**cfg.__dict__})
-            g_tables = {
-                "gk": run_gk(sub).computed.get("ranks"),
-                "cross2_totals": run_cross2(sub).computed.get("totals"),
-                "cross3": run_cross3(sub).computed.get("ranks"),
-            }
-        res.computed["g_tables"] = g_tables
-        f_pad = tables["F"] + [0, 0]
-        cr2_pad = tables["cr2"] + [0]
-        cr3_pad = tables["cr3"] + [0]
-        res.expected = {"gk": f_pad, "cross2_totals": cr2_pad, "cross3": cr3_pad}
-        ok = (
-            ok
-            and g_tables["gk"] == f_pad
-            and g_tables["cross2_totals"] == cr2_pad
-            and g_tables["cross3"] == cr3_pad
-        )
-    res.passed = bool(ok)
-    return _finish(res, t0)
+    if d != 2:
+        return ok
+    if g_tables is None:
+        ctx.budget.check()
+        subs = {name: SCENARIOS[name](ctx.cfg) for name, _ in G_TABLES.values()}
+        if any(r.partial for r in subs.values()):
+            raise BudgetExceeded()
+        g_tables = g_tables_from({name: r.computed for name, r in subs.items()})
+    res.computed["g_tables"] = g_tables
+    res.expected = {
+        "gk": tables["F"] + [0, 0],
+        "cross2_totals": tables["cr2"] + [0],
+        "cross3": tables["cr3"] + [0],
+    }
+    return ok and all(g_tables[key] == want for key, want in res.expected.items())
 
 
 # --- Schur comparison ------------------------------------------------------------
 
 
-def run_schur_comparison(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    plain = ring_descriptor(
-        prime=cfg.prime, rationals=cfg.rationals, variables=(), sequence=()
-    )
-    res = ScenarioResult(
-        "check-schur",
-        plain.describe(),
-        expected={"cross_ranks": EXPECTED["schur_cross_ranks"]["value"]},
-    )
-    field = plain.field
+def _schur(ctx: Context) -> bool:
+    res, plain = ctx.res, ctx.ring
 
     def kmods(count):
         return [LabeledFreeModule(plain, [atom(f"s{i}", 0)]) for i in range(count)]
@@ -430,6 +401,7 @@ def run_schur_comparison(cfg: ScenarioConfig) -> ScenarioResult:
         ranks[label] = [cross_effect(tag, kmods(k)).module.rank for k in (1, 2, 3, 4)]
     res.computed["cross_ranks"] = ranks
     ok = all(ranks[lbl] == res.expected["cross_ranks"] for lbl in ranks)
+    ctx.budget.check()
 
     # mixed-rank sanity: cr2 at (k^2, k^3) has the same dimension on both sides
     m2 = [
@@ -439,6 +411,7 @@ def run_schur_comparison(cfg: ScenarioConfig) -> ScenarioResult:
     dims23 = [cross_effect(t, m2).module.rank for t in (SchurL31, CoSchurL31)]
     res.computed["cr2_rank_2_3"] = dims23
     ok = ok and dims23 == [30, 30]
+    ctx.budget.check()
 
     # structural squares: find isomorphisms alpha2, alpha3 commuting with all
     # diagonal/plus maps for epsilon in {1,2}^2 with |epsilon| = 3
@@ -451,14 +424,12 @@ def run_schur_comparison(cfg: ScenarioConfig) -> ScenarioResult:
             pm, _, _ = plus_map(tag, eps, args2)
             mats[(label, "delta", eps)] = dm.to_field_matrix()
             mats[(label, "plus", eps)] = pm.to_field_matrix()
-    alpha = _solve_commuting_isos(field, mats, eps_list, 2, 2)
+    alpha = _solve_commuting_isos(plain.field, mats, eps_list, 2, 2)
     res.computed["squares_commute"] = alpha is not None
     # the one-variable squares involve the zero module on both sides
     zero_rank = cross_effect(SchurL31, kmods(1)).module.rank
     res.computed["cr1_zero"] = zero_rank == 0
-    ok = ok and alpha is not None and zero_rank == 0
-    res.passed = bool(ok)
-    return _finish(res, t0)
+    return ok and alpha is not None and zero_rank == 0
 
 
 def _solve_commuting_isos(field, mats, eps_list, n2, n3):
@@ -536,74 +507,47 @@ def _certify_cyclic_mod(pres, f, others, t_max) -> str:
     return "other"
 
 
-def run_l31_homology(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence:
-        raise ConfigError("run_l31_homology needs a regular sequence")
-    budget = _Budget(cfg.budget_s)
+def _l31(ctx: Context) -> bool:
+    cfg, res, ring = ctx.cfg, ctx.res, ctx.ring
     f = ring.regular_sequence[0]
-    others = [g for g in ring.regular_sequence[1:]]
-    res = ScenarioResult(
-        "check-l31",
-        ring.describe(),
-        expected={
-            "l31": EXPECTED["l31_gamma_k"]["value"],
-            "mixed": EXPECTED["mixed_gamma_k"]["value"],
-            "cube": EXPECTED["cube_gamma_k"]["value"],
-            "m21_ranks": EXPECTED["m21_ranks"]["value"],
-        },
-    )
+    others = list(ring.regular_sequence[1:])
     fname = str(f)
     expected_named = {
-        "l31": [s.replace("x", fname) if s != "0" else s for s in res.expected["l31"]],
-        "mixed": [s.replace("x", fname) if s != "0" else s for s in res.expected["mixed"]],
-        "cube": [s.replace("x", fname) if s != "0" else s for s in res.expected["cube"]],
+        label: [s.replace("x", fname) if s != "0" else s for s in res.expected[label]]
+        for label in ("l31", "mixed", "cube")
     }
-    try:
-        n_small = min(cfg.n_max, 5)
-        K = _two_term(ring, "k", f)
-        GK = gamma(K, n_small)
-        pieces = {
-            "l31": normalize(apply_pointwise_functor(SchurL31, GK)),
-            "mixed": normalize(
-                diagonal_tensor([GK, apply_pointwise_functor(Sym(2), GK)])
-            ),
-            "cube": normalize(apply_pointwise_functor(Sym(3), GK)),
-        }
-        for label, N in pieces.items():
-            budget.check()
-            table = []
-            for k in range(0, 4):
-                pres = homology_groebner(truncate(N, n_small - 1), k)
-                table.append(_certify_cyclic_mod(pres, f, others, cfg.t_max))
-            res.computed[label] = table
-            res.per_degree[label] = {str(k): v for k, v in enumerate(table)}
-        ok = all(res.computed[label] == expected_named[label] for label in pieces)
-        if len(ring.regular_sequence) == 2:
-            budget.check()
-            m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max)
-            rep = homology_graded(m21, cfg.t_max)
-            ranks, detail, certified = _ranks_and_detail(rep, list(range(0, 7)))
-            res.computed["m21_ranks"] = ranks
-            res.per_degree["m21"] = detail
-            res.computed["m21_rank_split"] = dims_check
-            ok = ok and ranks == res.expected["m21_ranks"] and certified
-            ok = ok and all(a == b + c for a, b, c in dims_check)
-            budget.check()
-            rep_sub = homology_graded(sub_N, cfg.t_max)
-            rep_quot = homology_graded(quot_N, cfg.t_max)
-            sub_ranks = rep_sub.rank_vector(range(0, 7))
-            quot_ranks = rep_quot.rank_vector(range(0, 7))
-            res.computed["wedge_cube_pair_ranks"] = sub_ranks
-            res.computed["schur_pair_ranks"] = quot_ranks
-            ok = ok and sub_ranks == [0, 0, 0, 0, 1, 0, 0]
-            ok = ok and quot_ranks == [0, 0, 1, 0, 0, 0, 0]
-        res.passed = bool(ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
+    n_small = min(cfg.n_max, 5)
+    GK = gamma(cyclic_two_term(ring, "k", f), n_small)
+    pieces = {
+        "l31": normalize(apply_pointwise_functor(SchurL31, GK)),
+        "mixed": normalize(diagonal_tensor([GK, apply_pointwise_functor(Sym(2), GK)])),
+        "cube": normalize(apply_pointwise_functor(Sym(3), GK)),
+    }
+    for label, N in pieces.items():
+        ctx.budget.check()
+        table = []
+        for k in range(0, 4):
+            pres = homology_groebner(truncate(N, n_small - 1), k)
+            table.append(_certify_cyclic_mod(pres, f, others, cfg.t_max))
+        res.computed[label] = table
+        res.per_degree[label] = {str(k): v for k, v in enumerate(table)}
+    ok = all(res.computed[label] == expected_named[label] for label in pieces)
+    if len(ring.regular_sequence) == 2:
+        ctx.budget.check()
+        m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max)
+        ks = range(0, 7)
+        res.computed["m21_ranks"] = ctx.graded(m21, ks, "m21", certify=True)
+        res.computed["m21_rank_split"] = dims_check
+        ok = ok and res.computed["m21_ranks"] == res.expected["m21_ranks"]
+        ok = ok and all(a == b + c for a, b, c in dims_check)
+        ctx.budget.check()
+        sub_ranks = ctx.graded(sub_N, ks)
+        quot_ranks = ctx.graded(quot_N, ks)
+        res.computed["wedge_cube_pair_ranks"] = sub_ranks
+        res.computed["schur_pair_ranks"] = quot_ranks
+        ok = ok and sub_ranks == [0, 0, 0, 0, 1, 0, 0]
+        ok = ok and quot_ranks == [0, 0, 1, 0, 0, 0, 0]
+    return ok
 
 
 def m21_complex(ring, n_max: int):
@@ -615,10 +559,8 @@ def m21_complex(ring, n_max: int):
     where sub and quot are the normalized complexes of the two filtration
     quotients.
     """
-    f, g = ring.regular_sequence
     field = ring.field
-    GK = gamma(_two_term(ring, "k", f), n_max)
-    GL = gamma(_two_term(ring, "l", g), n_max)
+    GK, GL = _one_variable_builds(ring, n_max)
     D = diagonal_tensor([GK, GL])
     S3 = apply_pointwise_functor(Sym(3), D)
     NS3 = normalize(S3)
@@ -723,13 +665,8 @@ def m21_complex(ring, n_max: int):
 # --- Koszul quasi-isomorphisms -------------------------------------------------
 
 
-def run_koszul_qis(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence:
-        raise ConfigError("run_koszul_qis needs a regular sequence")
-    res = ScenarioResult("check-koszul", ring.describe())
-    budget = _Budget(cfg.budget_s)
+def _koszul(ctx: Context) -> bool:
+    cfg, res, ring = ctx.cfg, ctx.res, ctx.ring
     cases = {}
     f = ring.regular_sequence[0]
     P1 = LabeledFreeModule(ring, [atom("p", max(f.degree(), 0))])
@@ -746,38 +683,33 @@ def run_koszul_qis(cfg: ScenarioConfig) -> ScenarioResult:
     cases["invertible"] = MapMatrix(
         I2s, I2t, {0: {0: ring.one()}, 1: {1: ring.one()}}
     )
-    try:
-        all_ok = True
-        for label, fmap in cases.items():
-            T = two_term_complex(fmap)
-            for n in (1, 2, 3):
-                budget.check()
-                G = gamma(T, n + 2)
-                sym_n = truncate(normalize(apply_pointwise_functor(Sym(n), G)), n + 1)
-                ext_n = truncate(normalize(apply_pointwise_functor(Ext(n), G)), n + 1)
-                pairs = {
-                    "sym": (koszul_complex(fmap, n), sym_n),
-                    "ext": (cokoszul_complex(fmap, n), ext_n),
-                }
-                for side, (A, B) in pairs.items():
-                    da = _dims_table(A, min(cfg.t_max, 8))
-                    db = _dims_table(B, min(cfg.t_max, 8))
-                    key = f"{label}/n={n}/{side}"
-                    res.per_degree[key] = {"koszul": _str_dims(da), "derived": _str_dims(db)}
-                    if da != db:
-                        all_ok = False
-                if label == "invertible":
-                    exact = all(
-                        not v
-                        for v in _dims_table(koszul_complex(fmap, n), 0).values()
-                    )
-                    all_ok = all_ok and exact
-        res.computed["all_tables_match"] = all_ok
-        res.passed = bool(all_ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
+    all_ok = True
+    for label, fmap in cases.items():
+        T = two_term_complex(fmap)
+        for n in (1, 2, 3):
+            ctx.budget.check()
+            G = gamma(T, n + 2)
+            sym_n = truncate(normalize(apply_pointwise_functor(Sym(n), G)), n + 1)
+            ext_n = truncate(normalize(apply_pointwise_functor(Ext(n), G)), n + 1)
+            pairs = {
+                "sym": (koszul_complex(fmap, n), sym_n),
+                "ext": (cokoszul_complex(fmap, n), ext_n),
+            }
+            for side, (A, B) in pairs.items():
+                da = _dims_table(A, min(cfg.t_max, 8))
+                db = _dims_table(B, min(cfg.t_max, 8))
+                key = f"{label}/n={n}/{side}"
+                res.per_degree[key] = {"koszul": _str_dims(da), "derived": _str_dims(db)}
+                if da != db:
+                    all_ok = False
+            if label == "invertible":
+                exact = all(
+                    not v
+                    for v in _dims_table(koszul_complex(fmap, n), 0).values()
+                )
+                all_ok = all_ok and exact
+    res.computed["all_tables_match"] = all_ok
+    return all_ok
 
 
 def _dims_table(C: ChainComplex, t_max: int) -> dict:
@@ -792,103 +724,67 @@ def _str_dims(d: dict) -> dict:
 # --- Eilenberg-Zilber checks ------------------------------------------------------
 
 
-def run_ez_check(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_ez_check needs a regular sequence of length 2")
-    res = ScenarioResult("check-ez", ring.describe())
-    budget = _Budget(cfg.budget_s)
+def _ez(ctx: Context) -> bool:
+    cfg, res = ctx.cfg, ctx.res
     n_max = min(cfg.n_max, 5)
-    f, g = ring.regular_sequence
-    K = _two_term(ring, "k", f)
-    L = _two_term(ring, "l", g)
-    try:
-        GK, GL = gamma(K, n_max), gamma(L, n_max)
-        sh, tot, nd = shuffle_map(GK, GL)
-        aw, _, _ = aw_map(GK, GL)
+    t_max = min(cfg.t_max, 8)
+
+    def comparison_maps_ok(sh, aw, tot):
+        """(shuffle and front-face maps are chain maps, aw after sh is the identity)"""
         comp = aw.compose(sh)
         section = all(
             comp.map_at(n).equals(identity_map(tot.module(n))) for n in range(n_max + 1)
         )
-        pair_ok = (
-            sh.is_chain_map()
-            and aw.is_chain_map()
-            and section
-            and is_quasi_iso(sh, min(cfg.t_max, 8), k_max=n_max - 1)
-        )
-        res.computed["pair"] = {
-            "chain_maps": sh.is_chain_map() and aw.is_chain_map(),
-            "section_identity": section,
-            "quasi_iso": pair_ok,
-        }
-        budget.check()
-        P = regular_sequence_resolution(ring)
-        GP = gamma(P, n_max)
-        sh3, tot3, nd3 = shuffle_map_triple(GP, GP, GP)
-        aw3, _, _ = aw_map_triple(GP, GP, GP)
-        comp3 = aw3.compose(sh3)
-        section3 = all(
-            comp3.map_at(n).equals(identity_map(tot3.module(n)))
-            for n in range(n_max + 1)
-        )
-        rep_tot = homology_graded(truncate(tot3, n_max), min(cfg.t_max, 8))
-        rep_nd = homology_graded(nd3, min(cfg.t_max, 8))
-        tot_ranks = rep_tot.rank_vector(range(0, n_max))
-        nd_ranks = rep_nd.rank_vector(range(0, n_max))
-        triple_ok = (
-            sh3.is_chain_map()
-            and aw3.is_chain_map()
-            and section3
-            and tot_ranks == nd_ranks == [_choose(4, k) for k in range(n_max)]
-            and is_quasi_iso(sh3, min(cfg.t_max, 8), k_max=n_max - 1)
-        )
-        res.computed["triple"] = {
-            "chain_maps": sh3.is_chain_map() and aw3.is_chain_map(),
-            "section_identity": section3,
-            "ranks": tot_ranks,
-        }
-        res.passed = bool(pair_ok and triple_ok)
-    except BudgetExceeded:
-        res.partial = True
-        res.notes.append("budget exceeded; partial report")
-    return _finish(res, t0)
+        return sh.is_chain_map() and aw.is_chain_map(), section
 
-
-def _choose(n, k):
-    from math import comb
-
-    return comb(n, k)
+    GK, GL = _one_variable_builds(ctx.ring, n_max)
+    sh, tot, _ = shuffle_map(GK, GL)
+    aw, _, _ = aw_map(GK, GL)
+    chain, section = comparison_maps_ok(sh, aw, tot)
+    pair_ok = chain and section and is_quasi_iso(sh, t_max, k_max=n_max - 1)
+    res.computed["pair"] = {"chain_maps": chain, "section_identity": section, "quasi_iso": pair_ok}
+    ctx.budget.check()
+    GP = gamma(regular_sequence_resolution(ctx.ring), n_max)
+    sh3, tot3, nd3 = shuffle_map_triple(GP, GP, GP)
+    aw3, _, _ = aw_map_triple(GP, GP, GP)
+    chain3, section3 = comparison_maps_ok(sh3, aw3, tot3)
+    tot_ranks = homology_graded(truncate(tot3, n_max), t_max).rank_vector(range(0, n_max))
+    nd_ranks = homology_graded(nd3, t_max).rank_vector(range(0, n_max))
+    res.computed["triple"] = {
+        "chain_maps": chain3,
+        "section_identity": section3,
+        "ranks": tot_ranks,
+    }
+    return (
+        pair_ok
+        and chain3
+        and section3
+        and tot_ranks == nd_ranks == [comb(4, k) for k in range(n_max)]
+        and is_quasi_iso(sh3, t_max, k_max=n_max - 1)
+    )
 
 
 # --- Cauchy filtration checks ------------------------------------------------------
 
 
-def run_cauchy_check(cfg: ScenarioConfig) -> ScenarioResult:
-    t0 = time.monotonic()
-    plain = ring_descriptor(
-        prime=cfg.prime, rationals=cfg.rationals, variables=(), sequence=()
-    )
+def _cauchy(ctx: Context) -> bool:
+    res, plain = ctx.res, ctx.ring
     field = plain.field
-    res = ScenarioResult(
-        "check-cauchy",
-        plain.describe(),
-        expected={"22": EXPECTED["cauchy_22"]["value"], "33": EXPECTED["cauchy_33"]["value"]},
-    )
 
     def kmod(name, n):
         return LabeledFreeModule(plain, [atom(f"{name}{i}", 0) for i in range(n)])
 
     all_ok = True
     for np_, nq in ((2, 2), (3, 3), (2, 3), (4, 3)):
+        ctx.budget.check()
         P, Q = kmod("p", np_), kmod("q", nq)
         det = cauchy_det_map(P, Q).materialize()
         m21 = cauchy_m21_map(P, Q).materialize()
         Md, Mm = det.to_field_matrix(), m21.to_field_matrix()
         r_det, r_union = fieldla.rank_two(field, Md, Mm)
-        lam3 = _choose(np_, 3) * _choose(nq, 3)
+        lam3 = comb(np_, 3) * comb(nq, 3)
         l31 = (np_**3 - np_) // 3 * ((nq**3 - nq) // 3)
-        sym3 = _choose(np_ + 2, 3) * _choose(nq + 2, 3)
+        sym3 = comb(np_ + 2, 3) * comb(nq + 2, 3)
         total = det.target.rank
         split_ok = (
             r_det == lam3
@@ -910,41 +806,34 @@ def run_cauchy_check(cfg: ScenarioConfig) -> ScenarioResult:
         all_ok = all_ok and split_ok and stage_ok
     res.computed["22"] = res.per_degree["22"]["stage_dims"]
     res.computed["33"] = res.per_degree["33"]["stage_dims"]
+    ctx.budget.check()
 
     # the defining four-term sequences are the n=3 contractions of the
     # identity map, exact for free modules
-    from .complexes import homology_graded as hg
-
     seq_exact = True
     for n in (2, 3, 4):
-        V = kmod("v", n)
-        idm = identity_map(V)
+        idm = identity_map(kmod("v", n))
         for C in (koszul_complex(idm, 3), cokoszul_complex(idm, 3)):
-            rep = hg(C, 0, annihilators=[])
+            rep = homology_graded(C, 0, annihilators=[])
             if any(d.total for d in rep.degrees.values()):
                 seq_exact = False
     res.computed["schur_sequences_exact"] = seq_exact
-    all_ok = all_ok and seq_exact
-    res.passed = bool(
+    return (
         all_ok
+        and seq_exact
         and res.computed["22"] == res.expected["22"]
         and res.computed["33"] == res.expected["33"]
     )
-    return _finish(res, t0)
 
 
 # --- property suite (construction identities) ----------------------------------------
 
 
-def run_gamma_check(cfg: ScenarioConfig) -> ScenarioResult:
+def _gamma_check(ctx: Context) -> bool:
     """Simplicial identities, degenerate shapes, and the unit isomorphism."""
-    t0 = time.monotonic()
-    ring = cfg.ring()
-    if not ring.regular_sequence or len(ring.regular_sequence) != 2:
-        raise ConfigError("run_gamma_check needs a regular sequence of length 2")
-    res = ScenarioResult("check-gamma", ring.describe())
-    n_small = min(cfg.n_max, 4)
-    P = regular_sequence_resolution(ring)
+    res = ctx.res
+    n_small = min(ctx.cfg.n_max, 4)
+    P = regular_sequence_resolution(ctx.ring)
     GP = gamma(P, n_small)
     ok = GP.validate()
     NP = normalize(GP)
@@ -953,29 +842,44 @@ def run_gamma_check(cfg: ScenarioConfig) -> ScenarioResult:
         for n in P.diffs
         for j in range(P.module(n).rank)
     )
-    f, g = ring.regular_sequence
-    GK = gamma(_two_term(ring, "k", f), n_small)
-    GL = gamma(_two_term(ring, "l", g), n_small)
-    D = diagonal_tensor([GK, GL])
+    ctx.budget.check()
+    D = diagonal_tensor(list(_one_variable_builds(ctx.ring, n_small)))
     ok = ok and D.validate()
     S3 = apply_pointwise_functor(Sym(3), D)
     ok = ok and S3.validate(up_to=3)
     res.computed["simplicial_identities"] = ok
     res.computed["unit_iso_identity_matrices"] = unit_ok
-    res.passed = bool(ok and unit_ok)
-    return _finish(res, t0)
+    return ok and unit_ok
 
 
-SCENARIOS = {
-    "gk": run_gk,
-    "cross2": run_cross2,
-    "cross3": run_cross3,
-    "tor-powers": run_tor_powers,
-    "predict": run_predictions,
-    "check-schur": run_schur_comparison,
-    "check-l31": run_l31_homology,
-    "check-koszul": run_koszul_qis,
-    "check-ez": run_ez_check,
-    "check-cauchy": run_cauchy_check,
-    "check-gamma": run_gamma_check,
-}
+SPECS = [
+    Spec("gk", "pair", {"ranks": "gk_ranks"}, _gk),
+    Spec(
+        "cross2",
+        "pair",
+        {"per_side": "cross2_per_side", "totals": "cross2_totals", "sym2": "sym2_ranks"},
+        _cross2,
+    ),
+    Spec("cross3", "pair", {"ranks": "cross3_ranks"}, _cross3),
+    Spec("tor-powers", "pair", {"square": "tor_square", "cube": "tor_cube"}, _tor_powers),
+    Spec("predict", "field", {}, _predict),
+    Spec("check-schur", "field", {"cross_ranks": "schur_cross_ranks"}, _schur),
+    Spec(
+        "check-l31",
+        "sequence",
+        {
+            "l31": "l31_gamma_k",
+            "mixed": "mixed_gamma_k",
+            "cube": "cube_gamma_k",
+            "m21_ranks": "m21_ranks",
+        },
+        _l31,
+    ),
+    Spec("check-koszul", "sequence", {}, _koszul),
+    Spec("check-ez", "pair", {}, _ez),
+    Spec("check-cauchy", "field", {"22": "cauchy_22", "33": "cauchy_33"}, _cauchy),
+    Spec("check-gamma", "pair", {}, _gamma_check),
+]
+
+# the one registry, in report order: name -> callable(cfg, **kw) -> ScenarioResult
+SCENARIOS = {spec.name: partial(run, spec) for spec in SPECS}

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, settings
 
 from dflab.ring import ring_descriptor
 from dflab import linear as ln
-from dflab.complexes import ChainComplex, total_complex
-from dflab.linear import LabeledFreeModule, MapMatrix, atom
+from dflab.complexes import total_complex
+from dflab.koszul import cyclic_two_term
+from dflab.linear import LabeledFreeModule
 
 settings.register_profile(
     "default",
@@ -35,9 +36,7 @@ def field_ring():
 
 
 def two_term(ring, name, poly, deg):
-    M0 = LabeledFreeModule(ring, [atom(name + "0", 0)])
-    M1 = LabeledFreeModule(ring, [atom(name + "1", deg)])
-    return ChainComplex(ring, {0: M0, 1: M1}, {1: MapMatrix(M1, M0, {0: {0: poly}})})
+    return cyclic_two_term(ring, name, poly, deg)
 
 
 @pytest.fixture(scope="session")

@@ -12,20 +12,7 @@ from dflab import functors as fu
 from dflab import linear as ln
 from dflab.complexes import engines_agree, homology_graded, total_complex
 from dflab.ring import ring_descriptor
-from dflab.scenarios import (
-    ScenarioConfig,
-    run_cauchy_check,
-    run_cross2,
-    run_cross3,
-    run_ez_check,
-    run_gamma_check,
-    run_gk,
-    run_koszul_qis,
-    run_l31_homology,
-    run_predictions,
-    run_schur_comparison,
-    run_tor_powers,
-)
+from dflab.scenarios import SCENARIOS, ScenarioConfig
 from dflab.simplicial import apply_pointwise_functor, gamma, normalize
 
 
@@ -36,17 +23,17 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def gk_result(cfg):
-    return run_gk(cfg)
+    return SCENARIOS["gk"](cfg)
 
 
 @pytest.fixture(scope="module")
 def cross2_result(cfg):
-    return run_cross2(cfg)
+    return SCENARIOS["cross2"](cfg)
 
 
 @pytest.fixture(scope="module")
 def cross3_result(cfg):
-    return run_cross3(cfg)
+    return SCENARIOS["cross3"](cfg)
 
 
 def _verdict(num, label, ok):
@@ -93,19 +80,19 @@ def test_criterion_4_square_power_subtable(cross2_result):
 
 
 def test_criterion_5_tor_powers(cfg):
-    r = run_tor_powers(cfg)
+    r = SCENARIOS["tor-powers"](cfg)
     ok = r.passed and r.computed["square"] == [1, 2, 1] and r.computed["cube"] == [1, 4, 6, 4, 1]
     _verdict(5, "tensor-power homology (1,2,1) and (1,4,6,4,1)", ok)
 
 
 def test_criterion_6_koszul_quasi_isomorphisms(cfg):
-    r = run_koszul_qis(cfg)
+    r = SCENARIOS["check-koszul"](cfg)
     ok = r.passed and r.computed["all_tables_match"]
     _verdict(6, "Koszul vs derived tables agree for n <= 3, three maps", ok)
 
 
 def test_criterion_7_schur_comparison(cfg):
-    r = run_schur_comparison(cfg)
+    r = SCENARIOS["check-schur"](cfg)
     ok = (
         r.passed
         and r.computed["cross_ranks"]["schur"] == [0, 2, 2, 0]
@@ -116,7 +103,7 @@ def test_criterion_7_schur_comparison(cfg):
 
 
 def test_criterion_8_proof_intermediates(cfg):
-    r = run_l31_homology(cfg)
+    r = SCENARIOS["check-l31"](cfg)
     ok = (
         r.passed
         and r.computed["l31"] == ["0", "R/(x)", "0", "0"]
@@ -131,16 +118,16 @@ def test_criterion_9_predictions_consistency(cfg, gk_result, cross2_result, cros
         "cross2_totals": cross2_result.computed["totals"],
         "cross3": cross3_result.computed["ranks"],
     }
-    r = run_predictions(cfg, d=2, g_tables=g_tables)
+    r = SCENARIOS["predict"](cfg, d=2, g_tables=g_tables)
     flagged = any("printed" in n for n in r.notes)
     ok = r.passed and flagged and r.computed["cr3"][2] == 6 and r.computed["cr3_printed_list"][2] == 9
     _verdict(9, "prediction tables match computed tables; printed-list discrepancy flagged", ok)
 
 
 def test_criterion_10_property_suites(cfg, ring97, resolution, kl_pair):
-    gam_ok = run_gamma_check(cfg).passed
+    gam_ok = SCENARIOS["check-gamma"](cfg).passed
 
-    ez = run_ez_check(cfg)
+    ez = SCENARIOS["check-ez"](cfg)
     ez_ok = ez.passed and ez.computed["pair"]["section_identity"] and ez.computed["triple"]["section_identity"]
 
     # cross-effect decomposition dimension identity across all functor kinds
@@ -156,7 +143,7 @@ def test_criterion_10_property_suites(cfg, ring97, resolution, kl_pair):
         )
         dec_ok = dec_ok and whole == split
 
-    cauchy_ok = run_cauchy_check(cfg).passed
+    cauchy_ok = SCENARIOS["check-cauchy"](cfg).passed
 
     # engine agreement wherever both engines run
     K, _ = kl_pair
@@ -181,7 +168,7 @@ def test_criterion_10_property_suites(cfg, ring97, resolution, kl_pair):
 
 def test_route_independence(cfg):
     """Scenario invariant: both pipeline routes give identical tables."""
-    r = run_gk(ScenarioConfig(route="both"))
+    r = SCENARIOS["gk"](ScenarioConfig(route="both"))
     ok = r.passed and r.computed["route_independent"]
     print(f"invariant    [{'PASS' if ok else 'FAIL'}] route independence of the main table")
     assert ok

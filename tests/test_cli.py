@@ -1,10 +1,21 @@
 """Command line interface: exit codes, report schema, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 BASE = [sys.executable, "-m", "dflab.cli"]
+DATA = pathlib.Path(__file__).parent / "data"
+
+# committed --no-timing reports of the cheap scenarios: file stem -> arguments
+GOLDEN = {
+    "tor-powers": ["tor-powers"],
+    "predict-d3": ["predict", "--d", "3"],
+    "check-schur": ["check", "schur"],
+    "check-cauchy": ["check", "cauchy"],
+    "check-gamma": ["check", "gamma"],
+}
 
 
 def run_cli(*args, **kw):
@@ -29,24 +40,45 @@ def test_reports_are_byte_identical_modulo_timing(tmp_path):
     assert run_cli("check", "schur", "--no-timing", "--out", str(a)).returncode == 0
     assert run_cli("check", "schur", "--no-timing", "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+    for stem, args in GOLDEN.items():
+        out = tmp_path / f"{stem}.json"
+        assert run_cli(*args, "--no-timing", "--out", str(out)).returncode == 0, stem
+        assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes(), stem
 
 
-def test_config_error_exit_code():
-    p = run_cli("gk", "--seq", "x,0")
-    assert p.returncode == 2
-    assert "configuration error" in p.stderr
-    p2 = run_cli("gk", "--seq", "x")  # needs length 2
-    assert p2.returncode == 2
-    p3 = run_cli("gk", "--prime", "91")
-    assert p3.returncode == 2
+def test_config_error_exit_code(tmp_path):
+    configs = {
+        "bad-json": "{",
+        "unknown-key": json.dumps({"colour": "red"}),
+        "bad-type": json.dumps({"nmax": "seven"}),
+        "not-an-object": json.dumps([1, 2]),
+    }
+    for stem, text in configs.items():
+        (tmp_path / f"{stem}.json").write_text(text)
+    cases = [
+        ["gk", "--seq", "x,0"],
+        ["gk", "--seq", "x"],  # needs length 2
+        ["gk", "--prime", "91"],
+        ["check", "gamma", "--nmax", "-1"],
+        ["tor-powers", "--tmax", "-1"],
+        ["tor-powers", "--seq", "x,y^2-x"],  # not homogeneous
+        ["cross3", "--engine", "groebner"],  # only gk and all take --engine
+        ["predict", "--config", str(tmp_path / "missing.json")],
+    ] + [["predict", "--config", str(tmp_path / f"{stem}.json")] for stem in configs]
+    for args in cases:
+        p = run_cli(*args)
+        assert p.returncode == 2, args
+        assert "configuration error" in p.stderr, args
+        assert "Traceback" not in p.stderr, args
 
 
 def test_budget_exit_code(tmp_path):
     out = tmp_path / "r.json"
-    p = run_cli("gk", "--budget-seconds", "0", "--out", str(out))
-    assert p.returncode == 3
-    doc = json.loads(out.read_text())
-    assert doc["scenarios"][0]["partial"] is True
+    for command in ("gk", "tor-powers"):
+        p = run_cli(command, "--budget-seconds", "0", "--out", str(out))
+        assert p.returncode == 3
+        doc = json.loads(out.read_text())
+        assert doc["scenarios"][0]["partial"] is True
 
 
 def test_predict_d3_markdown():
@@ -84,3 +116,12 @@ def test_config_file_with_flag_override(tmp_path):
     assert p2.returncode == 0
     doc = json.loads(p2.stdout)
     assert doc["scenarios"][0]["computed"]["d"] == 1
+
+
+def test_all_report_does_not_depend_on_jobs(tmp_path):
+    # a small window keeps this fast; the tables then mismatch (exit 1)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    small = ["all", "--nmax", "3", "--tmax", "4", "--no-timing"]
+    assert run_cli(*small, "--out", str(a)).returncode == 1
+    assert run_cli(*small, "--jobs", "2", "--out", str(b)).returncode == 1
+    assert a.read_bytes() == b.read_bytes()

@@ -12,7 +12,7 @@ from dflab import linear as ln
 from dflab.complexes import homology_graded, truncate
 from dflab.koszul import cokoszul_complex, koszul_complex, two_term_complex
 from dflab.ring import ring_descriptor
-from dflab.scenarios import ScenarioConfig, run_schur_comparison
+from dflab.scenarios import SCENARIOS, ScenarioConfig
 from dflab.simplicial import apply_pointwise_functor, gamma, normalize
 
 RQ_PLAIN = ring_descriptor(rationals=True, variables=(), sequence=())
@@ -44,7 +44,7 @@ def test_cross_effect_ranks_agree_over_both_fields():
 
 
 def test_schur_comparison_over_rationals():
-    r = run_schur_comparison(ScenarioConfig(rationals=True))
+    r = SCENARIOS["check-schur"](ScenarioConfig(rationals=True))
     assert r.passed
     assert r.computed["cross_ranks"]["schur"] == [0, 2, 2, 0]
 

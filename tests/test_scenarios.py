@@ -3,28 +3,22 @@
 import pytest
 
 from dflab.scenarios import (
+    SCENARIOS,
     ConfigError,
     ScenarioConfig,
     m21_complex,
-    run_cauchy_check,
-    run_gamma_check,
-    run_gk,
-    run_koszul_qis,
-    run_predictions,
-    run_schur_comparison,
-    run_tor_powers,
 )
 
 
 def test_cauchy_scenario():
-    r = run_cauchy_check(ScenarioConfig())
+    r = SCENARIOS["check-cauchy"](ScenarioConfig())
     assert r.passed and not r.partial
     assert r.computed["22"] == [0, 4, 16]
     assert r.computed["33"] == [1, 64, 100]
 
 
 def test_schur_scenario():
-    r = run_schur_comparison(ScenarioConfig())
+    r = SCENARIOS["check-schur"](ScenarioConfig())
     assert r.passed
     assert r.computed["cross_ranks"]["schur"] == [0, 2, 2, 0]
     assert r.computed["cross_ranks"]["coschur"] == [0, 2, 2, 0]
@@ -32,25 +26,25 @@ def test_schur_scenario():
 
 
 def test_gamma_scenario():
-    r = run_gamma_check(ScenarioConfig())
+    r = SCENARIOS["check-gamma"](ScenarioConfig())
     assert r.passed
     assert r.computed["unit_iso_identity_matrices"]
 
 
 def test_tor_powers_scenario():
-    r = run_tor_powers(ScenarioConfig())
+    r = SCENARIOS["tor-powers"](ScenarioConfig())
     assert r.passed
     assert r.computed["square"] == [1, 2, 1]
     assert r.computed["cube"] == [1, 4, 6, 4, 1]
 
 
 def test_koszul_scenario():
-    r = run_koszul_qis(ScenarioConfig())
+    r = SCENARIOS["check-koszul"](ScenarioConfig())
     assert r.passed and r.computed["all_tables_match"]
 
 
 def test_predictions_symbolic_only():
-    r = run_predictions(ScenarioConfig(), d=3)
+    r = SCENARIOS["predict"](ScenarioConfig(), d=3)
     assert r.passed
     assert r.computed["F"] == [1, 0, 3, 0, 9]
     assert r.computed["cr2"] == [2, 6, 12, 18, 18]
@@ -60,7 +54,7 @@ def test_predictions_symbolic_only():
 
 
 def test_predictions_rank_one_conormal():
-    r = run_predictions(ScenarioConfig(), d=1)
+    r = SCENARIOS["predict"](ScenarioConfig(), d=1)
     assert r.passed
     assert r.computed["F"] == [1, 0, 0, 0, 0]
     assert r.computed["cr3"][2] == r.computed["cr3_printed_list"][2] - 1  # d=1: 1 vs 2
@@ -68,22 +62,22 @@ def test_predictions_rank_one_conormal():
 
 def test_config_errors():
     with pytest.raises(ConfigError):
-        run_gk(ScenarioConfig(sequence=("x",)))
+        SCENARIOS["gk"](ScenarioConfig(sequence=("x",)))
     with pytest.raises(ConfigError):
-        run_gk(ScenarioConfig(sequence=("x", "0")))
+        SCENARIOS["gk"](ScenarioConfig(sequence=("x", "0")))
     with pytest.raises(ConfigError):
-        run_predictions(ScenarioConfig(), d=0)
+        SCENARIOS["predict"](ScenarioConfig(), d=0)
 
 
 def test_budget_flag():
-    r = run_gk(ScenarioConfig(budget_s=0.0))
+    r = SCENARIOS["gk"](ScenarioConfig(budget_s=0.0))
     assert r.partial and not r.passed
     assert any("budget" in n for n in r.notes)
 
 
 def test_gk_route_independence_small():
     cfg = ScenarioConfig(route="both", t_max=6)
-    r = run_gk(cfg)
+    r = SCENARIOS["gk"](cfg)
     assert r.passed
     assert r.computed["route_independent"]
     assert r.computed["route_b_ranks"] == r.computed["ranks"]
@@ -100,7 +94,7 @@ def test_m21_rank_split(ring97):
 def test_quadratic_sequence_gk_smoke():
     # non-linear homogeneous sequence: same table, graded engine still valid
     cfg = ScenarioConfig(sequence=("x^2", "y"), n_max=5, t_max=10)
-    r = run_gk(cfg)
+    r = SCENARIOS["gk"](cfg)
     # ranks are reported per residue field dimension 2 at k=0 is dim 2 over k
     assert not r.partial
     assert r.computed["ranks"][1] == 0 and r.computed["ranks"][3] == 0
