@@ -1,10 +1,19 @@
 """Exact linear algebra over F_p (numpy int64) and Q (object arrays).
 
+Each field has one backend, and only the backends know how its matrices
+are stored; every routine below picks the backend of its field once.
+
 F_p matrices are int64 arrays of least non-negative residues.  The
 echelon routine does right-looking elimination in panels: pivoting and
 multiplier bookkeeping happen on a narrow reduced panel, and the
-trailing block is updated with one float64 matmul per panel.  All
-float64 products stay far below 2**53, so every result is exact.
+trailing block is updated with one float64 matmul per panel.  That
+product sums up to ``_PANEL`` terms below (p - 1)**2, so it is exact
+while ``_PANEL * (p - 1)**2 < 2**53``, which gives ``MAX_PRIME`` = 2**23;
+the F_p backend refuses a larger p.  The int64 entries it leaves
+unreduced stay below (n + _PANEL) * p**2 for n columns, which the
+backend checks against 2**63.  ``matmul`` sums k products in float64
+only while ``k * (p - 1)**2 < 2**53``, in int64 while it stays below
+2**63, and raises beyond that instead of wrapping.
 
 Q matrices use dtype=object with ``Fraction`` entries and a naive
 elimination; they are only used at small sizes.
@@ -13,33 +22,15 @@ elimination; they are only used at small sizes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
-from .ring import PrimeField
+from .ring import Rationals
 
 _PANEL = 128
-
-
-def is_prime_field(field) -> bool:
-    return isinstance(field, PrimeField)
-
-
-def zeros(field, m: int, n: int):
-    if is_prime_field(field):
-        return np.zeros((m, n), dtype=np.int64)
-    M = np.empty((m, n), dtype=object)
-    M[:] = Fraction(0)
-    return M
-
-
-def identity(field, n: int):
-    if is_prime_field(field):
-        return np.eye(n, dtype=np.int64)
-    M = zeros(field, n, n)
-    for i in range(n):
-        M[i, i] = Fraction(1)
-    return M
+# the largest modulus with _PANEL * (p - 1)**2 < 2**53 (exact panel products)
+MAX_PRIME = isqrt((2**53 - 1) // _PANEL) + 1
 
 
 def _fp_echelon(A: np.ndarray, p: int):
@@ -136,16 +127,112 @@ def _qq_echelon(A: np.ndarray):
     return r, pivcols, A
 
 
-def _echelon(field, M):
-    if is_prime_field(field):
-        return _fp_echelon(np.array(M, dtype=np.int64) % field.p, field.p)
-    return _qq_echelon(M)
+class _Fp:
+    """F_p matrices: int64 arrays of least non-negative residues."""
+
+    def __init__(self, p: int):
+        if p > MAX_PRIME:
+            raise ValueError(f"exact elimination over F_p needs p <= {MAX_PRIME}, got {p}")
+        self.p = p
+        self._square = (p - 1) ** 2
+
+    def zeros(self, m: int, n: int):
+        return np.zeros((m, n), dtype=np.int64)
+
+    def identity(self, n: int):
+        return np.eye(n, dtype=np.int64)
+
+    def reduce(self, M):
+        return np.asarray(M, dtype=np.int64) % self.p
+
+    def inv(self, a):
+        return pow(int(a), self.p - 2, self.p)
+
+    def echelon(self, M):
+        if (M.shape[1] + _PANEL) * self._square >= 2**63:
+            raise OverflowError(f"{M.shape[1]} columns over F_{self.p} would overflow int64")
+        return _fp_echelon(self.reduce(M), self.p)
+
+    def matmul(self, A, B):
+        k = A.shape[1]
+        if k * self._square < 2**53:
+            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % self.p
+        if k * self._square < 2**63:
+            return (A @ B) % self.p
+        raise OverflowError(f"a {k}-term product over F_{self.p} would overflow int64")
+
+    def random(self, m: int, n: int, rng):
+        return rng.integers(0, self.p, size=(m, n), dtype=np.int64)
+
+
+class _QQ:
+    """Q matrices: object arrays of ``Fraction``."""
+
+    def zeros(self, m: int, n: int):
+        M = np.empty((m, n), dtype=object)
+        M[:] = Fraction(0)
+        return M
+
+    def identity(self, n: int):
+        M = self.zeros(n, n)
+        np.fill_diagonal(M, Fraction(1))
+        return M
+
+    def reduce(self, M):
+        return np.array(M, dtype=object)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+    def echelon(self, M):
+        return _qq_echelon(M)
+
+    def matmul(self, A, B):
+        return A @ B
+
+    def random(self, m: int, n: int, rng):
+        M = self.zeros(m, n)
+        for i in range(m):
+            for j in range(n):
+                M[i, j] = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        return M
+
+
+def _backend(field):
+    return _QQ() if isinstance(field, Rationals) else _Fp(field.p)
+
+
+def zeros(field, m: int, n: int):
+    return _backend(field).zeros(m, n)
+
+
+def identity(field, n: int):
+    return _backend(field).identity(n)
+
+
+def reduce(field, M):
+    """M in the field's representation: residues mod p, or a Q copy."""
+    return _backend(field).reduce(M)
+
+
+def echelon(field, M):
+    """(rank, pivcols, E) of M, leaving M intact; E's rows 0..rank-1 are
+    its echelon form and anything below them is garbage."""
+    return _backend(field).echelon(M)
+
+
+def matmul(field, A, B):
+    return _backend(field).matmul(A, B)
+
+
+def random_matrix(field, m, n, rng):
+    return _backend(field).random(m, n, rng)
 
 
 def rank(field, M) -> int:
     if M.shape[0] == 0 or M.shape[1] == 0:
         return 0
-    r, _, _ = _echelon(field, M)
+    r, _, _ = echelon(field, M)
     return r
 
 
@@ -162,68 +249,38 @@ def rank_two(field, A, B) -> tuple[int, int]:
         r = rank(field, A)
         return r, r
     stacked = np.concatenate([A, B], axis=1)
-    r_all, pivcols, _ = _echelon(field, stacked)
+    r_all, pivcols, _ = echelon(field, stacked)
     r_a = sum(1 for j in pivcols if j < A.shape[1])
     return r_a, r_all
 
 
+def _back_substitute(la, P, R):
+    """X with P @ X = R, for P upper triangular with a nonzero diagonal."""
+    r = P.shape[0]
+    X = la.zeros(r, R.shape[1])
+    for s in range(r - 1, -1, -1):
+        acc = R[s : s + 1] - la.matmul(P[s : s + 1, s + 1 :], X[s + 1 :])
+        X[s] = la.reduce(acc * la.inv(P[s, s]))[0]
+    return X
+
+
 def nullspace(field, M):
     """Columns form a basis of the right kernel of M."""
+    la = _backend(field)
     m, n = M.shape
     if n == 0:
-        return zeros(field, 0, 0)
+        return la.zeros(0, 0)
     if m == 0:
-        return identity(field, n)
-    if is_prime_field(field):
-        p = field.p
-        r, pivcols, E = _fp_echelon(np.array(M, dtype=np.int64) % p, p)
-        pivset = set(pivcols)
-        free = [j for j in range(n) if j not in pivset]
-        N = np.zeros((n, len(free)), dtype=np.int64)
-        if not free:
-            return N
-        X = np.zeros((r, len(free)), dtype=np.int64)
-        if r:
-            P = E[:r][:, pivcols]
-            R = E[:r][:, free]
-            for s in range(r - 1, -1, -1):
-                acc = R[s].astype(np.int64).copy()
-                if s + 1 < r:
-                    dot = P[s, s + 1 :].astype(np.float64) @ X[s + 1 :].astype(np.float64)
-                    acc = acc - dot.astype(np.int64)
-                inv = pow(int(P[s, s]), p - 2, p)
-                X[s] = (acc % p * inv) % p
-        for k, j in enumerate(free):
-            N[j, k] = 1
-            for s in range(r):
-                N[pivcols[s], k] = (-X[s, k]) % p
-        return N
-    r, pivcols, E = _qq_echelon(M)
-    for s in range(r - 1, -1, -1):
-        E[s, :] = E[s, :] * (1 / E[s, pivcols[s]])
-        for t in range(s):
-            c = E[t, pivcols[s]]
-            if c != 0:
-                E[t, :] = E[t, :] - c * E[s, :]
+        return la.identity(n)
+    r, pivcols, E = la.echelon(M)
     pivset = set(pivcols)
     free = [j for j in range(n) if j not in pivset]
-    N = zeros(field, n, len(free))
-    for k, j in enumerate(free):
-        N[j, k] = Fraction(1)
-        for s in range(r):
-            N[pivcols[s], k] = -E[s, j]
+    # one kernel vector per free column: 1 there, pivots solved for
+    N = la.zeros(n, len(free))
+    N[free] = la.identity(len(free))
+    if free:
+        N[pivcols] = la.reduce(-_back_substitute(la, E[:r][:, pivcols], E[:r][:, free]))
     return N
-
-
-def matmul(field, A, B):
-    if is_prime_field(field):
-        p = field.p
-        if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
-            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        if A.shape[1] * (p - 1) * (p - 1) < 2**53:
-            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
-        return (A @ B) % p
-    return A @ B
 
 
 def solve_columns(field, B, V):
@@ -231,41 +288,31 @@ def solve_columns(field, B, V):
 
     Intended for small systems (expressing vectors in a chosen basis).
     """
+    la = _backend(field)
     nb = B.shape[1]
     nv = V.shape[1]
     if nb == 0:
         if V.shape[0] and any(np.any(V[:, j] != 0) for j in range(nv)):
             return None
-        return zeros(field, 0, nv)
+        return la.zeros(0, nv)
     stacked = np.concatenate([B, V], axis=1)
-    r, pivcols, E = _echelon(field, stacked)
+    r, pivcols, E = la.echelon(stacked)
     if any(j >= nb for j in pivcols):
         return None
-    E = E[:r]
-    for s in range(r - 1, -1, -1):
-        j = pivcols[s]
-        if is_prime_field(field):
-            E[s] = (E[s] * pow(int(E[s, j]), field.p - 2, field.p)) % field.p
-        else:
-            E[s] = E[s] * (1 / E[s, j])
-        for t in range(s):
-            c = E[t, j]
-            if c != 0:
-                if is_prime_field(field):
-                    E[t] = (E[t] - int(c) * E[s]) % field.p
-                else:
-                    E[t] = E[t] - c * E[s]
-    X = zeros(field, nb, nv)
-    for s, j in enumerate(pivcols):
-        X[j, :] = E[s, nb:]
+    X = la.zeros(nb, nv)
+    X[pivcols] = _back_substitute(la, E[:r][:, pivcols], E[:r, nb:])
     return X
 
 
 class ColumnSpace:
-    """Incrementally extendable column-space basis over the field."""
+    """Incrementally extendable column-space basis over the field.
+
+    ``rows`` hold the basis in reduced echelon form: row k is 1 at
+    ``pivots[k]`` and every other row is 0 there.
+    """
 
     def __init__(self, field, dim: int):
-        self.field = field
+        self._la = _backend(field)
         self.dim = dim
         self.pivots: list[int] = []
         self.rows: list[np.ndarray] = []
@@ -275,41 +322,27 @@ class ColumnSpace:
         return len(self.rows)
 
     def _reduce(self, v):
-        fld = self.field
-        if is_prime_field(fld):
-            p = fld.p
-            v = np.asarray(v, dtype=np.int64) % p
-            for piv, row in zip(self.pivots, self.rows):
-                c = int(v[piv])
-                if c:
-                    v = (v - c * row) % p
-            return v
-        v = np.array(v, dtype=object)
+        la = self._la
+        v = la.reduce(v)
         for piv, row in zip(self.pivots, self.rows):
             c = v[piv]
-            if c != 0:
-                v = v - c * row
+            if c:
+                v = la.reduce(v - c * row)
         return v
 
     def add(self, v) -> bool:
         """Adjoin a vector; True if it enlarged the space."""
         v = self._reduce(v)
-        nz = [i for i in range(self.dim) if v[i] != 0]
-        if not nz:
+        nz = np.flatnonzero(v)
+        if not nz.size:
             return False
-        piv = nz[0]
-        fld = self.field
-        if is_prime_field(fld):
-            v = (v * pow(int(v[piv]), fld.p - 2, fld.p)) % fld.p
-        else:
-            v = v * (1 / v[piv])
+        piv = int(nz[0])
+        la = self._la
+        v = la.reduce(v * la.inv(v[piv]))
         for k, row in enumerate(self.rows):
             c = row[piv]
-            if c != 0:
-                if is_prime_field(fld):
-                    self.rows[k] = (row - int(c) * v) % fld.p
-                else:
-                    self.rows[k] = row - c * v
+            if c:
+                self.rows[k] = la.reduce(row - c * v)
         self.pivots.append(piv)
         self.rows.append(v)
         return True
@@ -321,15 +354,4 @@ class ColumnSpace:
         return added
 
     def contains(self, v) -> bool:
-        red = self._reduce(v)
-        return all(red[i] == 0 for i in range(self.dim))
-
-
-def random_matrix(field, m, n, rng):
-    if is_prime_field(field):
-        return rng.integers(0, field.p, size=(m, n), dtype=np.int64)
-    M = zeros(field, m, n)
-    for i in range(m):
-        for j in range(n):
-            M[i, j] = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-    return M
+        return not np.flatnonzero(self._reduce(v)).size

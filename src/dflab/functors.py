@@ -324,7 +324,7 @@ def cross_effect(tag: FunctorTag, args, ring=None) -> CrossEffect:
         raise ValueError("cross-effects are computed over a plain field ring")
     field = ring.field
     FV, total = _idempotent_matrix(tag, direct_sum_modules(args), args, field)
-    r, pivcols, _ = fieldla._echelon(field, total)
+    r, pivcols, _ = fieldla.echelon(field, total)
     basis_labels = [cr(FV.labels[j]) for j in pivcols]
     module = LabeledFreeModule(ring, basis_labels)
     incl_matrix = total[:, pivcols] if pivcols else fieldla.zeros(field, FV.rank, 0)
@@ -342,9 +342,7 @@ def _idempotent_matrix(tag, Vsum, k_args, field):
             pS = _projection_onto(Vsum, set(subset))
             M = _f_map(tag, pS).materialize().to_field_matrix()
             total = total + (M if sign > 0 else -M)
-    if fieldla.is_prime_field(field):
-        total = total % field.p
-    return FV, total
+    return FV, fieldla.reduce(field, total)
 
 
 def delta_map(tag: FunctorTag, eps, args):
@@ -352,69 +350,43 @@ def delta_map(tag: FunctorTag, eps, args):
 
     eps: tuple of positive multiplicities, sum = l.
     """
-    _check_eps(eps)
-    ring = args[0].ring
-    field = ring.field
-    crA = cross_effect(tag, args)
-    rep_args = [args[i] for i, e in enumerate(eps) for _ in range(e)]
-    crB = cross_effect(tag, rep_args)
-    Asum = direct_sum_modules(args)
-    Bsum = direct_sum_modules(rep_args)
-    # diagonal V_i -> V_i^{eps_i}
-    cols: dict = {}
-    one = ring.one()
-    flat = []
-    for i, e in enumerate(eps):
-        for c in range(e):
-            flat.append(i)
-    for j, lab in enumerate(Asum.labels):
-        i, inner = lab[1], lab[2]
-        col = {}
-        for b, i_src in enumerate(flat):
-            if i_src == i:
-                col[Bsum.index((lab[0], b, inner))] = one
-        cols[j] = col
-    diag = MapMatrix(Asum, Bsum, cols)
-    Fdiag = _f_map(tag, diag).materialize().to_field_matrix()
-    eB = _cross_idempotent(tag, rep_args, field)
-    incl_A = crA.inclusion.to_field_matrix()
-    image = fieldla.matmul(field, eB, fieldla.matmul(field, Fdiag, incl_A))
-    incl_B = crB.inclusion.to_field_matrix()
-    X = fieldla.solve_columns(field, incl_B, image)
-    if X is None:
-        raise RuntimeError("diagonal map does not land in the cross-effect")
-    return from_field_matrix(crA.module, crB.module, X), crA, crB
+    return _repeat_map(tag, eps, args, diagonal=True)
 
 
 def plus_map(tag: FunctorTag, eps, args):
     """Plus map cr_l(F)(repeats) -> cr_k(F)(V_1..V_k)."""
+    return _repeat_map(tag, eps, args, diagonal=False)
+
+
+def _repeat_map(tag, eps, args, diagonal: bool):
+    """The map between cr_k(F)(args) and cr_l(F)(repeats) induced by the fold
+    V_i^{eps_i} -> V_i, or with ``diagonal`` by its transpose, the diagonal.
+
+    Returns (map, source cross-effect, target cross-effect).
+    """
     _check_eps(eps)
-    ring = args[0].ring
-    field = ring.field
-    crA = cross_effect(tag, args)
+    field = args[0].ring.field
+    one = args[0].ring.one()
     rep_args = [args[i] for i, e in enumerate(eps) for _ in range(e)]
-    crB = cross_effect(tag, rep_args)
-    Asum = direct_sum_modules(args)
-    Bsum = direct_sum_modules(rep_args)
-    flat = []
-    for i, e in enumerate(eps):
-        for c in range(e):
-            flat.append(i)
-    one = ring.one()
-    cols = {}
-    for j, lab in enumerate(Bsum.labels):
-        b, inner = lab[1], lab[2]
-        cols[j] = {Asum.index((lab[0], flat[b], inner)): one}
-    fold = MapMatrix(Bsum, Asum, cols)
-    Ffold = _f_map(tag, fold).materialize().to_field_matrix()
-    eA = _cross_idempotent(tag, args, field)
-    incl_B = crB.inclusion.to_field_matrix()
-    image = fieldla.matmul(field, eA, fieldla.matmul(field, Ffold, incl_B))
-    incl_A = crA.inclusion.to_field_matrix()
-    X = fieldla.solve_columns(field, incl_A, image)
+    flat = [i for i, e in enumerate(eps) for _ in range(e)]
+    Asum, Bsum = direct_sum_modules(args), direct_sum_modules(rep_args)
+    fold_cols = {
+        j: {Asum.index((lab[0], flat[lab[1]], lab[2])): one} for j, lab in enumerate(Bsum.labels)
+    }
+    fold = MapMatrix(Bsum, Asum, fold_cols)
+    crA, crB = cross_effect(tag, args), cross_effect(tag, rep_args)
+    if diagonal:
+        f, src, tgt, tgt_args = fold.transpose_raw(Asum, Bsum), crA, crB, rep_args
+    else:
+        f, src, tgt, tgt_args = fold, crB, crA, args
+    Ff = _f_map(tag, f).materialize().to_field_matrix()
+    e = _cross_idempotent(tag, tgt_args, field)
+    image = fieldla.matmul(field, e, fieldla.matmul(field, Ff, src.inclusion.to_field_matrix()))
+    X = fieldla.solve_columns(field, tgt.inclusion.to_field_matrix(), image)
     if X is None:
-        raise RuntimeError("plus map does not land in the cross-effect")
-    return from_field_matrix(crB.module, crA.module, X), crB, crA
+        kind = "diagonal" if diagonal else "plus"
+        raise RuntimeError(f"{kind} map does not land in the cross-effect")
+    return from_field_matrix(src.module, tgt.module, X), src, tgt
 
 
 def _cross_idempotent(tag, args, field):

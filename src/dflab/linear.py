@@ -321,15 +321,15 @@ class MapMatrix:
         return out
 
     def to_field_matrix(self):
-        """Dense coefficient matrix; requires a variable-free ring."""
+        """Dense coefficient matrix; every entry must be a constant."""
         ring = self.source.ring
-        if ring.nvars != 0:
-            raise ValueError("to_field_matrix needs a plain field ring")
+        const = (0,) * ring.nvars
         M = fieldla.zeros(ring.field, self.target.rank, self.source.rank)
         for j in range(self.source.rank):
             for i, q in self.col(j).items():
-                if q.terms:
-                    M[i, j] = q.terms[()]
+                if q.degree() > 0:
+                    raise ValueError("to_field_matrix needs constant entries")
+                M[i, j] = q.terms.get(const, ring.field.zero)
         return M
 
 

@@ -52,7 +52,7 @@ from .koszul import (
     regular_sequence_resolution,
     two_term_complex,
 )
-from .linear import LabeledFreeModule, MapMatrix, atom, identity_map
+from .linear import LabeledFreeModule, MapMatrix, atom, from_field_matrix, identity_map
 from .ring import ring_descriptor
 from .simplicial import (
     apply_pointwise_functor,
@@ -89,6 +89,8 @@ class ScenarioConfig:
 
     def ring(self, plain: bool = False):
         """The configured ring, or with ``plain`` its coefficient field alone."""
+        if not self.rationals and self.prime > fieldla.MAX_PRIME:
+            raise ConfigError(f"--prime must be at most {fieldla.MAX_PRIME} for exact elimination")
         try:
             return ring_descriptor(
                 prime=self.prime,
@@ -198,6 +200,9 @@ def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
             raise ConfigError(f"{spec.name} needs a regular sequence{length}")
         if not all(f.is_homogeneous() for f in seq):
             raise ConfigError(f"{spec.name} needs a homogeneous regular sequence")
+        if len(seq) == 2 and not _is_regular_pair(ring, *seq):
+            f, g = seq
+            raise ConfigError(f"{spec.name} needs a regular sequence: {g} is a zero divisor mod {f}")
     expected = {key: EXPECTED[entry]["value"] for key, entry in spec.expected.items()}
     res = ScenarioResult(spec.name, expected=expected)
     ctx = Context(cfg, ring, res, budget)
@@ -209,6 +214,16 @@ def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
         res.notes.append("budget exceeded; partial report")
     res.millis = int(budget.elapsed() * 1000)
     return res
+
+
+def _is_regular_pair(ring, f, g) -> bool:
+    """g is a nonzerodivisor mod f: a*g + b*f = 0 forces a into (f)."""
+    syz, _ = gb_mod.kernel_of_columns([gb_mod.from_map_column({0: q}) for q in (g, f)], 1, ring)
+    ideal_f = gb_mod.buchberger([gb_mod.from_map_column({0: f})], 1, ring)
+    return all(
+        gb_mod.elem_is_zero(gb_mod.normal_form({k: c for k, c in s.items() if k[0] == 0}, ideal_f))
+        for s in syz
+    )
 
 
 def _one_variable_builds(ring, n_max: int):
@@ -435,45 +450,22 @@ def _schur(ctx: Context) -> bool:
 def _solve_commuting_isos(field, mats, eps_list, n2, n3):
     """Find invertible alpha2 (n2 x n2), alpha3 (n3 x n3) with
     alpha3 @ deltaF = deltaG @ alpha2 and alpha2 @ plusF = plusG @ alpha3."""
-    nunk = n2 * n2 + n3 * n3
-    nrows = len(eps_list) * (n3 * n2 + n2 * n3)
-    M = fieldla.zeros(field, nrows, nunk)
-
-    def a2(i, j):
-        return i * n2 + j
-
-    def a3(i, j):
-        return n2 * n2 + i * n3 + j
-
-    r = 0
+    # unknowns: row-major vec(alpha2) then vec(alpha3); with row-major vec,
+    # vec(A @ X @ B) = kron(A, B.T) @ vec(X)
+    I2, I3 = fieldla.identity(field, n2), fieldla.identity(field, n3)
+    blocks = []
     for eps in eps_list:
         dF, dG = mats[("F", "delta", eps)], mats[("G", "delta", eps)]
         pF, pG = mats[("F", "plus", eps)], mats[("G", "plus", eps)]
-        for i in range(n3):
-            for j in range(n2):
-                for t in range(n3):
-                    M[r, a3(i, t)] = field.add(M[r, a3(i, t)], dF[t, j])
-                for t in range(n2):
-                    M[r, a2(t, j)] = field.sub(M[r, a2(t, j)], dG[i, t])
-                r += 1
-        for i in range(n2):
-            for j in range(n3):
-                for t in range(n2):
-                    M[r, a2(i, t)] = field.add(M[r, a2(i, t)], pF[t, j])
-                for t in range(n3):
-                    M[r, a3(t, j)] = field.sub(M[r, a3(t, j)], pG[i, t])
-                r += 1
-    null = fieldla.nullspace(field, M)
+        blocks.append(np.hstack([-np.kron(dG, I2), np.kron(I3, dF.T)]))
+        blocks.append(np.hstack([np.kron(I2, pF.T), -np.kron(pG, I3)]))
+    null = fieldla.nullspace(field, np.vstack(blocks))
     if null.shape[1] == 0:
         return None
     rng = np.random.default_rng(12345)
     for _ in range(400):
-        coeffs = [int(c) for c in rng.integers(1, 50, size=null.shape[1])]
-        v = fieldla.zeros(field, nunk, 1)[:, 0]
-        for idx, c in enumerate(coeffs):
-            col = null[:, idx]
-            for row in range(nunk):
-                v[row] = field.add(v[row], field.mul(col[row], field.coerce(c)))
+        coeffs = fieldla.reduce(field, rng.integers(1, 50, size=null.shape[1])[:, None])
+        v = fieldla.matmul(field, null, coeffs)[:, 0]
         A2 = v[: n2 * n2].reshape(n2, n2)
         A3 = v[n2 * n2 :].reshape(n3, n3)
         if fieldla.rank(field, A2) == n2 and fieldla.rank(field, A3) == n3:
@@ -572,93 +564,49 @@ def m21_complex(ring, n_max: int):
         apply_pointwise_functor(SchurL31, GK), apply_pointwise_functor(SchurL31, GL)
     ]))
 
-    bases = {}
-    pivots = {}
+    one = ring.one()
+    modules, incl, pivots = {}, {}, {}
     for n in range(n_max + 1):
-        Nmod = NS3.module(n)
-        level = S3.level(n)
-        pos_of = {}
-        for p, lab in enumerate(Nmod.labels):
-            pos_of[level.index(lab)] = p
-        cs = fieldla.ColumnSpace(field, Nmod.rank)
+        Nmod, level = NS3.module(n), S3.level(n)
         det = cauchy_det_map(GK.level(n), GL.level(n))
         m21 = cauchy_m21_map(GK.level(n), GL.level(n))
         if det.target.labels != level.labels:
             raise RuntimeError("filtration maps built over a mismatched basis")
-        zero_mono = (0,) * ring.nvars
+        proj_cols = {level.index(lab): {p: one} for p, lab in enumerate(Nmod.labels)}
+        proj = MapMatrix(level, Nmod, proj_cols)
+        cs = fieldla.ColumnSpace(field, Nmod.rank)
         for gen in (det, m21):
-            for j in range(gen.source.rank):
-                col = gen.col(j)
-                vec = fieldla.zeros(field, Nmod.rank, 1)[:, 0]
-                any_nz = False
-                for i, poly in col.items():
-                    p = pos_of.get(i)
-                    if p is None:
-                        continue
-                    vec[p] = poly.terms.get(zero_mono, field.zero)
-                    any_nz = True
-                if any_nz:
-                    cs.add(vec)
-        bases[n] = cs
-        pivots[n] = list(cs.pivots)
-
-    dims_check = []
-    for n in range(n_max + 1):
-        dims_check.append(
-            (bases[n].rank, sub_N.module(n).rank, quot_N.module(n).rank)
-        )
-
-    modules = {}
-    for n in range(n_max + 1):
+            cs.add_columns(proj.compose(gen).to_field_matrix())
+        basis = np.array(cs.rows).reshape(cs.rank, Nmod.rank).T
         labs = []
-        for i in range(bases[n].rank):
-            row = bases[n].rows[i]
-            support = [r for r in range(len(row)) if row[r] != 0]
-            degs = {NS3.module(n).degrees[r] for r in support}
+        for i in range(cs.rank):
+            degs = {Nmod.degrees[r] for r in np.flatnonzero(basis[:, i])}
             if len(degs) != 1:
                 raise RuntimeError("filtration basis vector is not homogeneous")
             labs.append(atom(f"m21_{n}_{i}", degs.pop()))
         modules[n] = LabeledFreeModule(ring, labs)
+        incl[n] = from_field_matrix(modules[n], Nmod, basis)
+        pivots[n] = cs.pivots
+    dims_check = [
+        (modules[n].rank, sub_N.module(n).rank, quot_N.module(n).rank) for n in range(n_max + 1)
+    ]
 
+    # the differential in the basis: W = d(basis), read off at the pivots of
+    # the basis one level down, must be that basis applied to what was read
     diffs = {}
     for n in range(1, n_max + 1):
         if modules[n].rank == 0 or modules[n - 1].rank == 0:
             continue
-        Bn, Bp = bases[n], bases[n - 1]
-        d = NS3.diff(n)
+        W = NS3.diff(n).compose(incl[n])
         cols = {}
-        for c in range(Bn.rank):
-            row = Bn.rows[c]
-            W: dict = {}
-            for r in range(len(row)):
-                coeff = row[r]
-                if coeff == 0:
-                    continue
-                for i, poly in d.col(r).items():
-                    term = poly.scale(coeff)
-                    cur = W.get(i)
-                    W[i] = term if cur is None else cur + term
-            W = {i: q for i, q in W.items() if not q.is_zero()}
-            col = {}
-            for idx, piv in enumerate(Bp.pivots):
-                q = W.get(piv)
-                if q is not None and not q.is_zero():
-                    col[idx] = q
-            # verify the residual: W must equal B_{n-1} applied to col
-            recon: dict = {}
-            for idx, q in col.items():
-                brow = Bp.rows[idx]
-                for r in range(len(brow)):
-                    if brow[r] != 0:
-                        term = q.scale(brow[r])
-                        cur = recon.get(r)
-                        recon[r] = term if cur is None else cur + term
-            recon = {r: q for r, q in recon.items() if not q.is_zero()}
-            if recon != W:
-                raise RuntimeError("filtration stage is not a subcomplex")
+        for c in range(modules[n].rank):
+            w = W.col(c)
+            col = {idx: w[piv] for idx, piv in enumerate(pivots[n - 1]) if piv in w}
             if col:
                 cols[c] = col
         diffs[n] = MapMatrix(modules[n], modules[n - 1], cols)
+        if not incl[n - 1].compose(diffs[n]).equals(W):
+            raise RuntimeError("filtration stage is not a subcomplex")
     return ChainComplex(ring, modules, diffs), dims_check, sub_N, quot_N
 
 

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import fieldla
 from .complexes import ChainComplex, ChainMap, total_complex_many, truncate
 from .functors import FunctorTag, functor_module, functor_on_map
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
-    from_field_matrix,
     gam,
     identity_map,
     label_key,
@@ -180,19 +178,13 @@ def degenerate_indices(A: SimplicialModule, n: int) -> set:
 def normalize(A: SimplicialModule) -> ChainComplex:
     """Quotient of each level by the degenerate coordinates.
 
-    Falls back to the kernel-model Moore complex over a plain field when
-    the degeneracies are not signed basis injections; rejects that case
-    over a polynomial ring.
+    Raises DegeneracyShapeError when the degeneracies are not signed
+    basis injections.
     """
-    try:
-        nondeg = {}
-        for n in range(A.n_max + 1):
-            deg_rows = degenerate_indices(A, n) if n else set()
-            nondeg[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
-    except DegeneracyShapeError:
-        if A.ring.nvars:
-            raise
-        return _moore_complex_field(A)
+    nondeg = {}
+    for n in range(A.n_max + 1):
+        deg_rows = degenerate_indices(A, n) if n else set()
+        nondeg[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
     ring = A.ring
     modules = {}
     for n, keep in nondeg.items():
@@ -218,43 +210,6 @@ def normalize(A: SimplicialModule) -> ChainComplex:
             if acc:
                 cols[cpos] = acc
         diffs[n] = MapMatrix(modules[n], modules[n - 1], cols)
-    return ChainComplex(ring, modules, diffs)
-
-
-def _moore_complex_field(A: SimplicialModule) -> ChainComplex:
-    """Kernel-model Moore complex over a plain field: levels cap ker d_i, i>=1."""
-    from .linear import atom
-
-    ring = A.ring
-    field = ring.field
-    kernels = {}
-    modules = {}
-    for n in range(A.n_max + 1):
-        lv = A.level(n)
-        if n == 0:
-            K = fieldla.identity(field, lv.rank)
-        else:
-            import numpy as np
-
-            stacked = np.concatenate(
-                [A.face(n, i).materialize().to_field_matrix() for i in range(1, n + 1)],
-                axis=0,
-            )
-            K = fieldla.nullspace(field, stacked)
-        kernels[n] = K
-        modules[n] = LabeledFreeModule(
-            ring, [atom(f"moore{n}_{t}", 0) for t in range(K.shape[1])]
-        )
-    diffs = {}
-    for n in range(1, A.n_max + 1):
-        if modules[n].rank == 0 or modules[n - 1].rank == 0:
-            continue
-        d0 = A.face(n, 0).materialize().to_field_matrix()
-        img = fieldla.matmul(field, d0, kernels[n])
-        X = fieldla.solve_columns(field, kernels[n - 1], img)
-        if X is None:
-            raise RuntimeError("Moore differential does not land in the Moore subspace")
-        diffs[n] = from_field_matrix(modules[n], modules[n - 1], X)
     return ChainComplex(ring, modules, diffs)
 
 

@@ -15,6 +15,9 @@ GOLDEN = {
     "check-schur": ["check", "schur"],
     "check-cauchy": ["check", "cauchy"],
     "check-gamma": ["check", "gamma"],
+    "check-schur-rationals": ["check", "schur", "--rationals"],
+    "check-cauchy-rationals": ["check", "cauchy", "--rationals"],
+    "tor-powers-rationals": ["tor-powers", "--rationals"],
 }
 
 
@@ -59,14 +62,20 @@ def test_config_error_exit_code(tmp_path):
         ["gk", "--seq", "x,0"],
         ["gk", "--seq", "x"],  # needs length 2
         ["gk", "--prime", "91"],
+        ["check", "cauchy", "--prime", "2147483647"],  # above fieldla.MAX_PRIME
+        ["gk", "--prime", "1000000000000000003"],  # rejected before trial division
         ["check", "gamma", "--nmax", "-1"],
         ["tor-powers", "--tmax", "-1"],
         ["tor-powers", "--seq", "x,y^2-x"],  # not homogeneous
+        ["tor-powers", "--seq", "x,x"],  # not regular, as the next three
+        ["tor-powers", "--seq", "x,x^2"],
+        ["tor-powers", "--seq", "x*y,x"],
+        ["tor-powers", "--seq", "x^2-y^2,x+y"],
         ["cross3", "--engine", "groebner"],  # only gk and all take --engine
         ["predict", "--config", str(tmp_path / "missing.json")],
     ] + [["predict", "--config", str(tmp_path / f"{stem}.json")] for stem in configs]
     for args in cases:
-        p = run_cli(*args)
+        p = run_cli(*args, timeout=120)
         assert p.returncode == 2, args
         assert "configuration error" in p.stderr, args
         assert "Traceback" not in p.stderr, args

@@ -90,3 +90,46 @@ def test_rationals_backend():
     assert all(prod[i, j] == 0 for i in range(6) for j in range(N.shape[1]))
     r = fieldla.rank(FQ, M)
     assert r + N.shape[1] == 9
+
+
+BIG = 8388593  # the largest prime <= fieldla.MAX_PRIME = 2**23
+
+
+def test_largest_prime_against_naive_rank():
+    FB = PrimeField(BIG)
+    rng = np.random.default_rng(3)
+    # more than _PANEL pivots, so back substitution needs its int64 products
+    for m, n, k in [(150, 260, 145), (260, 150, 140)]:
+        M = (rng.integers(0, BIG, (m, k)) @ rng.integers(0, BIG, (k, n))) % BIG
+        r = fieldla.rank(FB, M)
+        assert r == naive_rank(M, BIG) == k
+        N = fieldla.nullspace(FB, M)
+        assert N.shape[1] == n - r
+        assert (M @ N % BIG == 0).all()
+        assert fieldla.rank(FB, N) == N.shape[1]
+
+
+def test_largest_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.GF(BIG)
+    rng = np.random.default_rng(4)
+    M = (rng.integers(0, BIG, (30, 20)) @ rng.integers(0, BIG, (20, 40))) % BIG
+    dm = DomainMatrix([[K(int(v)) for v in row] for row in M.tolist()], M.shape, K)
+    FB = PrimeField(BIG)
+    assert fieldla.rank(FB, M) == dm.rank() == 20
+    ref = np.array([[int(v) % BIG for v in row] for row in dm.nullspace().to_list()])
+    N = fieldla.nullspace(FB, M)
+    # the same kernel: each basis lies in the span of the other
+    assert N.shape[1] == ref.shape[0] == 20
+    assert fieldla.rank(FB, np.concatenate([N, ref.T], axis=1)) == 20
+
+
+def test_primes_above_the_bound_are_refused():
+    assert fieldla.MAX_PRIME == 2**23
+    with pytest.raises(ValueError):
+        fieldla.rank(PrimeField(67108859), np.eye(3, dtype=np.int64))
+    k = 2**63 // (BIG - 1) ** 2 + 1  # k terms of (BIG - 1)**2 would wrap int64
+    with pytest.raises(OverflowError):
+        fieldla.matmul(PrimeField(BIG), np.ones((1, k), np.int64), np.ones((k, 1), np.int64))

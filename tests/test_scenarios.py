@@ -67,6 +67,12 @@ def test_config_errors():
         SCENARIOS["gk"](ScenarioConfig(sequence=("x", "0")))
     with pytest.raises(ConfigError):
         SCENARIOS["predict"](ScenarioConfig(), d=0)
+    for seq in (("x", "x"), ("x", "x^2"), ("x*y", "x"), ("x^2-y^2", "x+y")):
+        with pytest.raises(ConfigError, match="zero divisor"):
+            SCENARIOS["tor-powers"](ScenarioConfig(sequence=seq))
+    for seq in (("x", "y"), ("3*x", "5*y"), ("x^2", "y^3")):
+        # regular: accepted, and the zero budget then stops the run at once
+        assert SCENARIOS["tor-powers"](ScenarioConfig(sequence=seq, budget_s=0.0)).partial
 
 
 def test_budget_flag():

@@ -7,7 +7,7 @@ import pytest
 from conftest import two_term
 from dflab import functors as fu
 from dflab import linear as ln
-from dflab.complexes import homology_graded, is_quasi_iso, truncate
+from dflab.complexes import is_quasi_iso
 from dflab.ring import ring_descriptor
 from dflab.simplicial import (
     DegeneracyShapeError,
@@ -123,9 +123,9 @@ def test_pointwise_functor_levels_and_identities(resolution):
         assert E1.level(n).rank == GP.level(n).rank
 
 
-def test_moore_fallback_matches_quotient_model(field_ring):
+def test_normalize_rejects_twisted_degeneracies_over_a_field(field_ring):
     """Conjugating by a random change of basis breaks the monomial shape;
-    the kernel-model fallback must reproduce the same homology."""
+    normalize rejects that over a plain field as over a polynomial ring."""
     import numpy as np
 
     from dflab.complexes import ChainComplex
@@ -173,13 +173,8 @@ def test_moore_fallback_matches_quotient_model(field_ring):
 
         for n in range(1, 4):
             degenerate_indices(twisted, n)
-    N = normalize(twisted)  # falls back to the kernel model
-    ref = normalize(A)
-    da = homology_graded(N, 0, annihilators=[])
-    db = homology_graded(ref, 0, annihilators=[])
-    assert {k: d.dims for k, d in da.degrees.items()} == {
-        k: d.dims for k, d in db.degrees.items()
-    }
+    with pytest.raises(DegeneracyShapeError):
+        normalize(twisted)
 
 
 def test_moore_fallback_rejected_over_polynomial_ring(ring97, kl_pair):
