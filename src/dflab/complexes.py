@@ -1,11 +1,20 @@
 """Bounded chain complexes, total complexes, and two homology engines.
 
-The graded engine slices a homogeneous complex into exact field linear
-algebra, one internal degree at a time, and certifies R/I-module ranks
-by annihilator checks on explicit homology representatives.  The
-Groebner engine presents each homology module by generators (syzygies
-of the differential) and relations (lifted boundaries plus kernel
-syzygies) and is the finiteness certificate.
+The graded engine first reduces a homogeneous complex over R
+(``reduce_complex``): each nonzero constant entry of a differential
+cancels a pair of generators by Gaussian elimination, which leaves the
+minimal complex.  The reduction is a homotopy equivalence of complexes
+of graded R-modules, so homology is the same graded R-module and every
+certificate (dims, stabilization, annihilators) carries over.  The engine
+then slices the reduced complex into exact field linear algebra, one
+internal degree at a time, and certifies R/I-module ranks by annihilator
+checks on explicit homology representatives and a Hilbert-function
+freeness check.
+
+The Groebner engine presents each homology module by generators
+(syzygies of the differential) and relations (lifted boundaries plus
+kernel syzygies) and is the finiteness certificate.  It runs on the
+unreduced complex, so ``engines_agree`` also checks the reduction.
 """
 
 from __future__ import annotations
@@ -156,6 +165,99 @@ def truncate(C: ChainComplex, top: int) -> ChainComplex:
     return ChainComplex(C.ring, modules, diffs, check=False)
 
 
+# --- reduction over R --------------------------------------------------------
+
+
+def reduce_complex(C: ChainComplex) -> ChainComplex:
+    """A smaller complex homotopy equivalent to C over R.
+
+    Gaussian elimination with unit pivots: for a nonzero constant entry
+    u = d_n[i, j] between generators of equal internal degree, the pair
+    (e_j, e_i) is cancelled.  Every other column b of d_n becomes
+    col_b - (col_b[i] / u) col_j, row i of d_n and column j are dropped,
+    row j of d_{n+1} and column i of d_{n-1} are dropped.  Pivots are
+    taken by smallest (row count - 1) * (column count - 1), one degree at
+    a time from the bottom; dropping rows and columns never creates a
+    unit, so a finished degree stays finished.  Homogeneity is kept, and
+    the result has no unit entries left: on homogeneous input it is the
+    minimal complex.
+    """
+    field = C.ring.field
+    cols = {
+        n: {j: dict(d.col(j)) for j in range(d.source.rank) if d.col(j)}
+        for n, d in C.diffs.items()
+    }
+    rows = {n: {} for n in cols}
+    for n, cn in cols.items():
+        for j, col in cn.items():
+            for i in col:
+                rows[n].setdefault(i, set()).add(j)
+    alive = {n: set(range(C.module(n).rank)) for n in C.modules}
+
+    for n in sorted(cols):
+        cn, rn = cols[n], rows[n]
+        sdeg, tdeg = C.module(n).degrees, C.module(n - 1).degrees
+
+        def is_pivot(i, j, q):
+            return q.is_unit() and sdeg[j] == tdeg[i]
+
+        cand = {(i, j) for j, col in cn.items() for i, q in col.items() if is_pivot(i, j, q)}
+        while cand:
+            _, i, j = min(((len(rn[i]) - 1) * (len(cn[j]) - 1), i, j) for i, j in cand)
+            cj = cn.pop(j)
+            for r in cj:
+                rn[r].discard(j)
+                cand.discard((r, j))
+            ratio = field.neg(field.inv(cj.pop(i).leading()[1]))
+            for b in rn.pop(i):
+                cb = cn[b]
+                cand.discard((i, b))
+                factor = cb.pop(i).scale(ratio)
+                for r, p in cj.items():
+                    q = factor * p
+                    if r in cb:
+                        q = q + cb[r]
+                    if q.is_zero():
+                        del cb[r]
+                        rn[r].discard(b)
+                        cand.discard((r, b))
+                        continue
+                    cb[r] = q
+                    rn.setdefault(r, set()).add(b)
+                    if is_pivot(r, b, q):
+                        cand.add((r, b))
+                    else:
+                        cand.discard((r, b))
+                if not cb:
+                    del cn[b]
+            if n + 1 in cols:
+                above = cols[n + 1]
+                for b in rows[n + 1].pop(j, ()):
+                    del above[b][j]
+                    if not above[b]:
+                        del above[b]
+            if n - 1 in cols:
+                for r in cols[n - 1].pop(i, {}):
+                    rows[n - 1][r].discard(i)
+            alive[n].discard(j)
+            alive[n - 1].discard(i)
+
+    modules, index = {}, {}
+    for n, keep in alive.items():
+        keep = sorted(keep)
+        index[n] = {old: new for new, old in enumerate(keep)}
+        modules[n] = LabeledFreeModule(C.ring, [C.module(n).labels[old] for old in keep])
+    diffs = {
+        n: MapMatrix(
+            modules[n],
+            modules[n - 1],
+            {index[n][j]: {index[n - 1][i]: q for i, q in col.items()} for j, col in cn.items()},
+        )
+        for n, cn in cols.items()
+    }
+    return ChainComplex(C.ring, modules, diffs)
+
+
 # --- graded homology engine ------------------------------------------------
 
 
@@ -204,11 +306,13 @@ class HomologyReport:
 def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyReport:
     """Per-degree, per-internal-degree homology dimensions over the field.
 
-    ``annihilators`` defaults to the ring's regular sequence; for each
-    homology class representative z and each generator f the certificate
-    checks that f*z is a boundary.  Slices are built and discarded one
-    internal degree at a time; certificates re-slice at the (small)
-    degrees where homology is nonzero.
+    The complex is first cut down by ``reduce_complex``; the report keeps
+    a key for every degree of the input.  ``annihilators`` defaults to the
+    ring's regular sequence; for each homology class representative z and
+    each generator f the certificate checks that f*z is a boundary.
+    Slices are built and discarded one internal degree at a time;
+    certificates re-slice at the (small) degrees where homology is
+    nonzero.
     """
     ring = C.ring
     field = ring.field
@@ -218,7 +322,8 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
         annihilators = list(ring.regular_sequence or [])
     ann_degs = [f.degree() for f in annihilators]
 
-    ks = list(range(C.lo, C.hi + 1))
+    ks = list(C.support())
+    C = reduce_complex(C)
     report = HomologyReport(engine="graded", t_max=t_max)
     for k in ks:
         report.degrees[k] = GradedDegree()
@@ -226,18 +331,16 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
     euler_ok = True
     for t in range(0, t_max + 1):
         dim_c = {k: len(slice_basis(C.module(k), t)) for k in ks}
-        ranks = {}
-        for k in ks:
-            if k + 1 > C.hi or dim_c[k] == 0 or dim_c.get(k + 1, 0) == 0:
-                ranks[k + 1] = 0
-                continue
-            M, _, _ = graded_slice(C.diff(k + 1), t)
-            ranks[k + 1] = fieldla.rank(field, M)
-            del M
-        ranks[C.lo] = 0
+        ranks = {ks[0]: 0}  # ranks[k] = rank of d_k at t
+        for k in ks[1:]:
+            ranks[k] = 0
+            if dim_c[k] and dim_c[k - 1]:
+                M, _, _ = graded_slice(C.diff(k), t)
+                ranks[k] = fieldla.rank(field, M)
+                del M
         lhs = rhs = 0
         for k in ks:
-            dim_h = dim_c[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            dim_h = dim_c[k] - ranks[k] - ranks.get(k + 1, 0)
             lhs += (-1) ** k * dim_h
             rhs += (-1) ** k * dim_c[k]
             if dim_h:
@@ -248,6 +351,7 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
             euler_ok = False
     report.euler_ok = euler_ok
 
+    quotient = _quotient_hilbert(ring, annihilators, t_max) if annihilators else None
     for k in ks:
         deg = report.degrees[k]
         deg.stabilized = all(deg.dims.get(t, 0) == 0 for t in (t_max - 1, t_max))
@@ -260,8 +364,36 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
             deg.annihilator_ok[str(f)] = ok
             ok_all = ok_all and ok
         if deg.stabilized and ok_all and annihilators:
-            deg.ri_rank = deg.total
+            deg.ri_rank = _free_rank(deg, *quotient)
     return report
+
+
+def _quotient_hilbert(ring, ideal, t_max):
+    """(Hilbert function of R/I in degrees 0..t_max, dim_k R/I or None)."""
+    gb = gb_mod.buchberger([gb_mod.from_map_column({0: f}) for f in ideal], 1, ring)
+    pres = gb_mod.Presentation(1, gb, gen_degrees=(0,))
+    _, dim = gb_mod.quotient_dim(pres)
+    return gb_mod.hilbert_dims(pres, t_max), dim
+
+
+def _free_rank(deg: GradedDegree, h, dim_quotient):
+    """Rank over R/I of the homology, if its dims are those of a free module.
+
+    Peels generator counts c_t = dims(t) - sum_{s<t} c_s h(t-s) off the
+    dims table; the rank sum(c_t) stands only when every c_t >= 0 and
+    sum(c_t) * dim_k(R/I) is the total.
+    """
+    c = {}
+    for t in range(len(h)):
+        c_t = deg.dims.get(t, 0) - sum(c_s * h[t - s] for s, c_s in c.items())
+        if c_t < 0:
+            return None
+        if c_t:
+            c[t] = c_t
+    rank = sum(c.values())
+    if rank and (dim_quotient is None or rank * dim_quotient != deg.total):
+        return None
+    return rank
 
 
 def _homology_reps(C, field, k, t, dim_h):

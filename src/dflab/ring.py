@@ -16,13 +16,44 @@ class DescriptorError(ValueError):
     """Operands built over incompatible ring descriptors."""
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ``ValueError`` at or above ``MR_BOUND``."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is above the deterministic primality bound {MR_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Arithmetic of F_p for a prime p; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p**0.5) + 1))):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 

@@ -8,8 +8,10 @@ import sys
 BASE = [sys.executable, "-m", "dflab.cli"]
 DATA = pathlib.Path(__file__).parent / "data"
 
-# committed --no-timing reports of the cheap scenarios: file stem -> arguments
+# committed --no-timing reports: file stem -> arguments
 GOLDEN = {
+    "gk": ["gk"],
+    "cross3": ["cross3"],
     "tor-powers": ["tor-powers"],
     "predict-d3": ["predict", "--d", "3"],
     "check-schur": ["check", "schur"],
@@ -63,7 +65,7 @@ def test_config_error_exit_code(tmp_path):
         ["gk", "--seq", "x"],  # needs length 2
         ["gk", "--prime", "91"],
         ["check", "cauchy", "--prime", "2147483647"],  # above fieldla.MAX_PRIME
-        ["gk", "--prime", "1000000000000000003"],  # rejected before trial division
+        ["gk", "--prime", "1000000000000000003"],  # prime, but above fieldla.MAX_PRIME
         ["check", "gamma", "--nmax", "-1"],
         ["tor-powers", "--tmax", "-1"],
         ["tor-powers", "--seq", "x,y^2-x"],  # not homogeneous
@@ -79,6 +81,16 @@ def test_config_error_exit_code(tmp_path):
         assert p.returncode == 2, args
         assert "configuration error" in p.stderr, args
         assert "Traceback" not in p.stderr, args
+
+
+def test_tor_powers_over_a_quotient_of_dimension_two(tmp_path):
+    # R/(x, y^2 - x^2) has dim_k 2; the tables count free generators over it
+    out = tmp_path / "r.json"
+    p = run_cli("tor-powers", "--seq", "x,y^2-x^2", "--out", str(out))
+    assert p.returncode == 0, p.stderr
+    (s,) = json.loads(out.read_text())["scenarios"]
+    assert s["computed"] == {"square": [1, 2, 1], "cube": [1, 4, 6, 4, 1]}
+    assert [d["total"] for d in s["per_degree"]["square"].values()] == [2, 4, 2, 0, 0]
 
 
 def test_budget_exit_code(tmp_path):

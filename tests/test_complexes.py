@@ -1,8 +1,11 @@
 """Chain complexes, total complexes, shifts, and the homology engines."""
 
+from math import comb
+
 import pytest
 
 from conftest import two_term
+from dflab import fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
 from dflab.complexes import (
@@ -11,11 +14,16 @@ from dflab.complexes import (
     engines_agree,
     homology_graded,
     homology_groebner,
+    homology_groebner_report,
+    reduce_complex,
     shift,
     total_complex,
     truncate,
 )
+from dflab.functors import Sym
+from dflab.koszul import regular_sequence_resolution
 from dflab.ring import ring_descriptor
+from dflab.simplicial import apply_pointwise_functor, diagonal_tensor, gamma, normalize
 
 R = ring_descriptor()
 X, Y = R.var("x"), R.var("y")
@@ -117,3 +125,88 @@ def test_truncate(resolution):
     assert T.ranks() == {0: 1, 1: 2}
     rep = homology_graded(T, 4)
     assert rep.degrees[0].dims == {0: 1}
+
+
+# --- reduction over R -------------------------------------------------------
+
+
+def unreduced_dims(C, t_max):
+    """Per-(k, t) homology dims ranked from the unreduced graded slices."""
+    field = C.ring.field
+    ks = list(C.support())
+    out = {}
+    for t in range(t_max + 1):
+        dim = {k: len(ln.slice_basis(C.module(k), t)) for k in ks}
+        rank = {}
+        for k in ks:
+            rank[k] = 0
+            if dim[k] and dim.get(k - 1, 0):
+                rank[k] = fieldla.rank(field, ln.graded_slice(C.diff(k), t)[0])
+        for k in ks:
+            h = dim[k] - rank[k] - rank.get(k + 1, 0)
+            if h:
+                out.setdefault(k, {})[t] = h
+    return out
+
+
+def graded_dims(rep):
+    return {k: d.dims for k, d in rep.degrees.items() if d.dims}
+
+
+@pytest.mark.parametrize("ring_name", ["ring97", "ring_q"])
+def test_reduced_dims_match_unreduced_slices(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    P = regular_sequence_resolution(ring)
+    square = total_complex(P, P)
+    cube = total_complex(square, P)
+    GP = gamma(P, 5)
+    pair = truncate(normalize(diagonal_tensor([GP, GP])), 4)
+    for name, C, t_max in (("P", P, 6), ("P2", square, 6), ("P3", cube, 6), ("GP2", pair, 8)):
+        rep = homology_graded(C, t_max)
+        assert graded_dims(rep) == unreduced_dims(C, t_max), name
+        assert rep.euler_ok and set(rep.degrees) == set(C.support()), name
+        if name in ("P", "P2"):
+            assert graded_dims(rep) == graded_dims(homology_groebner_report(C, t_max)), name
+    assert rep.rank_vector(range(5)) == [1, 2, 1, 0, 0]
+
+
+def test_reduce_complex_gives_minimal_complexes(ring97):
+    GP = gamma(regular_sequence_resolution(ring97), 7)
+    gk = normalize(apply_pointwise_functor(Sym(3), GP))
+    cross3 = normalize(diagonal_tensor([GP, GP, GP]))
+    for C, want in ((gk, [1, 2, 2, 2, 2, 2, 1]), (cross3, [comb(6, k) for k in range(7)])):
+        M = reduce_complex(C)
+        assert [M.module(k).rank for k in range(7)] == want
+        assert M.is_homogeneous()
+        for n in M.diffs:
+            assert M.diff(n).compose(M.diff(n + 1)).is_zero()
+            assert not any(q.is_unit() for _, _, q in M.diff(n).entries())
+
+
+def test_report_keeps_degrees_the_reduction_empties(ring97, resolution):
+    cone = shift(two_term(ring97, "u", ring97.one(), 0), -3)  # R --1--> R in degrees 4, 3
+    assert reduce_complex(cone).ranks() == {0: 0}
+    rep = homology_graded(cone, 4)
+    assert sorted(rep.degrees) == [3, 4]
+    assert all(d.total == 0 and d.ri_rank == 0 for d in rep.degrees.values())
+    # resolution plus a contractible pair on top: degrees 3 and 4 vanish
+    modules = {**resolution.modules, 3: cone.module(3), 4: cone.module(4)}
+    diffs = {**resolution.diffs, 4: cone.diff(4)}
+    C = ChainComplex(ring97, modules, diffs)
+    assert reduce_complex(C).ranks() == resolution.ranks()
+    rep = homology_graded(C, 4)
+    assert sorted(rep.degrees) == [0, 1, 2, 3, 4]
+    assert rep.rank_vector(range(5)) == [1, 0, 0, 0, 0]
+
+
+def test_ri_rank_counts_free_generators_over_the_quotient(resolution):
+    ring = ring_descriptor(sequence=("x", "y^2-x^2"))
+    P = regular_sequence_resolution(ring)
+    rep = homology_graded(total_complex(P, P), 8)
+    # H_k is free over R/I with dim_k R/I = 2
+    assert rep.rank_vector(range(3)) == [1, 2, 1]
+    assert [rep.degrees[k].total for k in range(3)] == [2, 4, 2]
+    # k = R/(x, y) is killed by (x, y^2) but is not free over R/(x, y^2)
+    rep = homology_graded(resolution, 6, annihilators=[X, Y * Y])
+    assert rep.degrees[0].annihilator_ok == {"x": True, "y^2": True}
+    assert rep.degrees[0].stabilized and rep.degrees[0].ri_rank is None

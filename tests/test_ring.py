@@ -1,11 +1,16 @@
 """Scalar and polynomial arithmetic, monomial orders."""
 
+import time
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from dflab.ring import (
+    MR_BOUND,
     DescriptorError,
     PrimeField,
+    is_prime,
     monomial_compare,
     parse_poly,
     poly_arith,
@@ -23,6 +28,29 @@ def test_prime_validation():
     PrimeField(97)
     with pytest.raises(ValueError):
         PrimeField(91)  # 7 * 13
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to small bases are composite
+    for n in (561, 1105, 1729, 41041, 2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        assert is_prime(n) is sympy.isprime(n) is False, n
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 3, MR_BOUND - 2):
+        assert is_prime(n) is sympy.isprime(n), n
+
+
+def test_large_prime_field_is_fast_and_bounded():
+    start = time.perf_counter()
+    ring = ring_descriptor(prime=10**18 + 3)
+    assert time.perf_counter() - start < 1.0
+    assert ring.field.p == 10**18 + 3
+    with pytest.raises(ValueError):
+        PrimeField(MR_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(10**30 + 57)
 
 
 def test_product_difference_of_squares():
