@@ -279,11 +279,8 @@ class HomologyReport:
     presentations: dict = dc_field(default_factory=dict)  # k -> Presentation (groebner)
 
     def rank_vector(self, ks) -> list:
-        out = []
-        for k in ks:
-            d = self.degrees.get(k)
-            out.append(0 if d is None else (d.ri_rank if d.ri_rank is not None else d.total))
-        return out
+        """Ranks over R/I; None where a degree's rank is not certified."""
+        return [0 if k not in self.degrees else self.degrees[k].ri_rank for k in ks]
 
     def to_dict(self) -> dict:
         return {

@@ -2,129 +2,62 @@
 
 Each field has one backend, and only the backends know how its matrices
 are stored; every routine below picks the backend of its field once.
+There is one elimination, ``_echelon``, written over the backend's
+``reduce`` and ``inv``.
 
 F_p matrices are int64 arrays of least non-negative residues.  The
-echelon routine does right-looking elimination in panels: pivoting and
-multiplier bookkeeping happen on a narrow reduced panel, and the
-trailing block is updated with one float64 matmul per panel.  That
-product sums up to ``_PANEL`` terms below (p - 1)**2, so it is exact
-while ``_PANEL * (p - 1)**2 < 2**53``, which gives ``MAX_PRIME`` = 2**23;
-the F_p backend refuses a larger p.  The int64 entries it leaves
-unreduced stay below (n + _PANEL) * p**2 for n columns, which the
-backend checks against 2**63.  ``matmul`` sums k products in float64
-only while ``k * (p - 1)**2 < 2**53``, in int64 while it stays below
-2**63, and raises beyond that instead of wrapping.
+elimination reduces after every row operation, so each product it forms
+is below p**2.  ``matmul`` sums k products of residues in int64 and
+raises ``OverflowError`` instead of wrapping once k * (p - 1)**2 could
+reach 2**63.  ``MAX_PRIME`` = 2**23 keeps p**2 below 2**46, so every
+product of up to 2**17 terms is exact; the F_p backend refuses a larger
+p.
 
-Q matrices use dtype=object with ``Fraction`` entries and a naive
-elimination; they are only used at small sizes.
+Q matrices use dtype=object with ``Fraction`` entries; they are only
+used at small sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
 from .ring import Rationals
 
-_PANEL = 128
-# the largest modulus with _PANEL * (p - 1)**2 < 2**53 (exact panel products)
-MAX_PRIME = isqrt((2**53 - 1) // _PANEL) + 1
+# p**2 < 2**46: int64 products of up to 2**17 residue terms are exact
+MAX_PRIME = 2**23
 
 
-def _fp_echelon(A: np.ndarray, p: int):
-    """Destructive echelon; returns (rank, pivcols, E).
+def _echelon(la, A):
+    """Gauss-Jordan elimination of a copy of A; returns (rank, pivcols, E).
 
-    E holds the echelon rows 0..rank-1 reduced mod p; anything below
-    row ``rank`` is garbage and must not be used.
+    E is the reduced row echelon form of A: row s is 1 at ``pivcols[s]``
+    and 0 at every other pivot column, and the rows from the rank on are
+    zero.
     """
-    m, n = A.shape
-    r = 0
-    pivcols: list[int] = []
-    j0 = 0
-    while j0 < n and r < m:
-        j1 = min(j0 + _PANEL, n)
-        r0 = r
-        # panel worked on as a contiguous copy with deferred reduction;
-        # entries stay below PANEL * p**2, far inside int64
-        P = A[r0:, j0:j1] % p
-        mult = np.zeros((m - r0, j1 - j0), dtype=np.int64)
-        for j in range(j0, j1):
-            s = r - r0  # pivot sequence number within this panel
-            jc = j - j0
-            P[s:, jc] %= p
-            nz = np.nonzero(P[s:, jc])[0]
-            if nz.size == 0:
-                continue
-            i = s + int(nz[0])
-            if i != s:
-                A[[r0 + s, r0 + i], :] = A[[r0 + i, r0 + s], :]
-                P[[s, i], :] = P[[i, s], :]
-                mult[[s, i], :] = mult[[i, s], :]
-            P[s, :] %= p
-            inv = pow(int(P[s, jc]), p - 2, p)
-            f = (P[s + 1 :, jc] * inv) % p
-            nz_f = np.nonzero(f)[0]
-            if nz_f.size * 3 < f.size:
-                P[s + 1 + nz_f, :] -= f[nz_f, None] * P[s, :]
-            else:
-                P[s + 1 :, :] -= f[:, None] * P[s, :]
-            mult[s + 1 :, s] = f
-            pivcols.append(j)
-            r += 1
-            if r == m:
-                break
-        A[r0:, j0:j1] = P % p
-        npv = r - r0
-        if j1 < n and npv > 0:
-            A[r0:r, j1:] %= p
-            # replay the panel's eliminations among the pivot rows
-            for s in range(npv - 1):
-                rows = np.nonzero(mult[s + 1 : npv, s])[0]
-                if rows.size:
-                    A[r0 + s + 1 + rows, j1:] -= (
-                        mult[s + 1 + rows, s][:, None] * A[r0 + s, j1:]
-                    )
-                    A[r0 + s + 1 + rows, j1:] %= p
-            if r < m:
-                # leave the below block unreduced: it is re-reduced when a
-                # later panel or pivot-row pass touches it, and magnitudes
-                # stay below p + npanels*PANEL*p**2 << 2**62
-                Mf = mult[npv:, :npv].astype(np.float64)
-                Uf = A[r0:r, j1:].astype(np.float64)
-                A[r:, j1:] -= (Mf @ Uf).astype(np.int64)
-        j0 = j1
-    if r:
-        A[:r] %= p
-    return r, pivcols, A
-
-
-def _qq_echelon(A: np.ndarray):
-    """Naive fraction echelon; returns (rank, pivcols, E)."""
-    A = A.copy()
-    m, n = A.shape
+    E = la.reduce(A)
+    m, n = E.shape
     r = 0
     pivcols: list[int] = []
     for j in range(n):
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if A[i, j] != 0:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(E[r:, j])
+        if not nz.size:
             continue
-        if piv != r:
-            A[[r, piv], :] = A[[piv, r], :]
-        inv = 1 / A[r, j]
-        for i in range(r + 1, m):
-            if A[i, j] != 0:
-                A[i, j:] = A[i, j:] - (A[i, j] * inv) * A[r, j:]
+        i = r + int(nz[0])
+        # rows r.. are zero left of column j, so only columns j.. move
+        if i != r:
+            E[[r, i], j:] = E[[i, r], j:]
+        E[r, j:] = la.reduce(E[r, j:] * la.inv(E[r, j]))
+        rows = np.flatnonzero(E[:, j])
+        rows = rows[rows != r]
+        if rows.size:
+            E[rows, j:] = la.reduce(E[rows, j:] - E[rows, j][:, None] * E[r, j:])
         pivcols.append(j)
         r += 1
-    return r, pivcols, A
+    return r, pivcols, E
 
 
 class _Fp:
@@ -148,15 +81,8 @@ class _Fp:
     def inv(self, a):
         return pow(int(a), self.p - 2, self.p)
 
-    def echelon(self, M):
-        if (M.shape[1] + _PANEL) * self._square >= 2**63:
-            raise OverflowError(f"{M.shape[1]} columns over F_{self.p} would overflow int64")
-        return _fp_echelon(self.reduce(M), self.p)
-
     def matmul(self, A, B):
         k = A.shape[1]
-        if k * self._square < 2**53:
-            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % self.p
         if k * self._square < 2**63:
             return (A @ B) % self.p
         raise OverflowError(f"a {k}-term product over F_{self.p} would overflow int64")
@@ -183,9 +109,6 @@ class _QQ:
 
     def inv(self, a):
         return 1 / Fraction(a)
-
-    def echelon(self, M):
-        return _qq_echelon(M)
 
     def matmul(self, A, B):
         return A @ B
@@ -216,9 +139,9 @@ def reduce(field, M):
 
 
 def echelon(field, M):
-    """(rank, pivcols, E) of M, leaving M intact; E's rows 0..rank-1 are
-    its echelon form and anything below them is garbage."""
-    return _backend(field).echelon(M)
+    """(rank, pivcols, E) of M, leaving M intact; E is its reduced row
+    echelon form."""
+    return _echelon(_backend(field), M)
 
 
 def matmul(field, A, B):
@@ -230,8 +153,6 @@ def random_matrix(field, m, n, rng):
 
 
 def rank(field, M) -> int:
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return 0
     r, _, _ = echelon(field, M)
     return r
 
@@ -242,44 +163,22 @@ def rank_two(field, A, B) -> tuple[int, int]:
     Valid because left-to-right pivoting puts exactly rank(A) pivots in
     the first block.
     """
-    if A.shape[1] == 0:
-        rb = rank(field, B)
-        return 0, rb
-    if B.shape[1] == 0:
-        r = rank(field, A)
-        return r, r
-    stacked = np.concatenate([A, B], axis=1)
-    r_all, pivcols, _ = echelon(field, stacked)
+    r_all, pivcols, _ = echelon(field, np.concatenate([A, B], axis=1))
     r_a = sum(1 for j in pivcols if j < A.shape[1])
     return r_a, r_all
-
-
-def _back_substitute(la, P, R):
-    """X with P @ X = R, for P upper triangular with a nonzero diagonal."""
-    r = P.shape[0]
-    X = la.zeros(r, R.shape[1])
-    for s in range(r - 1, -1, -1):
-        acc = R[s : s + 1] - la.matmul(P[s : s + 1, s + 1 :], X[s + 1 :])
-        X[s] = la.reduce(acc * la.inv(P[s, s]))[0]
-    return X
 
 
 def nullspace(field, M):
     """Columns form a basis of the right kernel of M."""
     la = _backend(field)
-    m, n = M.shape
-    if n == 0:
-        return la.zeros(0, 0)
-    if m == 0:
-        return la.identity(n)
-    r, pivcols, E = la.echelon(M)
+    n = M.shape[1]
+    r, pivcols, E = _echelon(la, M)
     pivset = set(pivcols)
     free = [j for j in range(n) if j not in pivset]
-    # one kernel vector per free column: 1 there, pivots solved for
+    # one kernel vector per free column: 1 there, pivots read off E
     N = la.zeros(n, len(free))
     N[free] = la.identity(len(free))
-    if free:
-        N[pivcols] = la.reduce(-_back_substitute(la, E[:r][:, pivcols], E[:r][:, free]))
+    N[pivcols] = la.reduce(-E[:r][:, free])
     return N
 
 
@@ -290,17 +189,11 @@ def solve_columns(field, B, V):
     """
     la = _backend(field)
     nb = B.shape[1]
-    nv = V.shape[1]
-    if nb == 0:
-        if V.shape[0] and any(np.any(V[:, j] != 0) for j in range(nv)):
-            return None
-        return la.zeros(0, nv)
-    stacked = np.concatenate([B, V], axis=1)
-    r, pivcols, E = la.echelon(stacked)
+    r, pivcols, E = _echelon(la, np.concatenate([B, V], axis=1))
     if any(j >= nb for j in pivcols):
         return None
-    X = la.zeros(nb, nv)
-    X[pivcols] = _back_substitute(la, E[:r][:, pivcols], E[:r, nb:])
+    X = la.zeros(nb, V.shape[1])
+    X[pivcols] = E[:r, nb:]
     return X
 
 

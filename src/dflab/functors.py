@@ -29,6 +29,7 @@ from .linear import (
     schur,
     sym,
     tens,
+    tensor_maps,
     tensor_modules,
     wedge,
 )
@@ -89,24 +90,23 @@ def tensor_power_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
     return tensor_modules([V] * l)
 
 
+def _tableau_indices(n: int) -> list:
+    """Index triples (i, j, k) of the standard tableaux (i^j)|k: i < j, i <= k."""
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(i, n)]
+
+
+def _tableau_module(V: LabeledFreeModule, label) -> LabeledFreeModule:
+    L = V.labels
+    labels = [label(L[i], L[j], L[k]) for i, j, k in _tableau_indices(V.rank)]
+    return LabeledFreeModule(V.ring, labels)
+
+
 def schur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    labs = []
-    n = V.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(i, n):
-                labs.append(schur(V.labels[i], V.labels[j], V.labels[k]))
-    return LabeledFreeModule(V.ring, labs)
+    return _tableau_module(V, schur)
 
 
 def coschur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    labs = []
-    n = V.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(i, n):
-                labs.append(cosch(V.labels[i], V.labels[j], V.labels[k]))
-    return LabeledFreeModule(V.ring, labs)
+    return _tableau_module(V, cosch)
 
 
 def functor_module(tag: FunctorTag, V: LabeledFreeModule) -> LabeledFreeModule:
@@ -212,63 +212,31 @@ def _schur_col(f: MapMatrix, tgt: LabeledFreeModule, parts) -> dict:
     return {i2: q for i2, q in out.items() if not q.is_zero()}
 
 
-def _transpose_plain(f: MapMatrix) -> MapMatrix:
-    """Transpose with labels kept as-is (no dual wrapping)."""
-    out: dict = {}
-    for j in range(f.source.rank):
-        for i, q in f.col(j).items():
-            out.setdefault(i, {})[j] = q
-    return MapMatrix(f.target, f.source, out)
+def _dual_functor_map(dual_tag: FunctorTag, f: MapMatrix, src, tgt) -> MapMatrix:
+    """F(f) on src -> tgt for the functor F dual to ``dual_tag``: the dual
+    functor on the transpose of f, transposed back."""
+    D = functor_on_map(dual_tag, f.transpose_raw(f.target, f.source)).materialize()
+    return D.transpose_raw(src, tgt)
 
 
 def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
     """F(f) on the canonical bases; columns are lazily expanded."""
+    if tag.kind == "tensor":
+        return tensor_maps([f] * tag.arity)
     src = functor_module(tag, f.source)
     tgt = functor_module(tag, f.target)
-    if tag.kind == "tensor":
-        return tensor_modules_map_power(f, tag.arity)
-    if tag.kind == "sym":
-        idx_parts = list(combinations_with_replacement(range(f.source.rank), tag.arity))
-
-        def provider(j):
-            return _sym_col(f, tgt, idx_parts[j])
-
-        return MapMatrix(src, tgt, provider=provider)
-    if tag.kind == "ext":
-        idx_parts = list(combinations(range(f.source.rank), tag.arity))
-
-        def provider(j):
-            return _ext_col(f, tgt, idx_parts[j])
-
-        return MapMatrix(src, tgt, provider=provider)
-    if tag.kind == "schur":
-        idx_parts = [
-            (i, j, k)
-            for i in range(f.source.rank)
-            for j in range(i + 1, f.source.rank)
-            for k in range(i, f.source.rank)
-        ]
-
-        def provider(j):
-            return _schur_col(f, tgt, idx_parts[j])
-
-        return MapMatrix(src, tgt, provider=provider)
     if tag.kind == "div":
-        S = functor_on_map(Sym(tag.arity), _transpose_plain(f)).materialize()
-        T = _transpose_plain(S)
-        # relabel sym multisets as divided monomials on both sides
-        return MapMatrix(src, tgt, {j: dict(T.col(j)) for j in range(src.rank)})
+        return _dual_functor_map(Sym(tag.arity), f, src, tgt)
     if tag.kind == "coschur":
-        S = functor_on_map(SchurL31, _transpose_plain(f)).materialize()
-        T = _transpose_plain(S)
-        return MapMatrix(src, tgt, {j: dict(T.col(j)) for j in range(src.rank)})
-    raise ValueError(f"unknown functor tag {tag}")
-
-
-def tensor_modules_map_power(f: MapMatrix, l: int) -> MapMatrix:
-    from .linear import tensor_maps
-
-    return tensor_maps([f] * l)
+        return _dual_functor_map(SchurL31, f, src, tgt)
+    n = f.source.rank
+    if tag.kind == "sym":
+        idx_parts, col = list(combinations_with_replacement(range(n), tag.arity)), _sym_col
+    elif tag.kind == "ext":
+        idx_parts, col = list(combinations(range(n), tag.arity)), _ext_col
+    else:  # schur: functor_module has refused every other kind
+        idx_parts, col = _tableau_indices(n), _schur_col
+    return MapMatrix(src, tgt, provider=lambda j: col(f, tgt, idx_parts[j]))
 
 
 class ProductFunctor:
@@ -281,8 +249,6 @@ class ProductFunctor:
         return tensor_modules([functor_module(t, V) for t in self.tags])
 
     def on_map(self, f):
-        from .linear import tensor_maps
-
         return tensor_maps([functor_on_map(t, f) for t in self.tags])
 
 
@@ -376,23 +342,17 @@ def _repeat_map(tag, eps, args, diagonal: bool):
     fold = MapMatrix(Bsum, Asum, fold_cols)
     crA, crB = cross_effect(tag, args), cross_effect(tag, rep_args)
     if diagonal:
-        f, src, tgt, tgt_args = fold.transpose_raw(Asum, Bsum), crA, crB, rep_args
+        f, src, tgt, tgt_args, tgt_sum = fold.transpose_raw(Asum, Bsum), crA, crB, rep_args, Bsum
     else:
-        f, src, tgt, tgt_args = fold, crB, crA, args
+        f, src, tgt, tgt_args, tgt_sum = fold, crB, crA, args, Asum
     Ff = _f_map(tag, f).materialize().to_field_matrix()
-    e = _cross_idempotent(tag, tgt_args, field)
+    _, e = _idempotent_matrix(tag, tgt_sum, tgt_args, field)
     image = fieldla.matmul(field, e, fieldla.matmul(field, Ff, src.inclusion.to_field_matrix()))
     X = fieldla.solve_columns(field, tgt.inclusion.to_field_matrix(), image)
     if X is None:
         kind = "diagonal" if diagonal else "plus"
         raise RuntimeError(f"{kind} map does not land in the cross-effect")
     return from_field_matrix(src.module, tgt.module, X), src, tgt
-
-
-def _cross_idempotent(tag, args, field):
-    Vsum = direct_sum_modules(args)
-    _, total = _idempotent_matrix(tag, Vsum, args, field)
-    return total
 
 
 def _check_eps(eps):

@@ -297,7 +297,9 @@ def _cross2(ctx: Context) -> bool:
         sides[label] = ctx.graded(N, range(0, 6), label, certify=True)
         res.computed["certified"] = ctx.certified
     res.computed["per_side"] = sides
-    res.computed["totals"] = [a + b for a, b in zip(sides["left"], sides["right"])]
+    res.computed["totals"] = [
+        None if None in (a, b) else a + b for a, b in zip(sides["left"], sides["right"])
+    ]
     ctx.budget.check()
     # square-power sub-table on the same resolution
     res.computed["sym2"] = ctx.graded(normalize(S2GP), range(0, 4), "sym2")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import ChainComplex, ChainMap, total_complex_many, truncate
+from .complexes import ChainComplex, ChainMap, total_complex, total_complex_many, truncate
 from .functors import FunctorTag, functor_module, functor_on_map
 from .linear import (
     LabeledFreeModule,
@@ -157,22 +157,27 @@ class DegeneracyShapeError(ValueError):
     """A degeneracy column is not a signed basis injection."""
 
 
+def _signed_image(A: SimplicialModule, n: int, j: int, idx: int):
+    """(row, sign) with s_j(e_idx) = sign * e_row for the degeneracy s_j
+    of level n; DegeneracyShapeError unless the column is a single +-1."""
+    col = A.degeneracy(n, j).col(idx)
+    if len(col) != 1:
+        raise DegeneracyShapeError(f"degeneracy s_{j} at level {n} is not monomial")
+    (row, poly), = col.items()
+    c = poly.terms.get((0,) * A.ring.nvars) if len(poly.terms) == 1 else None
+    fld = A.ring.field
+    if c == fld.one:
+        return row, 1
+    if c == fld.neg(fld.one):
+        return row, -1
+    raise DegeneracyShapeError("degeneracy entry is not +-1")
+
+
 def degenerate_indices(A: SimplicialModule, n: int) -> set:
     """Rows of level n hit by some degeneracy; validates signed-monomial shape."""
-    out = set()
-    for j in range(n):
-        s = A.degeneracy(n - 1, j)
-        for c in range(A.level(n - 1).rank):
-            col = s.col(c)
-            if len(col) != 1:
-                raise DegeneracyShapeError(f"degeneracy s_{j} at level {n-1} is not monomial")
-            (row, poly), = col.items()
-            c = poly.terms.get((0,) * A.ring.nvars)
-            fld = A.ring.field
-            if c not in (fld.one, fld.neg(fld.one)):
-                raise DegeneracyShapeError("degeneracy entry is not +-1")
-            out.add(row)
-    return out
+    return {
+        _signed_image(A, n - 1, j, c)[0] for j in range(n) for c in range(A.level(n - 1).rank)
+    }
 
 
 def normalize(A: SimplicialModule) -> ChainComplex:
@@ -260,19 +265,9 @@ def _nondeg_positions(A: SimplicialModule, NA: ChainComplex, n: int) -> dict:
 def _apply_degeneracies_label(A: SimplicialModule, level: int, idx: int, positions):
     """Apply degeneracies at ascending absolute positions to a basis label."""
     coeff = 1
-    lv = level
-    for pos in sorted(positions):
-        col = A.degeneracy(lv, pos).col(idx)
-        (row, poly), = col.items()
-        c = poly.terms.get((0,) * A.ring.nvars)
-        if c == A.ring.field.one:
-            pass
-        elif c == A.ring.field.neg(A.ring.field.one):
-            coeff = -coeff
-        else:
-            raise DegeneracyShapeError("degeneracy entry is not +-1")
-        idx = row
-        lv += 1
+    for lv, pos in enumerate(sorted(positions), start=level):
+        idx, sign = _signed_image(A, lv, pos, idx)
+        coeff *= sign
     return idx, coeff
 
 
@@ -281,100 +276,104 @@ def _shuffle_sign(a_positions, b_positions) -> int:
     return -1 if inv % 2 else 1
 
 
+def _ez_complexes(A: SimplicialModule, B: SimplicialModule):
+    """NA, NB, N(diagonal of A (x) B) and Tot(NA (x) NB) truncated at n_max."""
+    NA, NB = normalize(A), normalize(B)
+    ND = normalize(diagonal_tensor([A, B]))
+    return NA, NB, ND, truncate(total_complex_many([NA, NB]), A.n_max)
+
+
+def _degreewise_map(S: ChainComplex, T: ChainComplex, top: int, column) -> ChainMap:
+    """Chain map S -> T in degrees 0..top.
+
+    ``column(n, label, tgt_pos)`` gives the image of a basis label of S_n
+    as {row: poly}, where ``tgt_pos`` sends each label of T_n to its row.
+    """
+    maps = {}
+    for n in range(top + 1):
+        src, tgt = S.module(n), T.module(n)
+        if src.rank == 0 or tgt.rank == 0:
+            maps[n] = zero_map(src, tgt)
+            continue
+        tgt_pos = {lab: p for p, lab in enumerate(tgt.labels)}
+        cols = {}
+        for cidx, lab in enumerate(src.labels):
+            col = {i: q for i, q in column(n, lab, tgt_pos).items() if not q.is_zero()}
+            if col:
+                cols[cidx] = col
+        maps[n] = MapMatrix(src, tgt, cols)
+    return ChainMap(S, T, maps)
+
+
 def shuffle_map(A: SimplicialModule, B: SimplicialModule):
     """Chain map Tot(NA (x) NB) -> N(diagonal of A (x) B) by shuffles.
 
     Returns (chain map, Tot complex, normalized diagonal complex).
     """
-    NA, NB = normalize(A), normalize(B)
-    D = diagonal_tensor([A, B])
-    ND = normalize(D)
-    tot = truncate(total_complex_many([NA, NB]), A.n_max)
+    NA, NB, ND, tot = _ez_complexes(A, B)
     ring = A.ring
-    maps = {}
-    for n in range(0, min(tot.hi, A.n_max) + 1):
-        src = tot.module(n)
-        tgt = ND.module(n)
-        if src.rank == 0 or tgt.rank == 0:
-            maps[n] = zero_map(src, tgt)
-            continue
-        tgt_pos = {lab: p for p, lab in enumerate(tgt.labels)}
-        cols = {}
-        for cidx, lab in enumerate(src.labels):
-            a_lab, b_lab = lab[1]
-            p = _level_of(NA, a_lab)
-            q = n - p
-            a_idx = A.level(p).index(a_lab)
-            b_idx = B.level(q).index(b_lab)
-            col: dict = {}
-            for b_pos in combinations(range(n), q):
-                a_pos = tuple(t for t in range(n) if t not in b_pos)
-                ia, ca = _apply_degeneracies_label(A, p, a_idx, b_pos)
-                ib, cb = _apply_degeneracies_label(B, q, b_idx, a_pos)
-                pair = tens((A.level(n).labels[ia], B.level(n).labels[ib]))
-                tpos = tgt_pos.get(pair)
-                if tpos is None:
-                    continue
-                sign = _shuffle_sign(a_pos, b_pos) * ca * cb
-                coeff = ring.one().scale(sign)
-                cur = col.get(tpos)
-                col[tpos] = coeff if cur is None else cur + coeff
-            col = {i: q2 for i, q2 in col.items() if not q2.is_zero()}
-            if col:
-                cols[cidx] = col
-        maps[n] = MapMatrix(src, tgt, cols)
-    return ChainMap(tot, ND, maps), tot, ND
+
+    def column(n, lab, tgt_pos):
+        a_lab, b_lab = lab[1]
+        p = _level_of(NA, a_lab)
+        q = n - p
+        a_idx = A.level(p).index(a_lab)
+        b_idx = B.level(q).index(b_lab)
+        col: dict = {}
+        for b_pos in combinations(range(n), q):
+            a_pos = tuple(t for t in range(n) if t not in b_pos)
+            ia, ca = _apply_degeneracies_label(A, p, a_idx, b_pos)
+            ib, cb = _apply_degeneracies_label(B, q, b_idx, a_pos)
+            pair = tens((A.level(n).labels[ia], B.level(n).labels[ib]))
+            tpos = tgt_pos.get(pair)
+            if tpos is None:
+                continue
+            sign = _shuffle_sign(a_pos, b_pos) * ca * cb
+            coeff = ring.one().scale(sign)
+            cur = col.get(tpos)
+            col[tpos] = coeff if cur is None else cur + coeff
+        return col
+
+    return _degreewise_map(tot, ND, min(tot.hi, A.n_max), column), tot, ND
 
 
 def aw_map(A: SimplicialModule, B: SimplicialModule):
     """Chain map N(diagonal of A (x) B) -> Tot(NA (x) NB), front/back faces."""
-    NA, NB = normalize(A), normalize(B)
-    D = diagonal_tensor([A, B])
-    ND = normalize(D)
-    tot = truncate(total_complex_many([NA, NB]), A.n_max)
+    NA, NB, ND, tot = _ez_complexes(A, B)
     ring = A.ring
-    maps = {}
-    for n in range(0, min(tot.hi, A.n_max) + 1):
-        src = ND.module(n)
-        tgt = tot.module(n)
-        if src.rank == 0 or tgt.rank == 0:
-            maps[n] = zero_map(src, tgt)
-            continue
-        tgt_pos = {lab: p for p, lab in enumerate(tgt.labels)}
-        na_pos = {p2: _nondeg_positions(A, NA, p2) for p2 in range(n + 1)}
-        nb_pos = {q2: _nondeg_positions(B, NB, q2) for q2 in range(n + 1)}
-        cols = {}
-        for cidx, lab in enumerate(src.labels):
-            a_lab, b_lab = lab[1]
-            col: dict = {}
-            for p in range(n + 1):
-                q = n - p
-                va = {A.level(n).index(a_lab): ring.one()}
-                for lv in range(n, p, -1):
-                    va = _apply_face_vec(A, lv, lv, va)
-                vb = {B.level(n).index(b_lab): ring.one()}
-                for lv in range(n, q, -1):
-                    vb = _apply_face_vec(B, lv, 0, vb)
-                for ra, qa in va.items():
-                    pa = na_pos[p].get(ra)
-                    if pa is None:
+    top = min(tot.hi, A.n_max)
+    na_pos = {p: _nondeg_positions(A, NA, p) for p in range(top + 1)}
+    nb_pos = {q: _nondeg_positions(B, NB, q) for q in range(top + 1)}
+
+    def column(n, lab, tgt_pos):
+        a_lab, b_lab = lab[1]
+        col: dict = {}
+        for p in range(n + 1):
+            q = n - p
+            va = {A.level(n).index(a_lab): ring.one()}
+            for lv in range(n, p, -1):
+                va = _apply_face_vec(A, lv, lv, va)
+            vb = {B.level(n).index(b_lab): ring.one()}
+            for lv in range(n, q, -1):
+                vb = _apply_face_vec(B, lv, 0, vb)
+            for ra, qa in va.items():
+                pa = na_pos[p].get(ra)
+                if pa is None:
+                    continue
+                for rb, qb in vb.items():
+                    pb = nb_pos[q].get(rb)
+                    if pb is None:
                         continue
-                    for rb, qb in vb.items():
-                        pb = nb_pos[q].get(rb)
-                        if pb is None:
-                            continue
-                        pair = tens((NA.module(p).labels[pa], NB.module(q).labels[pb]))
-                        tpos = tgt_pos.get(pair)
-                        if tpos is None:
-                            continue
-                        term = qa * qb
-                        cur = col.get(tpos)
-                        col[tpos] = term if cur is None else cur + term
-            col = {i: q2 for i, q2 in col.items() if not q2.is_zero()}
-            if col:
-                cols[cidx] = col
-        maps[n] = MapMatrix(src, tgt, cols)
-    return ChainMap(ND, tot, maps), ND, tot
+                    pair = tens((NA.module(p).labels[pa], NB.module(q).labels[pb]))
+                    tpos = tgt_pos.get(pair)
+                    if tpos is None:
+                        continue
+                    term = qa * qb
+                    cur = col.get(tpos)
+                    col[tpos] = term if cur is None else cur + term
+        return col
+
+    return _degreewise_map(ND, tot, top, column), ND, tot
 
 
 def _apply_face_vec(A: SimplicialModule, level: int, i: int, vec: dict) -> dict:
@@ -397,8 +396,6 @@ def _level_of(N: ChainComplex, lab) -> int:
 
 def tot_map_left(f: ChainMap, Z: ChainComplex, top: int | None = None) -> ChainMap:
     """Tot(f (x) id_Z): blockwise f_p (x) id on left-associated totals."""
-    from .complexes import total_complex
-
     src = total_complex(f.source, Z)
     tgt = total_complex(f.target, Z)
     if top is not None:

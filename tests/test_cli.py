@@ -11,12 +11,15 @@ DATA = pathlib.Path(__file__).parent / "data"
 # committed --no-timing reports: file stem -> arguments
 GOLDEN = {
     "gk": ["gk"],
+    "cross2": ["cross2"],
     "cross3": ["cross3"],
     "tor-powers": ["tor-powers"],
     "predict-d3": ["predict", "--d", "3"],
     "check-schur": ["check", "schur"],
     "check-cauchy": ["check", "cauchy"],
     "check-gamma": ["check", "gamma"],
+    "check-ez": ["check", "ez"],
+    "check-koszul": ["check", "koszul"],
     "check-schur-rationals": ["check", "schur", "--rationals"],
     "check-cauchy-rationals": ["check", "cauchy", "--rationals"],
     "tor-powers-rationals": ["tor-powers", "--rationals"],

@@ -210,3 +210,4 @@ def test_ri_rank_counts_free_generators_over_the_quotient(resolution):
     rep = homology_graded(resolution, 6, annihilators=[X, Y * Y])
     assert rep.degrees[0].annihilator_ok == {"x": True, "y^2": True}
     assert rep.degrees[0].stabilized and rep.degrees[0].ri_rank is None
+    assert rep.rank_vector([0, 1, 2]) == [None, 0, 0]

@@ -1,5 +1,7 @@
 """Exact linear algebra kernel against a naive elimination oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ BIG = 8388593  # the largest prime <= fieldla.MAX_PRIME = 2**23
 def test_largest_prime_against_naive_rank():
     FB = PrimeField(BIG)
     rng = np.random.default_rng(3)
-    # more than _PANEL pivots, so back substitution needs its int64 products
+    # ranks above 128, with residues up to BIG - 1 in every product
     for m, n, k in [(150, 260, 145), (260, 150, 140)]:
         M = (rng.integers(0, BIG, (m, k)) @ rng.integers(0, BIG, (k, n))) % BIG
         r = fieldla.rank(FB, M)
@@ -124,6 +126,68 @@ def test_largest_prime_against_sympy():
     # the same kernel: each basis lies in the span of the other
     assert N.shape[1] == ref.shape[0] == 20
     assert fieldla.rank(FB, np.concatenate([N, ref.T], axis=1)) == 20
+
+
+def _sympy_rref(field, M):
+    """(pivots, rows) of M's reduced row echelon form computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if isinstance(field, Rationals):
+        K = sympy.QQ
+        rows = [[K(v.numerator, v.denominator) for v in row] for row in M.tolist()]
+
+        def back(v):
+            return Fraction(int(v.numerator), int(v.denominator))
+
+    else:
+        K = sympy.GF(field.p)
+        rows = [[K(int(v)) for v in row] for row in M.tolist()]
+
+        def back(v):
+            return int(v) % field.p
+
+    R, pivots = DomainMatrix(rows, M.shape, K).rref()
+    return list(pivots), [[back(v) for v in row] for row in R.to_list()]
+
+
+def _low_rank(field, m, n, k, rng):
+    A = fieldla.random_matrix(field, m, k, rng)
+    B = fieldla.random_matrix(field, k, n, rng)
+    return fieldla.reduce(field, A @ B) if k else fieldla.zeros(field, m, n)
+
+
+@pytest.mark.parametrize(
+    "field, shapes",
+    [
+        (F, [(1, 1, 1), (7, 5, 0), (9, 13, 4), (40, 30, 12), (30, 150, 20), (140, 135, 60)]),
+        (PrimeField(BIG), [(9, 13, 4), (40, 30, 12), (30, 150, 20), (140, 135, 60)]),
+        (Rationals(), [(1, 1, 1), (7, 5, 0), (9, 13, 4), (12, 140, 5), (20, 16, 9)]),
+    ],
+    ids=["GF(97)", "GF(8388593)", "QQ"],
+)
+def test_echelon_is_the_reduced_row_echelon_form(field, shapes):
+    rng = np.random.default_rng(13)
+    for m, n, k in shapes:
+        M = _low_rank(field, m, n, k, rng)
+        before = M.copy()
+        r, pivcols, E = fieldla.echelon(field, M)
+        pivots, rows = _sympy_rref(field, M)
+        assert (r, pivcols) == (len(pivots), pivots), (m, n, k)
+        assert E.tolist() == rows, (m, n, k)
+        assert (M == before).all()
+
+
+def test_solve_columns_over_rationals():
+    FQ = Rationals()
+    rng = np.random.default_rng(9)
+    B = fieldla.random_matrix(FQ, 10, 4, rng)
+    # a dependent column leaves a free variable, which the solution sets to 0
+    for basis in (B, np.concatenate([B, B[:, :1] + B[:, 1:2]], axis=1)):
+        V = B @ fieldla.random_matrix(FQ, 4, 3, rng)
+        X = fieldla.solve_columns(FQ, basis, V)
+        assert (basis @ X == V).all()
+        assert fieldla.solve_columns(FQ, basis, fieldla.random_matrix(FQ, 10, 1, rng)) is None
 
 
 def test_primes_above_the_bound_are_refused():

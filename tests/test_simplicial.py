@@ -188,6 +188,13 @@ def test_moore_fallback_rejected_over_polynomial_ring(ring97, kl_pair):
     A.degeneracies[(0, 0)] = bad
     with pytest.raises(DegeneracyShapeError):
         normalize(A)
+    # one entry 1 + x: its constant term is 1, but it is not +-1
+    cols = {j: dict(s.col(j)) for j in range(s.source.rank)}
+    (row, one), = cols[0].items()
+    cols[0][row] = one + K.ring.var("x")
+    A.degeneracies[(0, 0)] = ln.MapMatrix(s.source, s.target, cols)
+    with pytest.raises(DegeneracyShapeError):
+        normalize(A)
 
 
 def test_ez_pair(kl_pair):
