@@ -359,10 +359,15 @@ def compose(g: MapMatrix, f: MapMatrix) -> MapMatrix:
     return g.compose(f)
 
 
-def tensor_maps(maps) -> MapMatrix:
-    """Kronecker product over a flat list of maps, labels tens() words."""
-    src = tensor_modules([f.source for f in maps])
-    tgt = tensor_modules([f.target for f in maps])
+def tensor_maps(maps, source=None, target=None) -> MapMatrix:
+    """Kronecker product over a flat list of maps, labels tens() words.
+
+    ``source`` and ``target``, when given, must be the tensor_modules of
+    the maps' sources and targets; callers that already hold them pass
+    them so the label words are not built again.
+    """
+    src = tensor_modules([f.source for f in maps]) if source is None else source
+    tgt = tensor_modules([f.target for f in maps]) if target is None else target
     tgt_ranks = [f.target.rank for f in maps]
 
     def provider(j, maps=maps, tgt_ranks=tgt_ranks):

@@ -233,10 +233,12 @@ def diagonal_tensor(As) -> SimplicialModule:
     degeneracies = {}
     for n in range(1, n_max + 1):
         for i in range(n + 1):
-            faces[(n, i)] = tensor_maps([A.face(n, i) for A in As])
+            maps = [A.face(n, i) for A in As]
+            faces[(n, i)] = tensor_maps(maps, levels[n], levels[n - 1])
     for n in range(0, n_max):
         for j in range(n + 1):
-            degeneracies[(n, j)] = tensor_maps([A.degeneracy(n, j) for A in As])
+            maps = [A.degeneracy(n, j) for A in As]
+            degeneracies[(n, j)] = tensor_maps(maps, levels[n], levels[n + 1])
     return SimplicialModule(ring, n_max, levels, faces, degeneracies)
 
 

@@ -106,6 +106,12 @@ def test_diagonal_tensor(kl_pair):
     for n in range(5):
         assert D.level(n).rank == (1 + n) ** 2
     assert D.validate(up_to=3)
+    # faces and degeneracies run between the level modules themselves
+    for n in range(1, 5):
+        assert D.face(n, 0).source is D.level(n) and D.face(n, 0).target is D.level(n - 1)
+        assert D.degeneracy(n - 1, 0).source is D.level(n - 1)
+        assert D.degeneracy(n - 1, 0).target is D.level(n)
+        assert D.level(n) == ln.tensor_modules([GK.level(n), GL.level(n)])
     single = diagonal_tensor([GK])
     assert single.level(3).rank == GK.level(3).rank
     with pytest.raises(ValueError):
