@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Record one point of the benchmark trajectory as BENCH_<label>.json.
+
+Usage:
+    python scripts/bench.py LABEL [--root CHECKOUT] [--out DIR]
+
+For every workload in CHECKOUT's BENCHMARK.json this runs
+``perfbench/run.py --trace 0`` at seed 0 for the declared run_seconds,
+then times one serial ``dflab all --no-timing`` from CHECKOUT's sources.
+CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
+The file holds the end-to-end metrics of each workload, the wall time,
+exit code and report sha256 of ``dflab all``, the git commit of CHECKOUT
+and whether its tracked files differ from that commit, the Python and
+numpy versions and the CPU count.  Nothing under ``perfbench/`` is
+changed; a run takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+SEED = 0
+
+
+def perfbench_metrics(root: Path, workload: str, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return dict(metrics, attempted=result["attempted"], failed=result["failed"])
+
+
+def time_all(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "all.json"
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dflab.cli", "all", "--no-timing", "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        wall = time.monotonic() - t0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return {"wall_s": wall, "exit_code": proc.returncode, "json_sha256": digest}
+
+
+def git(root: Path, *args) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("label")
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    doc = {
+        "label": args.label,
+        "git_commit": git(root, "rev-parse", "HEAD") or None,
+        "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+        "seed": SEED,
+        "run_seconds": bench["run_seconds"],
+        "workloads": {},
+    }
+    for w in bench["workloads"]:
+        doc["workloads"][w["name"]] = perfbench_metrics(root, w["name"], bench["run_seconds"])
+        print(w["name"], json.dumps(doc["workloads"][w["name"]]), file=sys.stderr)
+    doc["dflab_all"] = time_all(root)
+    print("dflab all", json.dumps(doc["dflab_all"]), file=sys.stderr)
+    out = (args.out or root) / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,7 @@ from .linear import (
     multiplication_slice,
     slice_basis,
     tensor_maps,
+    tensor_modules,
     zero_map,
 )
 
@@ -114,13 +115,14 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
             blocks.setdefault(p + q, []).append((p, q))
     modules = {}
     offsets = {}
+    block = {}  # (p, q) -> C_p (x) D_q
     for n, pq in blocks.items():
         labels = []
         offs = {}
         for (p, q) in pq:
             offs[(p, q)] = len(labels)
-            tensored = tensor_maps([identity_map(C.module(p)), identity_map(D.module(q))])
-            labels.extend(tensored.source.labels)
+            block[(p, q)] = tensor_modules([C.module(p), D.module(q)])
+            labels.extend(block[(p, q)].labels)
         modules[n] = LabeledFreeModule(ring, labels)
         offsets[n] = offs
     diffs = {}
@@ -133,10 +135,14 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
             base = offsets[n][(p, q)]
             pieces = []
             if (p - 1, q) in offsets[n - 1]:
-                m1 = tensor_maps([C.diff(p), identity_map(D.module(q))])
+                m1 = tensor_maps(
+                    [C.diff(p), identity_map(D.module(q))], block[(p, q)], block[(p - 1, q)]
+                )
                 pieces.append((offsets[n - 1][(p - 1, q)], m1))
             if (p, q - 1) in offsets[n - 1]:
-                m2 = tensor_maps([identity_map(C.module(p)), D.diff(q)])
+                m2 = tensor_maps(
+                    [identity_map(C.module(p)), D.diff(q)], block[(p, q)], block[(p, q - 1)]
+                )
                 if p % 2:
                     m2 = m2.scale(-1)
                 pieces.append((offsets[n - 1][(p, q - 1)], m2))

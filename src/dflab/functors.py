@@ -16,7 +16,7 @@ F(direct sum) and re-expressed in the chosen image bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import fieldla
 from .linear import (
@@ -71,58 +71,68 @@ CoSchurL31 = FunctorTag("coschur", 3)
 # --- modules ---------------------------------------------------------------
 
 
-def sym_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
-    labs = [sym(c) for c in combinations_with_replacement(V.labels, l)]
-    return LabeledFreeModule(V.ring, labs)
-
-
-def ext_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
-    labs = [wedge(c)[1] for c in combinations(V.labels, l)]
-    return LabeledFreeModule(V.ring, labs)
-
-
-def div_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
-    labs = [div_label(c) for c in combinations_with_replacement(V.labels, l)]
-    return LabeledFreeModule(V.ring, labs)
-
-
-def tensor_power_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
-    return tensor_modules([V] * l)
-
-
 def _tableau_indices(n: int) -> list:
     """Index triples (i, j, k) of the standard tableaux (i^j)|k: i < j, i <= k."""
     return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(i, n)]
 
 
-def _tableau_module(V: LabeledFreeModule, label) -> LabeledFreeModule:
-    L = V.labels
-    labels = [label(L[i], L[j], L[k]) for i, j, k in _tableau_indices(V.rank)]
-    return LabeledFreeModule(V.ring, labels)
+def _part_tuples(kind: str, arity: int, items):
+    """The parts of each basis label of F(V), in basis order, where
+    ``items`` stands for the basis of V (its labels, or range(rank))."""
+    if kind in ("sym", "div"):
+        return combinations_with_replacement(items, arity)
+    if kind == "ext":
+        return combinations(items, arity)
+    if kind == "tensor":
+        return product(items, repeat=arity)
+    if kind in ("schur", "coschur"):
+        return ((items[i], items[j], items[k]) for i, j, k in _tableau_indices(len(items)))
+    raise ValueError(f"unknown functor kind {kind!r}")
 
 
-def schur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    return _tableau_module(V, schur)
+_LABEL = {
+    "sym": sym,
+    "ext": lambda parts: wedge(parts)[1],
+    "div": div_label,
+    "tensor": tens,
+    "schur": lambda parts: schur(*parts),
+    "coschur": lambda parts: cosch(*parts),
+}
 
 
-def coschur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    return _tableau_module(V, cosch)
+def _module(kind: str, arity: int, V: LabeledFreeModule) -> LabeledFreeModule:
+    tuples = _part_tuples(kind, arity, V.labels)
+    label = _LABEL[kind]
+    return LabeledFreeModule(V.ring, [label(parts) for parts in tuples])
+
+
+def functor_parts(tag: FunctorTag, rank: int) -> list:
+    """Index tuples into the basis of V of the labels of F(V), in order."""
+    return list(_part_tuples(tag.kind, tag.arity, range(rank)))
 
 
 def functor_module(tag: FunctorTag, V: LabeledFreeModule) -> LabeledFreeModule:
-    if tag.kind == "sym":
-        return sym_module(V, tag.arity)
-    if tag.kind == "ext":
-        return ext_module(V, tag.arity)
-    if tag.kind == "div":
-        return div_module(V, tag.arity)
-    if tag.kind == "tensor":
-        return tensor_power_module(V, tag.arity)
-    if tag.kind == "schur":
-        return schur_module(V)
-    if tag.kind == "coschur":
-        return coschur_module(V)
-    raise ValueError(f"unknown functor tag {tag}")
+    return _module(tag.kind, tag.arity, V)
+
+
+def sym_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
+    return _module("sym", l, V)
+
+
+def ext_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
+    return _module("ext", l, V)
+
+
+def div_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
+    return _module("div", l, V)
+
+
+def schur_module(V: LabeledFreeModule) -> LabeledFreeModule:
+    return _module("schur", 3, V)
+
+
+def coschur_module(V: LabeledFreeModule) -> LabeledFreeModule:
+    return _module("coschur", 3, V)
 
 
 # --- maps ------------------------------------------------------------------
@@ -219,23 +229,23 @@ def _dual_functor_map(dual_tag: FunctorTag, f: MapMatrix, src, tgt) -> MapMatrix
     return D.transpose_raw(src, tgt)
 
 
-def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
-    """F(f) on the canonical bases; columns are lazily expanded."""
+def functor_on_map(tag: FunctorTag, f: MapMatrix, source=None, target=None) -> MapMatrix:
+    """F(f) on the canonical bases; columns are lazily expanded.
+
+    ``source`` and ``target``, when given, must be functor_module of f's
+    source and target; callers that already hold them pass them so the
+    modules are not built again.
+    """
     if tag.kind == "tensor":
-        return tensor_maps([f] * tag.arity)
-    src = functor_module(tag, f.source)
-    tgt = functor_module(tag, f.target)
+        return tensor_maps([f] * tag.arity, source, target)
+    src = functor_module(tag, f.source) if source is None else source
+    tgt = functor_module(tag, f.target) if target is None else target
     if tag.kind == "div":
         return _dual_functor_map(Sym(tag.arity), f, src, tgt)
     if tag.kind == "coschur":
         return _dual_functor_map(SchurL31, f, src, tgt)
-    n = f.source.rank
-    if tag.kind == "sym":
-        idx_parts, col = list(combinations_with_replacement(range(n), tag.arity)), _sym_col
-    elif tag.kind == "ext":
-        idx_parts, col = list(combinations(range(n), tag.arity)), _ext_col
-    else:  # schur: functor_module has refused every other kind
-        idx_parts, col = _tableau_indices(n), _schur_col
+    col = {"sym": _sym_col, "ext": _ext_col, "schur": _schur_col}[tag.kind]
+    idx_parts = functor_parts(tag, f.source.rank)
     return MapMatrix(src, tgt, provider=lambda j: col(f, tgt, idx_parts[j]))
 
 
@@ -363,12 +373,15 @@ def _check_eps(eps):
 # --- Cauchy filtration maps --------------------------------------------------
 
 
-def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:
-    """Lambda^3 P (x) Lambda^3 Q -> Sym^3(P (x) Q), the 3x3 determinant."""
+def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule, target=None) -> MapMatrix:
+    """Lambda^3 P (x) Lambda^3 Q -> Sym^3(P (x) Q), the 3x3 determinant.
+
+    ``target``, when given, must be Sym^3(P (x) Q); a caller that holds
+    it passes it so it is not built again.
+    """
     ring = P.ring
     src = tensor_modules([ext_module(P, 3), ext_module(Q, 3)])
-    PQ = tensor_modules([P, Q])
-    tgt = sym_module(PQ, 3)
+    tgt = sym_module(tensor_modules([P, Q]), 3) if target is None else target
     p_triples = list(combinations(range(P.rank), 3))
     q_triples = list(combinations(range(Q.rank), 3))
     one = ring.one()
@@ -392,16 +405,15 @@ def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:
     return MapMatrix(src, tgt, provider=provider)
 
 
-def cauchy_m21_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:
+def cauchy_m21_map(P: LabeledFreeModule, Q: LabeledFreeModule, target=None) -> MapMatrix:
     """Lambda^2 P (x) P (x) Lambda^2 Q (x) Q -> Sym^3(P (x) Q).
 
     (p1^p2, p3, q1^q2, q3) goes to the 2x2 minor on (p1,p2|q1,q2) times
-    the pair (p3,q3).
+    the pair (p3,q3).  ``target`` is as for cauchy_det_map.
     """
     ring = P.ring
     src = tensor_modules([ext_module(P, 2), P, ext_module(Q, 2), Q])
-    PQ = tensor_modules([P, Q])
-    tgt = sym_module(PQ, 3)
+    tgt = sym_module(tensor_modules([P, Q]), 3) if target is None else target
     p_pairs = list(combinations(range(P.rank), 2))
     q_pairs = list(combinations(range(Q.rank), 2))
     one = ring.one()

@@ -59,10 +59,12 @@ from .simplicial import (
     aw_map,
     aw_map_triple,
     diagonal_tensor,
+    functor_masks,
     gamma,
     normalize,
     shuffle_map,
     shuffle_map_triple,
+    tensor_masks,
 )
 
 
@@ -528,7 +530,7 @@ def _l31(ctx: Context) -> bool:
     ok = all(res.computed[label] == expected_named[label] for label in pieces)
     if len(ring.regular_sequence) == 2:
         ctx.budget.check()
-        m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max)
+        m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max, ctx.budget.check)
         ks = range(0, 7)
         res.computed["m21_ranks"] = ctx.graded(m21, ks, "m21", certify=True)
         res.computed["m21_rank_split"] = dims_check
@@ -544,11 +546,25 @@ def _l31(ctx: Context) -> bool:
     return ok
 
 
-def m21_complex(ring, n_max: int):
+def _cauchy_sources(GK, GL, n: int):
+    """Source columns of cauchy_det_map and cauchy_m21_map at level n whose
+    labels are nondegenerate in Lambda^3 GK (x) Lambda^3 GL and in
+    Lambda^2 GK (x) GK (x) Lambda^2 GL (x) GL.  Both maps are natural, so
+    the other columns land in the degenerate part and project to zero in
+    NS3."""
+    mk, ml = GK.jump_masks()[n], GL.jump_masks()[n]
+    det = tensor_masks([functor_masks(Ext(3), mk), functor_masks(Ext(3), ml)])
+    m21 = tensor_masks([functor_masks(Ext(2), mk), mk, functor_masks(Ext(2), ml), ml])
+    full = (1 << n) - 1
+    return [[j for j, m in enumerate(masks) if m == full] for masks in (det, m21)]
+
+
+def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
     """Normalized complex of the middle Cauchy filtration stage inside the
     normalized cube of the two-variable diagonal, plus a rank cross-check
     against the two filtration quotients.
 
+    ``check`` runs once per level, so a budget check there binds.
     Returns (ChainComplex, [(dim M_n, dim sub_n, dim quotient_n)], sub, quot)
     where sub and quot are the normalized complexes of the two filtration
     quotients.
@@ -569,16 +585,17 @@ def m21_complex(ring, n_max: int):
     one = ring.one()
     modules, incl, pivots = {}, {}, {}
     for n in range(n_max + 1):
+        check()
         Nmod, level = NS3.module(n), S3.level(n)
-        det = cauchy_det_map(GK.level(n), GL.level(n))
-        m21 = cauchy_m21_map(GK.level(n), GL.level(n))
-        if det.target.labels != level.labels:
-            raise RuntimeError("filtration maps built over a mismatched basis")
+        det = cauchy_det_map(GK.level(n), GL.level(n), level)
+        m21 = cauchy_m21_map(GK.level(n), GL.level(n), level)
         proj_cols = {level.index(lab): {p: one} for p, lab in enumerate(Nmod.labels)}
         proj = MapMatrix(level, Nmod, proj_cols)
         cs = fieldla.ColumnSpace(field, Nmod.rank)
-        for gen in (det, m21):
-            cs.add_columns(proj.compose(gen).to_field_matrix())
+        for gen, keep in zip((det, m21), _cauchy_sources(GK, GL, n)):
+            kept = LabeledFreeModule(ring, [gen.source.labels[j] for j in keep])
+            sel = MapMatrix(kept, gen.source, {c: {j: one} for c, j in enumerate(keep)})
+            cs.add_columns(proj.compose(gen.compose(sel)).to_field_matrix())
         basis = np.array(cs.rows).reshape(cs.rank, Nmod.rank).T
         labs = []
         for i in range(cs.rank):

@@ -14,6 +14,23 @@ Normalization uses the quotient model: levels are cut down to the
 non-degenerate coordinates (degeneracies here are signed basis
 injections, which the builders preserve), and the differential is the
 alternating face sum followed by deletion of degenerate coordinates.
+
+Which coordinates are degenerate is decided from the labels.  A copy
+gam(J, v) at level n lies in the image of s_j exactly when j is not in
+J.  The diagonal tensor and the pointwise functors act on labels built
+from such leaves by basis injections, so a label is in the image of s_j
+exactly when j is in none of its leaves' jump sets: it is degenerate
+exactly when the union of those jump sets is not {0, ..., n-1}.  This
+is the normalization theorem for a simplicial module whose basis is
+closed under degeneracies (May, Simplicial Objects in Algebraic
+Topology, 22; Goerss-Jardine, Simplicial Homotopy Theory, III.2).
+``gamma``, ``diagonal_tensor`` and ``apply_pointwise_functor`` record
+that union per label as a bitmask, and ``normalize`` keeps the labels
+whose mask is full.  A module without masks (one built directly, or
+one whose degeneracy maps were replaced after construction) takes the
+matrix path instead: ``degenerate_indices`` evaluates every degeneracy
+column and checks that it is a signed basis injection.  The test suite
+checks the masks against that path.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import ChainComplex, ChainMap, total_complex, total_complex_many, truncate
-from .functors import FunctorTag, functor_module, functor_on_map
+from .functors import FunctorTag, functor_module, functor_on_map, functor_parts
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
@@ -36,14 +53,32 @@ from .linear import (
 
 
 class SimplicialModule:
-    """Degreewise free modules with faces and degeneracies up to n_max."""
+    """Degreewise free modules with faces and degeneracies up to n_max.
 
-    def __init__(self, ring, n_max: int, levels: dict, faces: dict, degeneracies: dict):
+    ``masks``, given only by the constructors below, holds for every level
+    n one int per basis label: the union of its leaves' jump sets, as a
+    bitmask over the gaps 0..n-1.  It describes the degeneracies given
+    with it, so it is used only while every degeneracy is still that map.
+    """
+
+    def __init__(
+        self, ring, n_max: int, levels: dict, faces: dict, degeneracies: dict, masks=None
+    ):
         self.ring = ring
         self.n_max = n_max
         self.levels = levels
         self.faces = faces  # (n, i): level n -> n-1
         self.degeneracies = degeneracies  # (n, j): level n -> n+1
+        self._masks = masks
+        self._masked = dict(degeneracies)  # the maps the masks describe
+
+    def jump_masks(self) -> dict | None:
+        """The masks, or None when there are none or a degeneracy was replaced."""
+        if self._masks is None or self.degeneracies.keys() != self._masked.keys():
+            return None
+        if any(self.degeneracies[key] is not s for key, s in self._masked.items()):
+            return None
+        return self._masks
 
     def level(self, n: int) -> LabeledFreeModule:
         return self.levels[n]
@@ -93,13 +128,32 @@ def _jumps_of(values) -> tuple:
     return tuple(t for t in range(len(values) - 1) if values[t + 1] > values[t])
 
 
+def functor_masks(tag: FunctorTag, masks) -> list:
+    """Masks of the labels of F(V) from the masks of V's labels."""
+    out = []
+    for parts in functor_parts(tag, len(masks)):
+        m = 0
+        for i in parts:
+            m |= masks[i]
+        out.append(m)
+    return out
+
+
+def tensor_masks(mask_lists) -> list:
+    """Masks of the labels of a tensor_modules product from its factors'."""
+    out = [0]
+    for masks in mask_lists:
+        out = [a | b for a in out for b in masks]
+    return out
+
+
 def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
     """Simplicial module of the complex C, truncated at n_max."""
     if C.lo < 0:
         raise ValueError("complex must be supported in degrees >= 0")
     ring = C.ring
     degrees = [k for k in C.support() if C.module(k).rank > 0]
-    levels = {}
+    levels, masks = {}, {}
     for n in range(n_max + 1):
         labels = []
         for k in degrees:
@@ -109,6 +163,7 @@ def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
                 labels.extend(gam(J, v) for v in C.module(k).labels)
         labels.sort(key=label_key)
         levels[n] = LabeledFreeModule(ring, labels)
+        masks[n] = [sum(1 << t for t in lab[1]) for lab in labels]
 
     def structure_map(n: int, alpha_values) -> MapMatrix:
         """Matrix of the operator with the given composite values [m] -> [n]."""
@@ -147,7 +202,7 @@ def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
         for j in range(n + 1):
             vals = list(range(j + 1)) + list(range(j, n + 1))
             degeneracies[(n, j)] = structure_map(n, vals)
-    return SimplicialModule(ring, n_max, levels, faces, degeneracies)
+    return SimplicialModule(ring, n_max, levels, faces, degeneracies, masks)
 
 
 # --- normalization -----------------------------------------------------------
@@ -183,11 +238,19 @@ def degenerate_indices(A: SimplicialModule, n: int) -> set:
 def normalize(A: SimplicialModule) -> ChainComplex:
     """Quotient of each level by the degenerate coordinates.
 
-    Raises DegeneracyShapeError when the degeneracies are not signed
-    basis injections.
+    With jump masks (see the module docstring) a label is kept exactly
+    when its mask is full, and no degeneracy is evaluated.  Otherwise the
+    degenerate coordinates are read off the degeneracy matrices, and
+    DegeneracyShapeError is raised when those are not signed basis
+    injections.
     """
+    masks = A.jump_masks()
     nondeg = {}
     for n in range(A.n_max + 1):
+        if masks is not None:
+            full = (1 << n) - 1
+            nondeg[n] = [i for i, m in enumerate(masks[n]) if m == full]
+            continue
         deg_rows = degenerate_indices(A, n) if n else set()
         nondeg[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
     ring = A.ring
@@ -239,7 +302,11 @@ def diagonal_tensor(As) -> SimplicialModule:
         for j in range(n + 1):
             maps = [A.degeneracy(n, j) for A in As]
             degeneracies[(n, j)] = tensor_maps(maps, levels[n], levels[n + 1])
-    return SimplicialModule(ring, n_max, levels, faces, degeneracies)
+    factor_masks = [A.jump_masks() for A in As]
+    masks = None
+    if all(m is not None for m in factor_masks):
+        masks = {n: tensor_masks([m[n] for m in factor_masks]) for n in range(n_max + 1)}
+    return SimplicialModule(ring, n_max, levels, faces, degeneracies, masks)
 
 
 def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialModule:
@@ -248,11 +315,15 @@ def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialM
     degeneracies = {}
     for n in range(1, A.n_max + 1):
         for i in range(n + 1):
-            faces[(n, i)] = functor_on_map(tag, A.face(n, i))
+            faces[(n, i)] = functor_on_map(tag, A.face(n, i), levels[n], levels[n - 1])
     for n in range(0, A.n_max):
         for j in range(n + 1):
-            degeneracies[(n, j)] = functor_on_map(tag, A.degeneracy(n, j))
-    return SimplicialModule(A.ring, A.n_max, levels, faces, degeneracies)
+            degeneracies[(n, j)] = functor_on_map(
+                tag, A.degeneracy(n, j), levels[n], levels[n + 1]
+            )
+    inner = A.jump_masks()
+    masks = None if inner is None else {n: functor_masks(tag, m) for n, m in inner.items()}
+    return SimplicialModule(A.ring, A.n_max, levels, faces, degeneracies, masks)
 
 
 # --- Eilenberg-Zilber comparison maps ----------------------------------------

@@ -14,12 +14,14 @@ GOLDEN = {
     "cross2": ["cross2"],
     "cross3": ["cross3"],
     "tor-powers": ["tor-powers"],
+    "predict": ["predict"],
     "predict-d3": ["predict", "--d", "3"],
     "check-schur": ["check", "schur"],
     "check-cauchy": ["check", "cauchy"],
     "check-gamma": ["check", "gamma"],
     "check-ez": ["check", "ez"],
     "check-koszul": ["check", "koszul"],
+    "check-l31": ["check", "l31"],
     "check-schur-rationals": ["check", "schur", "--rationals"],
     "check-cauchy-rationals": ["check", "cauchy", "--rationals"],
     "tor-powers-rationals": ["tor-powers", "--rationals"],
@@ -98,9 +100,9 @@ def test_tor_powers_over_a_quotient_of_dimension_two(tmp_path):
 
 def test_budget_exit_code(tmp_path):
     out = tmp_path / "r.json"
-    for command in ("gk", "tor-powers"):
-        p = run_cli(command, "--budget-seconds", "0", "--out", str(out))
-        assert p.returncode == 3
+    for command in (["gk"], ["tor-powers"], ["check", "l31"]):
+        p = run_cli(*command, "--budget-seconds", "0", "--out", str(out))
+        assert p.returncode == 3, command
         doc = json.loads(out.read_text())
         assert doc["scenarios"][0]["partial"] is True
 

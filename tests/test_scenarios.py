@@ -4,6 +4,7 @@ import pytest
 
 from dflab.scenarios import (
     SCENARIOS,
+    BudgetExceeded,
     ConfigError,
     ScenarioConfig,
     m21_complex,
@@ -95,6 +96,22 @@ def test_m21_rank_split(ring97):
         assert total == a + b
     # levels below the covering bound: 0, 4, 57, 233, ...
     assert [C.module(n).rank for n in range(4)] == [0, 4, 57, 233]
+
+
+def test_m21_checks_the_budget_at_every_level(ring97):
+    calls = []
+    m21_complex(ring97, 3, check=lambda: calls.append(1))
+    assert len(calls) == 4  # levels 0..3
+
+    def stop_at_level_2():
+        calls.append(1)
+        if len(calls) == 3:
+            raise BudgetExceeded()
+
+    calls.clear()
+    with pytest.raises(BudgetExceeded):
+        m21_complex(ring97, 5, check=stop_at_level_2)
+    assert len(calls) == 3
 
 
 def test_quadratic_sequence_gk_smoke():

@@ -7,12 +7,16 @@ import pytest
 from conftest import two_term
 from dflab import functors as fu
 from dflab import linear as ln
-from dflab.complexes import is_quasi_iso
+from dflab import simplicial
+from dflab.complexes import is_quasi_iso, total_complex
 from dflab.ring import ring_descriptor
+from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
 from dflab.simplicial import (
     DegeneracyShapeError,
+    SimplicialModule,
     apply_pointwise_functor,
     aw_map,
+    degenerate_indices,
     diagonal_tensor,
     gamma,
     normalize,
@@ -230,3 +234,105 @@ def test_unnormalized_alternating_sum_squares_to_zero(resolution):
             f = GP.face(n - 1, i) if i % 2 == 0 else GP.face(n - 1, i).scale(-1)
             prev = f if prev is None else prev + f
         assert prev.compose(total).is_zero()
+
+
+# --- degeneracy decided from labels ------------------------------------------
+
+
+def mask_oracle_modules(ring, n_max=5):
+    """Every kind of module the pipelines normalize, built from gamma."""
+    x, y = ring.var("x"), ring.var("y")
+    K, L = two_term(ring, "k", x, 1), two_term(ring, "l", y, 1)
+    GP, GK, GL = gamma(total_complex(K, L), n_max), gamma(K, n_max), gamma(L, n_max)
+    on = apply_pointwise_functor
+    return {
+        "Sym3(GP)": on(fu.Sym(3), GP),
+        "GP^3": diagonal_tensor([GP, GP, GP]),
+        "Sym2(GP) x GP": diagonal_tensor([on(fu.Sym(2), GP), GP]),
+        "Ext3(GK)": on(fu.Ext(3), GK),
+        "L31(GK)": on(fu.SchurL31, GK),
+        "coL31(GK)": on(fu.CoSchurL31, GK),
+        "Div3(GK)": on(fu.Div(3), GK),
+        "T2(GK)": on(fu.TensorPow(2), GK),
+        "Sym3(GK x GL)": on(fu.Sym(3), diagonal_tensor([GK, GL])),
+        "GK x Sym2(GK)": diagonal_tensor([GK, on(fu.Sym(2), GK)]),
+    }
+
+
+def without_masks(A):
+    return SimplicialModule(A.ring, A.n_max, A.levels, A.faces, A.degeneracies)
+
+
+@pytest.mark.parametrize("rationals", [False, True])
+def test_masks_give_the_degenerate_labels(rationals):
+    """The mask rule against the matrix path, level by level."""
+    ring = ring_descriptor(rationals=rationals)
+    for name, A in mask_oracle_modules(ring).items():
+        masks = A.jump_masks()
+        assert masks is not None, name
+        for n in range(1, A.n_max + 1):
+            full = (1 << n) - 1
+            by_mask = {i for i, m in enumerate(masks[n]) if m != full}
+            assert by_mask == degenerate_indices(A, n), (name, n)
+        if name in ("Sym2(GP) x GP", "L31(GK)", "Div3(GK)"):
+            N, M = normalize(A), normalize(without_masks(A))
+            assert N.ranks() == M.ranks(), name
+            for n in range(A.n_max + 1):
+                assert N.module(n).labels == M.module(n).labels, (name, n)
+                if n:
+                    assert N.diff(n).equals(M.diff(n)), (name, n)
+
+
+def test_replaced_degeneracy_takes_the_matrix_path(kl_pair):
+    K, _ = kl_pair
+    A = gamma(K, 3)
+    assert A.jump_masks() is not None
+    assert apply_pointwise_functor(fu.Sym(2), A).jump_masks() is not None
+    A.degeneracies[(0, 0)] = ln.MapMatrix(A.level(0), A.level(1), dict(A.degeneracy(0, 0)._cols))
+    assert A.jump_masks() is None
+    assert diagonal_tensor([A, A]).jump_masks() is None
+    assert apply_pointwise_functor(fu.Sym(2), A).jump_masks() is None
+    assert without_masks(gamma(K, 3)).jump_masks() is None
+
+
+def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
+    GK, GL = _one_variable_builds(ring97, 4)
+    S3 = apply_pointwise_functor(fu.Sym(3), diagonal_tensor([GK, GL]))
+    NS3 = normalize(S3)
+    one = ring97.one()
+    for n in range(5):
+        level, Nmod = S3.level(n), NS3.module(n)
+        proj_cols = {level.index(lab): {p: one} for p, lab in enumerate(Nmod.labels)}
+        proj = ln.MapMatrix(level, Nmod, proj_cols)
+        P, Q = GK.level(n), GL.level(n)
+        gens = (fu.cauchy_det_map(P, Q), fu.cauchy_m21_map(P, Q))
+        for gen, keep in zip(gens, _cauchy_sources(GK, GL, n)):
+            M = proj.compose(gen).to_field_matrix()
+            nonzero = [j for j in range(M.shape[1]) if M[:, j].any()]
+            assert nonzero == keep, n
+
+
+def test_pipelines_evaluate_no_degeneracy_column(monkeypatch):
+    degeneracy_maps, alive, calls = set(), [], []  # alive: no id is reused
+    init, col, signed = SimplicialModule.__init__, ln.MapMatrix.col, simplicial._signed_image
+
+    def record(self, *args, **kw):
+        init(self, *args, **kw)
+        alive.extend(self.degeneracies.values())
+        degeneracy_maps.update(id(s) for s in self.degeneracies.values())
+
+    def counted_col(self, j):
+        if id(self) in degeneracy_maps:
+            calls.append("col")
+        return col(self, j)
+
+    def counted_signed(*args):
+        calls.append("_signed_image")
+        return signed(*args)
+
+    monkeypatch.setattr(SimplicialModule, "__init__", record)
+    monkeypatch.setattr(ln.MapMatrix, "col", counted_col)
+    monkeypatch.setattr(simplicial, "_signed_image", counted_signed)
+    for name in ("gk", "cross3"):
+        assert SCENARIOS[name](ScenarioConfig()).passed, name
+    assert degeneracy_maps and calls == []
