@@ -1,7 +1,8 @@
 """Command line front end: configuration, scenario execution, reports.
 
 Exit codes: 0 all scenarios pass; 1 some scenario mismatched; 2 bad
-configuration; 3 a budget was exceeded (partial report written).
+configuration; 3 a budget was exceeded (partial report written); 4 an
+internal error (any other exception; no report written).
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     if args.no_timing:
         for r in results:
             r["millis"] = 0

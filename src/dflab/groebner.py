@@ -8,14 +8,25 @@ of the *input* generators, so zero reductions of S-vectors hand back
 kernel elements (Schreyer) with no extra machinery.
 
 Scale note: these routines certify the homology engines at desk scale
-(module ranks in the tens); they are intentionally plain Buchberger
-with no pair criteria, since the product criterion is unsound for
-module elements.
+(module ranks in the tens).  Buchberger keeps its pairs in a heap keyed
+by the lcm's degree and monomial key, ties in creation order
+(Gebauer–Möller, J. Symb. Comp. 6 (1988)), and computes each pair's
+cost once, when the pair is made.  Basis elements never change once
+added, so each leading term is computed once: ``buchberger`` keeps a
+list parallel to the basis and ``ModuleGB.lts`` caches a finished
+basis's.  There are still no pair criteria: every pair that a criterion
+would skip is one whose S-vector reduces to zero, and that zero
+reduction's shadow is an input syzygy.  ``homology_groebner`` presents
+H_k by those syzygies, so skipping pairs would change the presentation
+(and the product criterion is unsound for module elements anyway).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from itertools import count
 
 from .ring import (
     RingDescriptor,
@@ -91,15 +102,20 @@ class ModuleGB:
     input_count: int = 0
     cofactors: list = dc_field(default_factory=list)
 
+    @cached_property
+    def lts(self) -> list:
+        """elem_lt of each generator, computed once per basis."""
+        return [elem_lt(self.ring, g) for g in self.generators]
+
     def leading_terms(self):
-        return [elem_lt(self.ring, g)[0] for g in self.generators if g]
+        return [pm for pm, _ in self.lts]
 
 
-def _reduce_full(ring, v, basis, shadows=None, vshadow=None):
-    """Full normal form of v against basis; optionally drags a shadow."""
+def _reduce_full(ring, v, basis, lts, shadows=None, vshadow=None):
+    """Full normal form of v against basis, whose leading terms are lts;
+    optionally drags a shadow."""
     field = ring.field
     key = pot_key(ring)
-    lts = [elem_lt(ring, b) for b in basis]
     rem: dict = {}
     work = dict(v)
     while work:
@@ -127,11 +143,14 @@ def _reduce_full(ring, v, basis, shadows=None, vshadow=None):
 def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
     """Reduced GB of the submodule generated by gens, with input syzygies.
 
-    gens: list of flat elements (dicts); zero entries allowed.
+    gens: list of flat elements (dicts); zero entries allowed.  Pairs
+    wait in a heap keyed by (degree of the lcm, monomial key of the lcm,
+    creation index): the lowest lcm first, ties in creation order.
     """
     field = ring.field
     m = len(gens)
     basis = []
+    lts = []  # elem_lt of each basis element; elements never change
     shadows = []
     syzygies = []
     for i, g in enumerate(gens):
@@ -139,26 +158,28 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             syzygies.append({(i, (0,) * ring.nvars): field.one})
         else:
             basis.append(dict(g))
+            lts.append(elem_lt(ring, g))
             shadows.append({(i, (0,) * ring.nvars): field.one})
 
-    pairs = [
-        (i, j)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-        if elem_lt(ring, basis[i])[0][0] == elem_lt(ring, basis[j])[0][0]
-    ]
+    pairs = []
+    created = count()
 
-    def pair_cost(ij):
-        (ipos, imono), _ = elem_lt(ring, basis[ij[0]])
-        (_, jmono), _ = elem_lt(ring, basis[ij[1]])
-        lcm = monomial_lcm(imono, jmono)
-        return (monomial_degree(lcm), monomial_key(lcm, ring.order))
+    def add_pair(i, j):
+        (ipos, imono), _ = lts[i]
+        (jpos, jmono), _ = lts[j]
+        if ipos == jpos:
+            lcm = monomial_lcm(imono, jmono)
+            cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
+            heapq.heappush(pairs, (cost, next(created), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
 
     while pairs:
-        pairs.sort(key=pair_cost)
-        i, j = pairs.pop(0)
-        (pos, imono), ic = elem_lt(ring, basis[i])
-        (_, jmono), jc = elem_lt(ring, basis[j])
+        _, _, i, j = heapq.heappop(pairs)
+        (_, imono), ic = lts[i]
+        (_, jmono), jc = lts[j]
         lcm = monomial_lcm(imono, jmono)
         ui, uj = monomial_div(lcm, imono), monomial_div(lcm, jmono)
         s = elem_sub(
@@ -171,20 +192,19 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             elem_mul_term(field, shadows[i], ui, field.inv(ic)),
             elem_mul_term(field, shadows[j], uj, field.inv(jc)),
         )
-        rem, sh = _reduce_full(ring, s, basis, shadows, sh)
+        rem, sh = _reduce_full(ring, s, basis, lts, shadows, sh)
         if elem_is_zero(rem):
             if not elem_is_zero(sh):
                 syzygies.append(sh)
         else:
-            newpos = elem_lt(ring, rem)[0][0]
             basis.append(rem)
+            lts.append(elem_lt(ring, rem))
             shadows.append(sh)
             k = len(basis) - 1
-            pairs.extend(
-                (t, k) for t in range(k) if elem_lt(ring, basis[t])[0][0] == newpos
-            )
+            for t in range(k):
+                add_pair(t, k)
 
-    reduced, cofactors = _interreduce(ring, basis, shadows)
+    reduced, cofactors = _interreduce(ring, basis, lts, shadows)
     return ModuleGB(
         ambient_rank=ambient_rank,
         ring=ring,
@@ -196,47 +216,46 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
     )
 
 
-def _interreduce(ring, basis, shadows):
+def _interreduce(ring, basis, lts, shadows):
     """Minimal reduced GB (monic, tails reduced) with tracked cofactors."""
     field = ring.field
-    items = sorted(
-        zip(basis, shadows),
-        key=lambda bs: pot_key(ring)(elem_lt(ring, bs[0])[0]),
-    )
-    minimal = []
-    for g, sh in items:
-        (pos, mono), _ = elem_lt(ring, g)
-        if any(
-            bpos == pos and monomial_divides(bmono, mono)
-            for (bpos, bmono) in (elem_lt(ring, h)[0] for h, _ in minimal)
-        ):
+    key = pot_key(ring)
+    items = sorted(zip(basis, lts, shadows), key=lambda item: key(item[1][0]))
+    min_basis, min_lts, min_shadows = [], [], []
+    for g, lt, sh in items:
+        (pos, mono), _ = lt
+        if any(bpos == pos and monomial_divides(bmono, mono) for (bpos, bmono), _ in min_lts):
             continue
-        minimal.append((g, sh))
+        min_basis.append(g)
+        min_lts.append(lt)
+        min_shadows.append(sh)
+
+    def others(xs, idx):
+        return xs[:idx] + xs[idx + 1 :]
+
     out = []
-    out_sh = []
-    for idx, (g, sh) in enumerate(minimal):
-        others = [h for k, (h, _) in enumerate(minimal) if k != idx]
-        other_sh = [s for k, (_, s) in enumerate(minimal) if k != idx]
-        rem, rsh = _reduce_full(ring, g, others, other_sh, sh)
+    for idx, (g, sh) in enumerate(zip(min_basis, min_shadows)):
+        rem, rsh = _reduce_full(
+            ring, g, others(min_basis, idx), others(min_lts, idx), others(min_shadows, idx), sh
+        )
         if elem_is_zero(rem):
             continue
-        _, lc = elem_lt(ring, rem)
+        lt, lc = elem_lt(ring, rem)
         inv = field.inv(lc)
-        out.append(elem_scale(field, rem, inv))
-        out_sh.append(elem_scale(field, rsh, inv))
-    order = sorted(range(len(out)), key=lambda k: pot_key(ring)(elem_lt(ring, out[k])[0]))
-    return [out[k] for k in order], [out_sh[k] for k in order]
+        out.append((key(lt), elem_scale(field, rem, inv), elem_scale(field, rsh, inv)))
+    out.sort(key=lambda item: item[0])
+    return [g for _, g, _ in out], [sh for _, _, sh in out]
 
 
 def normal_form(v: dict, gb: ModuleGB) -> dict:
-    return _reduce_full(gb.ring, v, gb.generators)
+    return _reduce_full(gb.ring, v, gb.generators, gb.lts)
 
 
 def normal_form_with_cofactors(v: dict, gb: ModuleGB):
     """(remainder, expression of the reduced part in terms of gb's inputs)."""
     field = gb.ring.field
     zero_sh: dict = {}
-    rem, sh = _reduce_full(gb.ring, v, gb.generators, gb.cofactors, zero_sh)
+    rem, sh = _reduce_full(gb.ring, v, gb.generators, gb.lts, gb.cofactors, zero_sh)
     return rem, elem_scale(field, sh, field.neg(field.one))
 
 
@@ -267,8 +286,7 @@ class Presentation:
 
     def leading_exponents_by_position(self):
         by_pos: dict[int, list] = {i: [] for i in range(self.generator_count)}
-        for g in self.relations.generators:
-            (pos, mono), _ = elem_lt(self.relations.ring, g)
+        for (pos, mono), _ in self.relations.lts:
             by_pos[pos].append(mono)
         return by_pos
 

@@ -7,9 +7,10 @@ from hypothesis import HealthCheck, settings
 
 from dflab.ring import ring_descriptor
 from dflab import linear as ln
-from dflab.complexes import total_complex
-from dflab.koszul import cyclic_two_term
+from dflab.complexes import total_complex, truncate
+from dflab.koszul import cyclic_two_term, regular_sequence_resolution
 from dflab.linear import LabeledFreeModule
+from dflab.simplicial import diagonal_tensor, gamma, normalize
 
 settings.register_profile(
     "default",
@@ -56,3 +57,9 @@ def kl_pair(ring97):
 
 def kmodule(ring, name, n):
     return LabeledFreeModule(ring, [ln.atom(f"{name}{i}", 0) for i in range(n)])
+
+
+def engines_complex(ring):
+    """normalize(GP (x) GP) cut at 4, the complex of perfbench's `engines` workload."""
+    GP = gamma(regular_sequence_resolution(ring), 5)
+    return truncate(normalize(diagonal_tensor([GP, GP])), 4)

@@ -107,6 +107,19 @@ def test_budget_exit_code(tmp_path):
         assert doc["scenarios"][0]["partial"] is True
 
 
+def test_internal_error_exit_code(monkeypatch, capsys, tmp_path):
+    from dflab import cli
+
+    def broken(cfg, **kwargs):
+        raise ZeroDivisionError("inverse of zero")
+
+    monkeypatch.setitem(cli.SCENARIOS, "gk", broken)
+    out = tmp_path / "r.json"
+    assert cli.main(["gk", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: inverse of zero\n"
+    assert not out.exists()
+
+
 def test_predict_d3_markdown():
     p = run_cli("predict", "--d", "3", "--format", "markdown")
     assert p.returncode == 0

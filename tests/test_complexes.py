@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import two_term
+from conftest import engines_complex, two_term
 from dflab import fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
@@ -118,6 +118,15 @@ def test_engine_agreement(resolution, ring97):
     assert engines_agree(resolution, 6)
     assert engines_agree(two_term(ring97, "m", X, 1), 6)
     assert engines_agree(total_complex(resolution, resolution), 6)
+
+
+@pytest.mark.parametrize("seq", [("x", "y"), ("y", "x"), ("x^2", "y^2")])
+def test_engine_agreement_at_benchmark_scale(seq):
+    # normalize(GP (x) GP) cut at 4 has ranks (1, 8, 19, 18, 6); the Groebner
+    # engine runs on it unreduced, so this checks reduce_complex too
+    N = engines_complex(ring_descriptor(sequence=seq))
+    assert N.ranks() == {0: 1, 1: 8, 2: 19, 3: 18, 4: 6}
+    assert engines_agree(N, 12)
 
 
 def test_truncate(resolution):

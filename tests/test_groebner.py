@@ -1,9 +1,15 @@
 """Module Groebner bases, normal forms, syzygies, staircase counts."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import engines_complex
+from dflab import complexes
 from dflab import groebner as gb
 from dflab.ring import ring_descriptor
 
@@ -183,3 +189,75 @@ def test_buchberger_criterion_on_reduced_bases():
     for gens in cases:
         g = gb.buchberger([dict(v) for v in gens], 2, R)
         assert _all_s_vectors_reduce_to_zero(g)
+
+
+# --- oracle on the perfbench `engines` complex ------------------------------
+#
+# tests/data/groebner-presentations.json holds, for each k, the sha256 of
+# every Groebner basis ``homology_groebner(C, k)`` builds (generators, input
+# syzygies, cofactors, in call order) together with the presentation's
+# ``gen_degrees``.  It was written with ``_digest`` before the pair heap and
+# the leading-term caches went in, so a change to the Buchberger pair order
+# or to any reduction shows up here.
+
+ORACLE = pathlib.Path(__file__).parent / "data" / "groebner-presentations.json"
+ENGINES_RINGS = {"F_97 (x, y)": (97, ("x", "y")), "F_32749 (3x, 5y)": (32749, ("3*x", "5*y"))}
+
+
+def _canon(v):
+    return sorted([pos, list(mono), c] for (pos, mono), c in v.items())
+
+
+def _presentations(ring, record):
+    """k -> (presentation, [(inputs, ModuleGB) of every buchberger call])."""
+    C = engines_complex(ring)
+    out = {}
+    for k in C.support():
+        record.clear()
+        pres = complexes.homology_groebner(C, k)
+        out[k] = (pres, list(record))
+    return out
+
+
+def _digest(pres, calls):
+    doc = {
+        "gen_degrees": list(pres.gen_degrees),
+        "bases": [
+            {name: [_canon(v) for v in getattr(g, name)]
+             for name in ("generators", "input_syzygies", "cofactors")}
+            for _, g in calls
+        ],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _recording(monkeypatch):
+    calls = []
+    inner = gb.buchberger
+
+    def buchberger(gens, ambient_rank, ring):
+        inputs = [dict(v) for v in gens]
+        g = inner(gens, ambient_rank, ring)
+        calls.append((inputs, g))
+        return g
+
+    monkeypatch.setattr(gb, "buchberger", buchberger)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES_RINGS))
+def test_engines_presentations_match_the_oracle(name, monkeypatch):
+    prime, seq = ENGINES_RINGS[name]
+    ring = ring_descriptor(prime=prime, sequence=seq)
+    calls = _recording(monkeypatch)
+    presentations = _presentations(ring, calls)
+    expected = json.loads(ORACLE.read_text())[name]
+    assert {str(k): _digest(p, c) for k, (p, c) in presentations.items()} == expected
+    for _, bases in presentations.values():
+        for inputs, g in bases:
+            assert _all_s_vectors_reduce_to_zero(g)
+            for s in g.input_syzygies:
+                assert gb.elem_is_zero(apply_columns(inputs, s, ring))
+            assert len(g.cofactors) == len(g.generators)
+            for gen, cof in zip(g.generators, g.cofactors):
+                assert apply_columns(inputs, cof, ring) == gen
