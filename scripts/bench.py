@@ -6,13 +6,14 @@ Usage:
 
 For every workload in CHECKOUT's BENCHMARK.json this runs
 ``perfbench/run.py --trace 0`` at seed 0 for the declared run_seconds,
-then times one serial ``dflab all --no-timing`` from CHECKOUT's sources.
+then times one serial ``dflab all`` from CHECKOUT's sources.
 CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
-The file holds the end-to-end metrics of each workload, the wall time,
-exit code and report sha256 of ``dflab all``, the git commit of CHECKOUT
-and whether its tracked files differ from that commit, the Python and
-numpy versions and the CPU count.  Nothing under ``perfbench/`` is
-changed; a run takes a few minutes.
+The file holds the end-to-end metrics of each workload; the wall time,
+exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
+its report with ``millis`` zeroed (the ``--no-timing`` bytes); the git
+commit of CHECKOUT and whether its tracked files differ from that
+commit, the Python and numpy versions and the CPU count.  Nothing
+under ``perfbench/`` is changed; a run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -45,17 +46,30 @@ def perfbench_metrics(root: Path, workload: str, seconds: float) -> dict:
 
 
 def time_all(root: Path) -> dict:
+    """Time one serial ``dflab all`` and keep each scenario's ``millis``.
+
+    The sha256 is of the report with every ``millis`` zeroed, serialized
+    as the command line tool writes it, so it equals the sha256 of the
+    ``--no-timing`` report.
+    """
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "all.json"
         t0 = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "dflab.cli", "all", "--no-timing", "--out", str(out)],
+            [sys.executable, "-m", "dflab.cli", "all", "--out", str(out)],
             cwd=root, env=env, capture_output=True, text=True,
         )
         wall = time.monotonic() - t0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return {"wall_s": wall, "exit_code": proc.returncode, "json_sha256": digest}
+        report = json.loads(out.read_text()) if out.exists() else None
+    result = {"wall_s": wall, "exit_code": proc.returncode, "json_sha256": None, "millis": {}}
+    if report is not None:
+        for s in report["scenarios"]:
+            result["millis"][s["name"]] = s["millis"]
+            s["millis"] = 0
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        result["json_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    return result
 
 
 def git(root: Path, *args) -> str:

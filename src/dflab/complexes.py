@@ -325,6 +325,7 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
         annihilators = list(ring.regular_sequence or [])
     ann_degs = [f.degree() for f in annihilators]
 
+    quotient = _quotient_hilbert(ring, annihilators, t_max) if annihilators else None
     ks = list(C.support())
     C = reduce_complex(C)
     report = HomologyReport(engine="graded", t_max=t_max)
@@ -354,7 +355,6 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
             euler_ok = False
     report.euler_ok = euler_ok
 
-    quotient = _quotient_hilbert(ring, annihilators, t_max) if annihilators else None
     for k in ks:
         deg = report.degrees[k]
         deg.stabilized = all(deg.dims.get(t, 0) == 0 for t in (t_max - 1, t_max))

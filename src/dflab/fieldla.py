@@ -2,8 +2,10 @@
 
 Each field has one backend, and only the backends know how its matrices
 are stored; every routine below picks the backend of its field once.
-There is one elimination, ``_echelon``, written over the backend's
-``reduce`` and ``inv``.
+There are two eliminations, both written over the backend's ``reduce``
+and ``inv``: ``_echelon`` (Gauss-Jordan on a whole matrix) and
+``ColumnSpace._reduce``/``add``, which reduce one vector at a time
+against a basis kept in reduced echelon form.
 
 F_p matrices are int64 arrays of least non-negative residues.  The
 elimination reduces after every row operation, so each product it forms

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import ChainComplex, ChainMap, total_complex, total_complex_many, truncate
+from .complexes import ChainComplex, ChainMap, total_complex, truncate
 from .functors import FunctorTag, functor_module, functor_on_map, functor_parts
 from .linear import (
     LabeledFreeModule,
@@ -349,11 +349,15 @@ def _shuffle_sign(a_positions, b_positions) -> int:
     return -1 if inv % 2 else 1
 
 
-def _ez_complexes(A: SimplicialModule, B: SimplicialModule):
-    """NA, NB, N(diagonal of A (x) B) and Tot(NA (x) NB) truncated at n_max."""
-    NA, NB = normalize(A), normalize(B)
-    ND = normalize(diagonal_tensor([A, B]))
-    return NA, NB, ND, truncate(total_complex_many([NA, NB]), A.n_max)
+def _apply_face_vec(A: SimplicialModule, level: int, i: int, vec: dict) -> dict:
+    out: dict = {}
+    face = A.face(level, i)
+    for idx, poly in vec.items():
+        for row, q in face.col(idx).items():
+            term = q * poly
+            cur = out.get(row)
+            out[row] = term if cur is None else cur + term
+    return {r: q for r, q in out.items() if not q.is_zero()}
 
 
 def _degreewise_map(S: ChainComplex, T: ChainComplex, top: int, column) -> ChainMap:
@@ -378,55 +382,46 @@ def _degreewise_map(S: ChainComplex, T: ChainComplex, top: int, column) -> Chain
     return ChainMap(S, T, maps)
 
 
-def shuffle_map(A: SimplicialModule, B: SimplicialModule):
-    """Chain map Tot(NA (x) NB) -> N(diagonal of A (x) B) by shuffles.
-
-    Returns (chain map, Tot complex, normalized diagonal complex).
-    """
-    NA, NB, ND, tot = _ez_complexes(A, B)
+def _ez_pair(A, NA, B, NB, D):
+    """Shuffle and front/back-face maps between Tot(NA (x) NB), truncated
+    at n_max, and N(D), where D is the diagonal of A (x) B with the label
+    (a, b) of level n at index a * rank B_n + b."""
     ring = A.ring
+    ND = normalize(D)
+    tot = truncate(total_complex(NA, NB), A.n_max)
+    top = min(tot.hi, A.n_max)
+    na_pos = {p: _nondeg_positions(A, NA, p) for p in range(top + 1)}
+    nb_pos = {q: _nondeg_positions(B, NB, q) for q in range(top + 1)}
+    nd_pos = {n: _nondeg_positions(D, ND, n) for n in range(top + 1)}
+    # label of NA_p or NB_q -> (p or q, index in the level)
+    a_at = {NA.module(p).labels[c]: (p, i) for p, pos in na_pos.items() for i, c in pos.items()}
+    b_at = {NB.module(q).labels[c]: (q, i) for q, pos in nb_pos.items() for i, c in pos.items()}
 
-    def column(n, lab, tgt_pos):
-        a_lab, b_lab = lab[1]
-        p = _level_of(NA, a_lab)
-        q = n - p
-        a_idx = A.level(p).index(a_lab)
-        b_idx = B.level(q).index(b_lab)
+    def shuffle_column(n, lab, _):
+        (p, a_idx), (q, b_idx) = a_at[lab[1][0]], b_at[lab[1][1]]
+        rank_b = B.level(n).rank
         col: dict = {}
         for b_pos in combinations(range(n), q):
             a_pos = tuple(t for t in range(n) if t not in b_pos)
             ia, ca = _apply_degeneracies_label(A, p, a_idx, b_pos)
             ib, cb = _apply_degeneracies_label(B, q, b_idx, a_pos)
-            pair = tens((A.level(n).labels[ia], B.level(n).labels[ib]))
-            tpos = tgt_pos.get(pair)
-            if tpos is None:
+            row = nd_pos[n].get(ia * rank_b + ib)
+            if row is None:
                 continue
-            sign = _shuffle_sign(a_pos, b_pos) * ca * cb
-            coeff = ring.one().scale(sign)
-            cur = col.get(tpos)
-            col[tpos] = coeff if cur is None else cur + coeff
+            coeff = ring.one().scale(_shuffle_sign(a_pos, b_pos) * ca * cb)
+            cur = col.get(row)
+            col[row] = coeff if cur is None else cur + coeff
         return col
 
-    return _degreewise_map(tot, ND, min(tot.hi, A.n_max), column), tot, ND
-
-
-def aw_map(A: SimplicialModule, B: SimplicialModule):
-    """Chain map N(diagonal of A (x) B) -> Tot(NA (x) NB), front/back faces."""
-    NA, NB, ND, tot = _ez_complexes(A, B)
-    ring = A.ring
-    top = min(tot.hi, A.n_max)
-    na_pos = {p: _nondeg_positions(A, NA, p) for p in range(top + 1)}
-    nb_pos = {q: _nondeg_positions(B, NB, q) for q in range(top + 1)}
-
-    def column(n, lab, tgt_pos):
-        a_lab, b_lab = lab[1]
+    def aw_column(n, lab, tgt_pos):
+        a_idx, b_idx = divmod(D.level(n).index(lab), B.level(n).rank)
         col: dict = {}
         for p in range(n + 1):
             q = n - p
-            va = {A.level(n).index(a_lab): ring.one()}
+            va = {a_idx: ring.one()}
             for lv in range(n, p, -1):
                 va = _apply_face_vec(A, lv, lv, va)
-            vb = {B.level(n).index(b_lab): ring.one()}
+            vb = {b_idx: ring.one()}
             for lv in range(n, q, -1):
                 vb = _apply_face_vec(B, lv, 0, vb)
             for ra, qa in va.items():
@@ -446,33 +441,14 @@ def aw_map(A: SimplicialModule, B: SimplicialModule):
                     col[tpos] = term if cur is None else cur + term
         return col
 
-    return _degreewise_map(ND, tot, top, column), ND, tot
+    return _degreewise_map(tot, ND, top, shuffle_column), _degreewise_map(ND, tot, top, aw_column)
 
 
-def _apply_face_vec(A: SimplicialModule, level: int, i: int, vec: dict) -> dict:
-    out: dict = {}
-    face = A.face(level, i)
-    for idx, poly in vec.items():
-        for row, q in face.col(idx).items():
-            term = q * poly
-            cur = out.get(row)
-            out[row] = term if cur is None else cur + term
-    return {r: q for r, q in out.items() if not q.is_zero()}
-
-
-def _level_of(N: ChainComplex, lab) -> int:
-    for n in N.support():
-        if lab in N.module(n)._index:
-            return n
-    raise KeyError("label not found in normalized complex")
-
-
-def tot_map_left(f: ChainMap, Z: ChainComplex, top: int | None = None) -> ChainMap:
-    """Tot(f (x) id_Z): blockwise f_p (x) id on left-associated totals."""
-    src = total_complex(f.source, Z)
-    tgt = total_complex(f.target, Z)
-    if top is not None:
-        src, tgt = truncate(src, top), truncate(tgt, top)
+def _tot_map_left(f: ChainMap, src: ChainComplex, tgt: ChainComplex) -> ChainMap:
+    """Tot(f (x) id_Z) from src = Tot(f.source (x) Z) to tgt = Tot(f.target (x) Z)."""
+    at = {
+        lab: (p, i) for p in f.source.support() for i, lab in enumerate(f.source.module(p).labels)
+    }
     maps = {}
     for n in range(src.lo, src.hi + 1):
         S, T = src.module(n), tgt.module(n)
@@ -482,34 +458,37 @@ def tot_map_left(f: ChainMap, Z: ChainComplex, top: int | None = None) -> ChainM
         cols = {}
         for cidx, lab in enumerate(S.labels):
             xl, zl = lab[1]
-            p = _level_of(f.source, xl)
-            col = {}
-            fp = f.map_at(p)
-            xi = f.source.module(p).index(xl)
-            for row, poly in fp.col(xi).items():
-                ylab = f.target.module(p).labels[row]
-                col[T.index(tens((ylab, zl)))] = poly
+            p, xi = at[xl]
+            ylabs = f.target.module(p).labels
+            col = {T.index(tens((ylabs[y], zl))): poly for y, poly in f.map_at(p).col(xi).items()}
             if col:
                 cols[cidx] = col
         maps[n] = MapMatrix(S, T, cols)
     return ChainMap(src, tgt, maps)
 
 
-def shuffle_map_triple(A, B, C):
-    """Iterated shuffle Tot(NA,NB,NC) -> N(diagonal of the nested product)."""
-    sh1, tot1, nd1 = shuffle_map(A, B)
-    D1 = diagonal_tensor([A, B])
-    sh2, tot2, nd2 = shuffle_map(D1, C)
-    NC = normalize(C)
-    lift = tot_map_left(sh1, NC, top=A.n_max)
-    return sh2.compose(lift), lift.source, nd2
+def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
+    """Shuffle and front/back-face (Alexander-Whitney) maps of two or more factors.
 
-
-def aw_map_triple(A, B, C):
-    """Iterated front/back faces N(diagonal) -> Tot(NA,NB,NC)."""
-    aw1, nd1, tot1 = aw_map(A, B)
-    D1 = diagonal_tensor([A, B])
-    aw2, nd2, tot2 = aw_map(D1, C)
-    NC = normalize(C)
-    push = tot_map_left(aw1, NC, top=A.n_max)
-    return push.compose(aw2), nd2, push.target
+    ``shuffle`` goes from the left-associated Tot(NA_1 (x) ... (x) NA_r),
+    truncated at n_max, to N of the diagonal of A_1 (x) ... (x) A_r;
+    ``aw`` goes back.  The first two factors are compared directly.  Each
+    further factor C is folded in against the diagonal D built so far:
+    sh' o Tot(sh (x) 1) and Tot(aw (x) 1) o aw', where sh' and aw' compare
+    D with C and N(D) is the previous ``shuffle.target``.
+    """
+    top = As[0].n_max
+    D, ND = As[0], normalize(As[0])
+    sh = aw = None
+    for k in range(1, len(As)):
+        C, NC = As[k], normalize(As[k])
+        E = diagonal_tensor(As[: k + 1])
+        sh_k, aw_k = _ez_pair(D, ND, C, NC, E)
+        if sh is not None:
+            mid = sh_k.source  # Tot(N(D) (x) NC)
+            tot = truncate(total_complex(sh.source, NC), top)
+            sh_k = sh_k.compose(_tot_map_left(sh, tot, mid))
+            aw_k = _tot_map_left(aw, mid, tot).compose(aw_k)
+        sh, aw = sh_k, aw_k
+        D, ND = E, sh.target
+    return sh, aw

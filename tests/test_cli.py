@@ -88,6 +88,19 @@ def test_config_error_exit_code(tmp_path):
         assert "Traceback" not in p.stderr, args
 
 
+def test_three_variables_fail_closed_where_staircases_are_counted():
+    # (x, y) in k[x, y, z]: the quotient k[z] needs staircase counting in 3 variables
+    small = ["--vars", "x,y,z", "--nmax", "2", "--tmax", "3"]
+    for args in (["all"], ["gk"], ["tor-powers"], ["check", "l31"]):
+        p = run_cli(*args, *small, timeout=120)
+        assert p.returncode == 2, (args, p.stderr)
+        assert "staircase counting supports at most 2 variables" in p.stderr, args
+        assert "Traceback" not in p.stderr, args
+    for suite in ("koszul", "gamma"):
+        p = run_cli("check", suite, *small, timeout=120)
+        assert p.returncode == 0, (suite, p.stderr)
+
+
 def test_tor_powers_over_a_quotient_of_dimension_two(tmp_path):
     # R/(x, y^2 - x^2) has dim_k 2; the tables count free generators over it
     out = tmp_path / "r.json"

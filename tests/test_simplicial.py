@@ -1,5 +1,6 @@
 """Level-building functor, normalization, diagonals, EZ comparison maps."""
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -7,20 +8,19 @@ import pytest
 from conftest import two_term
 from dflab import functors as fu
 from dflab import linear as ln
-from dflab import simplicial
-from dflab.complexes import is_quasi_iso, total_complex
+from dflab import scenarios, simplicial
+from dflab.complexes import is_quasi_iso, total_complex, total_complex_many, truncate
 from dflab.ring import ring_descriptor
 from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
 from dflab.simplicial import (
     DegeneracyShapeError,
     SimplicialModule,
     apply_pointwise_functor,
-    aw_map,
     degenerate_indices,
     diagonal_tensor,
+    eilenberg_zilber,
     gamma,
     normalize,
-    shuffle_map,
 )
 
 
@@ -210,8 +210,9 @@ def test_moore_fallback_rejected_over_polynomial_ring(ring97, kl_pair):
 def test_ez_pair(kl_pair):
     K, L = kl_pair
     GK, GL = gamma(K, 4), gamma(L, 4)
-    sh, tot, nd = shuffle_map(GK, GL)
-    aw, _, _ = aw_map(GK, GL)
+    sh, aw = eilenberg_zilber([GK, GL])
+    tot = sh.source
+    assert aw.source is sh.target and aw.target is tot
     assert sh.is_chain_map() and aw.is_chain_map()
     comp = aw.compose(sh)
     for n in range(5):
@@ -219,6 +220,23 @@ def test_ez_pair(kl_pair):
     assert sh.map_at(0).col(0) == {0: GK.ring.one()}
     assert is_quasi_iso(sh, 6, k_max=3)
     assert is_quasi_iso(aw, 6, k_max=3)
+
+
+def test_ez_triple(resolution):
+    GP = gamma(resolution, 3)
+    sh, aw = eilenberg_zilber([GP, GP, GP])
+    assert sh.is_chain_map() and aw.is_chain_map()
+    comp = aw.compose(sh)
+    for n in range(4):
+        assert comp.map_at(n).equals(ln.identity_map(sh.source.module(n)))
+    tot = truncate(total_complex_many([normalize(GP)] * 3), 3)
+    nd = normalize(diagonal_tensor([GP] * 3))
+    for n in range(4):
+        assert sh.source.module(n).labels == tot.module(n).labels, n
+        assert sh.target.module(n).labels == nd.module(n).labels, n
+    assert sh.source.support() == tot.support() and sh.target.support() == nd.support()
+    assert is_quasi_iso(sh, 6, k_max=2)
+    assert is_quasi_iso(aw, 6, k_max=2)
 
 
 def test_unnormalized_alternating_sum_squares_to_zero(resolution):
@@ -336,3 +354,17 @@ def test_pipelines_evaluate_no_degeneracy_column(monkeypatch):
     for name in ("gk", "cross3"):
         assert SCENARIOS[name](ScenarioConfig()).passed, name
     assert degeneracy_maps and calls == []
+
+
+def test_check_ez_build_counts(monkeypatch):
+    counts = Counter()
+    for name in ("normalize", "diagonal_tensor"):
+
+        def counted(*args, _build=getattr(simplicial, name), _name=name):
+            counts[_name] += 1
+            return _build(*args)
+
+        for module in (simplicial, scenarios):
+            monkeypatch.setattr(module, name, counted)
+    assert SCENARIOS["check-ez"](ScenarioConfig()).passed
+    assert 0 < counts["normalize"] <= 8 and 0 < counts["diagonal_tensor"] <= 3, counts
