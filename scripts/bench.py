@@ -5,10 +5,13 @@ Usage:
     python scripts/bench.py LABEL [--root CHECKOUT] [--out DIR]
 
 For every workload in CHECKOUT's BENCHMARK.json this runs
-``perfbench/run.py --trace 0`` at seed 0 for the declared run_seconds,
-then times one serial ``dflab all`` from CHECKOUT's sources.
+``perfbench/run.py --trace 0`` at seed 0 for the declared run_seconds
+and one short ``--trace 1`` run for the module sizes, then times one
+serial ``dflab all`` from CHECKOUT's sources.
 CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
-The file holds the end-to-end metrics of each workload; the wall time,
+The file holds the end-to-end metrics of each workload and its traced
+size counters (``SIZE_COUNTERS``: level and normalized ranks per call,
+which do not depend on how long the traced run lasts); the wall time,
 exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
 its report with ``millis`` zeroed (the ``--no-timing`` bytes); the git
 commit of CHECKOUT and whether its tracked files differ from that
@@ -32,17 +35,25 @@ from pathlib import Path
 import numpy
 
 SEED = 0
+SIZE_COUNTERS = ("simplicial.level_rank", "simplicial.normalized_rank", "simplicial.nondeg_ratio")
+SIZE_RUN_SECONDS = 1  # one traced run makes at least one call
+
+
+def perfbench_run(root: Path, workload: str, seconds: float, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def perfbench_metrics(root: Path, workload: str, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = perfbench_run(root, workload, seconds, 0)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return dict(metrics, attempted=result["attempted"], failed=result["failed"])
+    traced = perfbench_run(root, workload, SIZE_RUN_SECONDS, 1)["metrics"]
+    sizes = {name: traced[name]["value"] for name in SIZE_COUNTERS}
+    return dict(metrics, **sizes, attempted=result["attempted"], failed=result["failed"])
 
 
 def time_all(root: Path) -> dict:

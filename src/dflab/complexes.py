@@ -551,16 +551,20 @@ class ChainMap:
         return ChainMap(other.source, self.target, maps)
 
 
-def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None) -> bool:
+def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None, reports=None) -> bool:
     """Equal graded homology dims and induced bijections on every slice.
 
     ``k_max`` bounds the compared homological degrees; use it when the
     complexes are truncations whose top degree is an artifact.
+    ``reports``, when given, are homology_graded(source) and
+    homology_graded(target) at this t_max, already computed by the caller
+    (only their dims are read).
     """
     field = cm.source.ring.field
     src, tgt = cm.source, cm.target
-    hs = homology_graded(src, t_max, annihilators=[])
-    ht = homology_graded(tgt, t_max, annihilators=[])
+    if reports is None:
+        reports = [homology_graded(C, t_max, annihilators=[]) for C in (src, tgt)]
+    hs, ht = reports
     ks = sorted(set(hs.degrees) | set(ht.degrees))
     if k_max is not None:
         ks = [k for k in ks if k <= k_max]

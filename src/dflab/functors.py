@@ -2,11 +2,12 @@
 
 Functor values carry canonical bases: monomials for Sym, strictly
 increasing words for exterior powers, multisets for divided powers
-(realized as the dual of Sym on the dual), pure tensors for tensor
-powers, and standard tableaux (i^j)|k with i<j, i<=k for the shape
-(2,1) Schur functor.  The Schur action straightens non-standard wedges
-through the relation (a^b)|c = (a^c)|b - (b^c)|a for c < a < b, which
-is the boundary of a^b^c.
+(the dual of Sym on the dual), pure tensors for tensor powers, and
+standard tableaux (i^j)|k with i<j, i<=k for the shape (2,1) Schur
+functor and its dual, the co-Schur functor.  The Schur action
+straightens non-standard wedges through the relation
+(a^b)|c = (a^c)|b - (b^c)|a for c < a < b, which is the boundary of
+a^b^c.  Every functor is evaluated one column at a time, the duals too.
 
 Cross-effects are images of the inclusion-exclusion idempotent
 sum_S (-1)^(k-|S|) F(p_S); diagonal and plus maps are computed inside
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from . import fieldla
 from .linear import (
@@ -29,6 +31,7 @@ from .linear import (
     schur,
     sym,
     tens,
+    tensor_column,
     tensor_maps,
     tensor_modules,
     wedge,
@@ -106,9 +109,27 @@ def _module(kind: str, arity: int, V: LabeledFreeModule) -> LabeledFreeModule:
     return LabeledFreeModule(V.ring, [label(parts) for parts in tuples])
 
 
-def functor_parts(tag: FunctorTag, rank: int) -> list:
-    """Index tuples into the basis of V of the labels of F(V), in order."""
-    return list(_part_tuples(tag.kind, tag.arity, range(rank)))
+def functor_parts(tag: FunctorTag, items) -> list:
+    """The parts of the basis elements of F(V), in basis order, where
+    ``items`` lists the basis elements of V (e.g. range(rank))."""
+    return list(_part_tuples(tag.kind, tag.arity, items))
+
+
+def functor_rank(tag: FunctorTag, rank: int) -> int:
+    """Rank of F(V) for V of the given rank."""
+    l = tag.arity
+    if tag.kind in ("sym", "div"):
+        return comb(rank + l - 1, l)
+    if tag.kind == "ext":
+        return comb(rank, l)
+    if tag.kind == "tensor":
+        return rank**l
+    return sum((rank - 1 - i) * (rank - i) for i in range(rank))  # (i^j)|k tableaux
+
+
+def functor_label(tag: FunctorTag, labels) -> tuple:
+    """Label of the basis element of F(V) whose parts have these labels."""
+    return _LABEL[tag.kind](tuple(labels))
 
 
 def functor_module(tag: FunctorTag, V: LabeledFreeModule) -> LabeledFreeModule:
@@ -136,39 +157,38 @@ def coschur_module(V: LabeledFreeModule) -> LabeledFreeModule:
 
 
 # --- maps ------------------------------------------------------------------
+#
+# Each column kernel takes ``col``, the column function of a map f (an
+# element of f's source -> {element of f's target: poly}), and the parts
+# of a basis element of F(source) (see _part_tuples); it returns the
+# column of F(f) there, keyed by the parts of basis elements of F(target).
+# Elements are level positions or, inside composite simplicial modules,
+# index tuples; both compare in basis order.
 
 
-def _sym_col(f: MapMatrix, tgt: LabeledFreeModule, parts) -> dict:
-    """Expand the product of f-images of the multiset ``parts`` (indices)."""
-    ring = f.source.ring
-    combos = {(): ring.one()}
-    for i in parts:
+def _sym_col(col, parts, one) -> dict:
+    """Expand the product of f-images of the multiset ``parts``."""
+    combos = {(): one}
+    for x in parts:
         new: dict = {}
-        col = f.col(i)
+        c = col(x)
         for partial, poly in combos.items():
-            for r, q in col.items():
+            for r, q in c.items():
                 key = tuple(sorted(partial + (r,)))
                 prod = poly * q
                 acc = new.get(key)
                 new[key] = prod if acc is None else acc + prod
         combos = new
-    out = {}
-    for key, poly in combos.items():
-        if poly.is_zero():
-            continue
-        label = sym(tuple(f.target.labels[r] for r in key))
-        out[tgt.index(label)] = poly
-    return out
+    return combos
 
 
-def _ext_col(f: MapMatrix, tgt: LabeledFreeModule, parts) -> dict:
-    ring = f.source.ring
-    combos = {(): ring.one()}
-    for i in parts:
+def _ext_col(col, parts, one) -> dict:
+    combos = {(): one}
+    for x in parts:
         new: dict = {}
-        col = f.col(i)
+        c = col(x)
         for partial, poly in combos.items():
-            for r, q in col.items():
+            for r, q in c.items():
                 if r in partial:
                     continue
                 pos = 0
@@ -180,17 +200,33 @@ def _ext_col(f: MapMatrix, tgt: LabeledFreeModule, parts) -> dict:
                 acc = new.get(key)
                 new[key] = prod if acc is None else acc + prod
         combos = new
-    out = {}
-    for key, poly in combos.items():
-        if poly.is_zero():
-            continue
-        label = wedge(tuple(f.target.labels[r] for r in key))[1]
-        out[tgt.index(label)] = poly
+    return combos
+
+
+def _div_col(col, parts, one) -> dict:
+    """Column of D(f), the transpose of Sym(f^T): the entry at the
+    multiset (r_1 <= ... <= r_l) is the coefficient of prod_t x_(parts_t)
+    in prod_t (sum_s f[r_t, s] x_s), a sum over the distinct orderings
+    of ``parts``."""
+    out: dict = {}
+    for seq in set(permutations(parts)):
+        combos = {(): one}
+        for s in seq:
+            c = col(s)
+            combos = {
+                rows + (r,): poly * q
+                for rows, poly in combos.items()
+                for r, q in c.items()
+                if not rows or rows[-1] <= r
+            }
+        for key, poly in combos.items():
+            acc = out.get(key)
+            out[key] = poly if acc is None else acc + poly
     return out
 
 
-def _schur_straighten(a: int, b: int, c: int):
-    """Rewrite the class of (e_a ^ e_b) | e_c on standard tableaux (indices)."""
+def _schur_straighten(a, b, c):
+    """Rewrite the class of (e_a ^ e_b) | e_c on standard tableaux."""
     if a == b:
         return []
     if a > b:
@@ -201,52 +237,73 @@ def _schur_straighten(a: int, b: int, c: int):
     return [(-1, (c, a, b)), (1, (c, b, a))]
 
 
-def _schur_col(f: MapMatrix, tgt: LabeledFreeModule, parts) -> dict:
-    ring = f.source.ring
+def _schur_col(col, parts, one) -> dict:
     i, j, k = parts
     out: dict = {}
-    for r, q1 in f.col(i).items():
-        for s, q2 in f.col(j).items():
+    for r, q1 in col(i).items():
+        for s, q2 in col(j).items():
             if r == s:
                 continue
-            for t, q3 in f.col(k).items():
+            for t, q3 in col(k).items():
                 poly = q1 * q2 * q3
-                for sign, (a, b, c) in _schur_straighten(r, s, t):
-                    label = schur(
-                        f.target.labels[a], f.target.labels[b], f.target.labels[c]
-                    )
-                    idx = tgt.index(label)
+                for sign, key in _schur_straighten(r, s, t):
                     term = poly.scale(sign)
-                    acc = out.get(idx)
-                    out[idx] = term if acc is None else acc + term
-    return {i2: q for i2, q in out.items() if not q.is_zero()}
+                    acc = out.get(key)
+                    out[key] = term if acc is None else acc + term
+    return out
 
 
-def _dual_functor_map(dual_tag: FunctorTag, f: MapMatrix, src, tgt) -> MapMatrix:
-    """F(f) on src -> tgt for the functor F dual to ``dual_tag``: the dual
-    functor on the transpose of f, transposed back."""
-    D = functor_on_map(dual_tag, f.transpose_raw(f.target, f.source)).materialize()
-    return D.transpose_raw(src, tgt)
+def _coschur_col(col, parts, one) -> dict:
+    """Column of the co-Schur functor, the transpose of Schur(f^T): the
+    triples (r, s, t) whose straightening holds the tableau ``parts``,
+    each expanded through f and kept on standard target tableaux."""
+    out: dict = {}
+    for r, s, t in set(permutations(parts)):
+        sign = sum(c for c, tab in _schur_straighten(r, s, t) if tab == parts)
+        if not sign:
+            continue
+        for a, q1 in col(r).items():
+            for b, q2 in col(s).items():
+                if not a < b:
+                    continue
+                for c, q3 in col(t).items():
+                    if a <= c:
+                        term = (q1 * q2 * q3).scale(sign)
+                        acc = out.get((a, b, c))
+                        out[(a, b, c)] = term if acc is None else acc + term
+    return out
 
 
-def functor_on_map(tag: FunctorTag, f: MapMatrix, source=None, target=None) -> MapMatrix:
-    """F(f) on the canonical bases; columns are lazily expanded.
+_KERNELS = {
+    "sym": _sym_col,
+    "ext": _ext_col,
+    "div": _div_col,
+    "schur": _schur_col,
+    "coschur": _coschur_col,
+}
 
-    ``source`` and ``target``, when given, must be functor_module of f's
-    source and target; callers that already hold them pass them so the
-    modules are not built again.
-    """
+
+def functor_column(tag: FunctorTag, col, parts, one) -> dict:
+    """Column of F(f) at the basis element with the given parts (see above)."""
     if tag.kind == "tensor":
-        return tensor_maps([f] * tag.arity, source, target)
-    src = functor_module(tag, f.source) if source is None else source
-    tgt = functor_module(tag, f.target) if target is None else target
-    if tag.kind == "div":
-        return _dual_functor_map(Sym(tag.arity), f, src, tgt)
-    if tag.kind == "coschur":
-        return _dual_functor_map(SchurL31, f, src, tgt)
-    col = {"sym": _sym_col, "ext": _ext_col, "schur": _schur_col}[tag.kind]
-    idx_parts = functor_parts(tag, f.source.rank)
-    return MapMatrix(src, tgt, provider=lambda j: col(f, tgt, idx_parts[j]))
+        column = tensor_column([col] * tag.arity, parts)
+    else:
+        column = _KERNELS[tag.kind](col, parts, one)
+    return {key: q for key, q in column.items() if not q.is_zero()}
+
+
+def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
+    """F(f) on the canonical bases; columns are lazily expanded."""
+    idx_parts = functor_parts(tag, range(f.source.rank))
+    row_of = {parts: i for i, parts in enumerate(functor_parts(tag, range(f.target.rank)))}
+    one = f.source.ring.one()
+
+    def provider(j):
+        column = functor_column(tag, f.col, idx_parts[j], one)
+        return {row_of[key]: q for key, q in column.items()}
+
+    src, tgt = functor_module(tag, f.source), functor_module(tag, f.target)
+    return MapMatrix(src, tgt, provider=provider)
 
 
 class ProductFunctor:
@@ -373,74 +430,61 @@ def _check_eps(eps):
 # --- Cauchy filtration maps --------------------------------------------------
 
 
-def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule, target=None) -> MapMatrix:
-    """Lambda^3 P (x) Lambda^3 Q -> Sym^3(P (x) Q), the 3x3 determinant.
+def cauchy_det_column(parts) -> dict:
+    """Column of the 3x3 determinant Lambda^3 P (x) Lambda^3 Q ->
+    Sym^3(P (x) Q) at the basis element with parts ((p1, p2, p3),
+    (q1, q2, q3)), as {parts of a Sym^3(P (x) Q) element: +-1}; a part of
+    Sym^3(P (x) Q) is a pair (p, q) of P and Q basis elements."""
+    pi, qi = parts
+    out: dict = {}
+    for perm in permutations(range(3)):
+        key = tuple(sorted((pi[t], qi[perm[t]]) for t in range(3)))
+        out[key] = out.get(key, 0) + _perm_sign(perm)
+    return {key: c for key, c in out.items() if c}
 
-    ``target``, when given, must be Sym^3(P (x) Q); a caller that holds
-    it passes it so it is not built again.
-    """
+
+def cauchy_m21_column(parts) -> dict:
+    """Column of Lambda^2 P (x) P (x) Lambda^2 Q (x) Q -> Sym^3(P (x) Q)
+    at parts ((p1, p2), p3, (q1, q2), q3): the 2x2 minor on
+    (p1,p2|q1,q2) times the pair (p3, q3), keyed as in cauchy_det_column."""
+    (p1, p2), p3, (q1, q2), q3 = parts
+    out: dict = {}
+    for sign, (qa, qb) in ((1, (q1, q2)), (-1, (q2, q1))):
+        key = tuple(sorted(((p1, qa), (p2, qb), (p3, q3))))
+        out[key] = out.get(key, 0) + sign
+    return {key: c for key, c in out.items() if c}
+
+
+def _cauchy_map(P, Q, source_mods, source_parts, column) -> MapMatrix:
+    """The Cauchy map with the given column kernel, on labeled modules."""
     ring = P.ring
-    src = tensor_modules([ext_module(P, 3), ext_module(Q, 3)])
-    tgt = sym_module(tensor_modules([P, Q]), 3) if target is None else target
-    p_triples = list(combinations(range(P.rank), 3))
-    q_triples = list(combinations(range(Q.rank), 3))
+    tgt = sym_module(tensor_modules([P, Q]), 3)
+    pairs = list(product(range(P.rank), range(Q.rank)))
+    row_of = {parts: i for i, parts in enumerate(functor_parts(Sym(3), pairs))}
     one = ring.one()
 
     def provider(j):
-        pi = p_triples[j // len(q_triples)]
-        qi = q_triples[j % len(q_triples)]
-        out: dict = {}
-        for perm in permutations(range(3)):
-            sign = _perm_sign(perm)
-            pairs = [
-                tens((P.labels[pi[t]], Q.labels[qi[perm[t]]])) for t in range(3)
-            ]
-            label = sym(tuple(pairs))
-            idx = tgt.index(label)
-            coeff = one.scale(sign)
-            acc = out.get(idx)
-            out[idx] = coeff if acc is None else acc + coeff
-        return {i: q for i, q in out.items() if not q.is_zero()}
+        return {row_of[key]: one.scale(c) for key, c in column(source_parts[j]).items()}
 
-    return MapMatrix(src, tgt, provider=provider)
+    return MapMatrix(tensor_modules(source_mods), tgt, provider=provider)
 
 
-def cauchy_m21_map(P: LabeledFreeModule, Q: LabeledFreeModule, target=None) -> MapMatrix:
+def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:
+    """Lambda^3 P (x) Lambda^3 Q -> Sym^3(P (x) Q), the 3x3 determinant."""
+    parts = list(product(combinations(range(P.rank), 3), combinations(range(Q.rank), 3)))
+    return _cauchy_map(P, Q, [ext_module(P, 3), ext_module(Q, 3)], parts, cauchy_det_column)
+
+
+def cauchy_m21_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:
     """Lambda^2 P (x) P (x) Lambda^2 Q (x) Q -> Sym^3(P (x) Q).
 
     (p1^p2, p3, q1^q2, q3) goes to the 2x2 minor on (p1,p2|q1,q2) times
-    the pair (p3,q3).  ``target`` is as for cauchy_det_map.
+    the pair (p3,q3).
     """
-    ring = P.ring
-    src = tensor_modules([ext_module(P, 2), P, ext_module(Q, 2), Q])
-    tgt = sym_module(tensor_modules([P, Q]), 3) if target is None else target
-    p_pairs = list(combinations(range(P.rank), 2))
-    q_pairs = list(combinations(range(Q.rank), 2))
-    one = ring.one()
-    dims = (len(p_pairs), P.rank, len(q_pairs), Q.rank)
-
-    def provider(j):
-        rem = j
-        qi3 = rem % dims[3]; rem //= dims[3]
-        qpair = q_pairs[rem % dims[2]]; rem //= dims[2]
-        pi3 = rem % dims[1]; rem //= dims[1]
-        ppair = p_pairs[rem]
-        (p1, p2), (q1, q2) = ppair, qpair
-        out: dict = {}
-        third = tens((P.labels[pi3], Q.labels[qi3]))
-        for sign, (qa, qb) in ((1, (q1, q2)), (-1, (q2, q1))):
-            pairs = (
-                tens((P.labels[p1], Q.labels[qa])),
-                tens((P.labels[p2], Q.labels[qb])),
-                third,
-            )
-            idx = tgt.index(sym(pairs))
-            coeff = one.scale(sign)
-            acc = out.get(idx)
-            out[idx] = coeff if acc is None else acc + coeff
-        return {i: q for i, q in out.items() if not q.is_zero()}
-
-    return MapMatrix(src, tgt, provider=provider)
+    p_pairs, q_pairs = combinations(range(P.rank), 2), combinations(range(Q.rank), 2)
+    parts = list(product(p_pairs, range(P.rank), q_pairs, range(Q.rank)))
+    mods = [ext_module(P, 2), P, ext_module(Q, 2), Q]
+    return _cauchy_map(P, Q, mods, parts, cauchy_m21_column)
 
 
 def _perm_sign(perm) -> int:

@@ -107,13 +107,28 @@ class ModuleGB:
         """elem_lt of each generator, computed once per basis."""
         return [elem_lt(self.ring, g) for g in self.generators]
 
+    @cached_property
+    def by_position(self) -> dict:
+        """The leading terms bucketed by position (see _by_position)."""
+        return _by_position(self.lts)
+
     def leading_terms(self):
         return [pm for pm, _ in self.lts]
 
 
-def _reduce_full(ring, v, basis, lts, shadows=None, vshadow=None):
-    """Full normal form of v against basis, whose leading terms are lts;
-    optionally drags a shadow."""
+def _by_position(lts) -> dict:
+    """position -> [(index, monomial, coeff)] of the leading terms there,
+    in basis order, so a scan of one bucket finds the same first divisor
+    as a scan of the whole basis."""
+    out: dict = {}
+    for idx, ((pos, mono), c) in enumerate(lts):
+        out.setdefault(pos, []).append((idx, mono, c))
+    return out
+
+
+def _reduce_full(ring, v, basis, by_pos, shadows=None, vshadow=None):
+    """Full normal form of v against basis, whose leading terms are
+    bucketed by position in ``by_pos``; optionally drags a shadow."""
     field = ring.field
     key = pot_key(ring)
     rem: dict = {}
@@ -123,8 +138,8 @@ def _reduce_full(ring, v, basis, lts, shadows=None, vshadow=None):
         pos, mono = pm
         c = work[pm]
         hit = None
-        for idx, ((bpos, bmono), bc) in enumerate(lts):
-            if bpos == pos and monomial_divides(bmono, mono):
+        for idx, bmono, bc in by_pos.get(pos, ()):
+            if monomial_divides(bmono, mono):
                 hit = (idx, monomial_div(mono, bmono), field.mul(c, field.inv(bc)))
                 break
         if hit is None:
@@ -160,6 +175,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             basis.append(dict(g))
             lts.append(elem_lt(ring, g))
             shadows.append({(i, (0,) * ring.nvars): field.one})
+    by_pos = _by_position(lts)  # kept up to date as the basis grows
 
     pairs = []
     created = count()
@@ -192,7 +208,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             elem_mul_term(field, shadows[i], ui, field.inv(ic)),
             elem_mul_term(field, shadows[j], uj, field.inv(jc)),
         )
-        rem, sh = _reduce_full(ring, s, basis, lts, shadows, sh)
+        rem, sh = _reduce_full(ring, s, basis, by_pos, shadows, sh)
         if elem_is_zero(rem):
             if not elem_is_zero(sh):
                 syzygies.append(sh)
@@ -201,6 +217,8 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             lts.append(elem_lt(ring, rem))
             shadows.append(sh)
             k = len(basis) - 1
+            (pos, mono), c = lts[k]
+            by_pos.setdefault(pos, []).append((k, mono, c))
             for t in range(k):
                 add_pair(t, k)
 
@@ -236,7 +254,12 @@ def _interreduce(ring, basis, lts, shadows):
     out = []
     for idx, (g, sh) in enumerate(zip(min_basis, min_shadows)):
         rem, rsh = _reduce_full(
-            ring, g, others(min_basis, idx), others(min_lts, idx), others(min_shadows, idx), sh
+            ring,
+            g,
+            others(min_basis, idx),
+            _by_position(others(min_lts, idx)),
+            others(min_shadows, idx),
+            sh,
         )
         if elem_is_zero(rem):
             continue
@@ -248,14 +271,14 @@ def _interreduce(ring, basis, lts, shadows):
 
 
 def normal_form(v: dict, gb: ModuleGB) -> dict:
-    return _reduce_full(gb.ring, v, gb.generators, gb.lts)
+    return _reduce_full(gb.ring, v, gb.generators, gb.by_position)
 
 
 def normal_form_with_cofactors(v: dict, gb: ModuleGB):
     """(remainder, expression of the reduced part in terms of gb's inputs)."""
     field = gb.ring.field
     zero_sh: dict = {}
-    rem, sh = _reduce_full(gb.ring, v, gb.generators, gb.lts, gb.cofactors, zero_sh)
+    rem, sh = _reduce_full(gb.ring, v, gb.generators, gb.by_position, gb.cofactors, zero_sh)
     return rem, elem_scale(field, sh, field.neg(field.one))
 
 

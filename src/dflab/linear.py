@@ -193,6 +193,34 @@ class LabeledFreeModule:
         return f"FreeModule(rank {self.rank})"
 
 
+class LazyModule(LabeledFreeModule):
+    """A LabeledFreeModule of known rank whose labels are built on first use.
+
+    ``build()`` returns the labels.  Until something reads ``labels``,
+    ``index`` or ``degrees`` (or compares the module), only the rank
+    exists.
+    """
+
+    __slots__ = ("_rank", "_build")
+
+    def __init__(self, ring: RingDescriptor, rank: int, build):
+        self.ring = ring
+        self._rank = rank
+        self._build = build
+
+    @property
+    def rank(self) -> int:
+        return self._rank
+
+    def __getattr__(self, name):  # reached only while a label slot is unset
+        if name not in ("labels", "_index", "degrees"):
+            raise AttributeError(name)
+        LabeledFreeModule.__init__(self, self.ring, self._build())
+        if len(self.labels) != self._rank:
+            raise ValueError("lazy module built a different rank")
+        return getattr(self, name)
+
+
 def tensor_modules(mods) -> LabeledFreeModule:
     """Flat tensor product; labels are tens() words, rightmost fastest."""
     ring = mods[0].ring
@@ -359,6 +387,23 @@ def compose(g: MapMatrix, f: MapMatrix) -> MapMatrix:
     return g.compose(f)
 
 
+def tensor_column(cols, parts) -> dict:
+    """Column of a Kronecker product at the index tuple ``parts``.
+
+    ``cols[k](x)`` is the k-th factor's column at x as {row: poly}; the
+    result is keyed by target index tuples (one row per factor).
+    """
+    out = {(): None}
+    for col, x in zip(cols, parts):
+        c = col(x)
+        out = {
+            rows + (r,): q if poly is None else poly * q
+            for rows, poly in out.items()
+            for r, q in c.items()
+        }
+    return out
+
+
 def tensor_maps(maps, source=None, target=None) -> MapMatrix:
     """Kronecker product over a flat list of maps, labels tens() words.
 
@@ -368,32 +413,19 @@ def tensor_maps(maps, source=None, target=None) -> MapMatrix:
     """
     src = tensor_modules([f.source for f in maps]) if source is None else source
     tgt = tensor_modules([f.target for f in maps]) if target is None else target
-    tgt_ranks = [f.target.rank for f in maps]
+    cols = [f.col for f in maps]
 
-    def provider(j, maps=maps, tgt_ranks=tgt_ranks):
+    def provider(j):
         idx = []
-        rem = j
         for f in reversed(maps):
-            idx.append(rem % f.source.rank)
-            rem //= f.source.rank
-        idx.reverse()
-        parts = [[(i, q) for i, q in f.col(jj).items()] for f, jj in zip(maps, idx)]
-        out: dict = {}
-        combos = [((), None)]
-        for part in parts:
-            new = []
-            for rows, poly in combos:
-                for i, q in part:
-                    new.append((rows + (i,), q if poly is None else poly * q))
-            combos = new
-        for rows, poly in combos:
-            if poly is None or poly.is_zero():
-                continue
+            j, r = divmod(j, f.source.rank)
+            idx.append(r)
+        out = {}
+        for rows, poly in tensor_column(cols, idx[::-1]).items():
             flat = 0
-            for r, rk in zip(rows, tgt_ranks):
-                flat = flat * rk + r
-            acc = out.get(flat)
-            out[flat] = poly if acc is None else acc + poly
+            for r, f in zip(rows, maps):
+                flat = flat * f.target.rank + r
+            out[flat] = poly
         return out
 
     return MapMatrix(src, tgt, provider=provider)

@@ -24,41 +24,82 @@ exactly when the union of those jump sets is not {0, ..., n-1}.  This
 is the normalization theorem for a simplicial module whose basis is
 closed under degeneracies (May, Simplicial Objects in Algebraic
 Topology, 22; Goerss-Jardine, Simplicial Homotopy Theory, III.2).
-``gamma``, ``diagonal_tensor`` and ``apply_pointwise_functor`` record
-that union per label as a bitmask, and ``normalize`` keeps the labels
-whose mask is full.  A module without masks (one built directly, or
-one whose degeneracy maps were replaced after construction) takes the
-matrix path instead: ``degenerate_indices`` evaluates every degeneracy
-column and checks that it is a signed basis injection.  The test suite
-checks the masks against that path.
+``gamma`` records each label's jump set as a bitmask; the mask of a
+composite element is the union of its parts' masks.
+
+What is built, and when.  ``gamma`` builds its levels, faces and
+degeneracies at once; they are small.  ``diagonal_tensor`` and
+``apply_pointwise_functor`` build nothing but the level ranks: a basis
+element of a composite level is the tuple of its parts over the
+factors' level bases, in label order, and its mask, label and face or
+degeneracy columns are computed from the factors' on demand.
+``normalize`` enumerates only the tuples whose masks cover [n], builds
+labels for those alone and evaluates the faces on them; it never
+evaluates a degeneracy.  The full level modules, faces and
+degeneracies of a composite are built on first access, for
+``validate``, the Eilenberg-Zilber maps and the matrix path.  A module
+without masks (one built directly, or one whose degeneracy maps were
+replaced after construction) takes that matrix path:
+``degenerate_indices`` evaluates every degeneracy column and checks
+that it is a signed basis injection.  The test suite checks the masks
+against that path.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
+from math import prod
 
 from .complexes import ChainComplex, ChainMap, total_complex, truncate
-from .functors import FunctorTag, functor_module, functor_on_map, functor_parts
+from .functors import FunctorTag, functor_column, functor_label, functor_parts, functor_rank
 from .linear import (
     LabeledFreeModule,
+    LazyModule,
     MapMatrix,
     gam,
     identity_map,
     label_key,
     tens,
-    tensor_maps,
-    tensor_modules,
+    tensor_column,
     zero_map,
 )
+
+
+class _Maps(dict):
+    """(n, i) -> MapMatrix, built by ``build(n, i)`` on first access.
+
+    ``replaced`` records an assignment after construction: the jump masks
+    then no longer describe the degeneracies.
+    """
+
+    def __init__(self, items=(), build=None):
+        super().__init__(items)
+        self._build = build
+        self.replaced = False
+
+    def __missing__(self, key):
+        if self._build is None:
+            raise KeyError(key)
+        value = self._build(*key)
+        dict.__setitem__(self, key, value)
+        return value
+
+    def __setitem__(self, key, value):
+        self.replaced = True
+        dict.__setitem__(self, key, value)
 
 
 class SimplicialModule:
     """Degreewise free modules with faces and degeneracies up to n_max.
 
-    ``masks``, given only by the constructors below, holds for every level
-    n one int per basis label: the union of its leaves' jump sets, as a
-    bitmask over the gaps 0..n-1.  It describes the degeneracies given
-    with it, so it is used only while every degeneracy is still that map.
+    The basis of level n is ``elements(n)``, in label order; here the
+    elements are the level positions, and ``face_col``, ``degeneracy_col``,
+    ``label`` and ``mask`` read the level modules and matrices.
+    ``masks``, given only by ``gamma``, holds for every level one int per
+    label: its jump set as a bitmask over the gaps 0..n-1.  It describes
+    the degeneracies given with it, so it is used only while none of them
+    was replaced.
     """
 
     def __init__(
@@ -68,17 +109,21 @@ class SimplicialModule:
         self.n_max = n_max
         self.levels = levels
         self.faces = faces  # (n, i): level n -> n-1
-        self.degeneracies = degeneracies  # (n, j): level n -> n+1
+        self.degeneracies = (  # (n, j): level n -> n+1
+            degeneracies if isinstance(degeneracies, _Maps) else _Maps(degeneracies)
+        )
         self._masks = masks
-        self._masked = dict(degeneracies)  # the maps the masks describe
+        self._nondeg: dict = {}
+
+    def has_masks(self) -> bool:
+        """Whether the masks decide degeneracy (see the module docstring)."""
+        return self._masks is not None and not self.degeneracies.replaced
 
     def jump_masks(self) -> dict | None:
-        """The masks, or None when there are none or a degeneracy was replaced."""
-        if self._masks is None or self.degeneracies.keys() != self._masked.keys():
+        """The mask of every basis element, level by level, or None."""
+        if not self.has_masks():
             return None
-        if any(self.degeneracies[key] is not s for key, s in self._masked.items()):
-            return None
-        return self._masks
+        return {n: [self.mask(n, e) for e in self.elements(n)] for n in range(self.n_max + 1)}
 
     def level(self, n: int) -> LabeledFreeModule:
         return self.levels[n]
@@ -88,6 +133,34 @@ class SimplicialModule:
 
     def degeneracy(self, n: int, j: int) -> MapMatrix:
         return self.degeneracies[(n, j)]
+
+    # basis elements ----------------------------------------------------
+
+    def elements(self, n: int):
+        return range(self.levels[n].rank)
+
+    def label(self, n: int, e):
+        return self.levels[n].labels[e]
+
+    def mask(self, n: int, e) -> int:
+        return self._masks[n][e]
+
+    def face_col(self, n: int, i: int, e) -> dict:
+        return self.faces[(n, i)].col(e)
+
+    def degeneracy_col(self, n: int, j: int, e) -> dict:
+        return self.degeneracies[(n, j)].col(e)
+
+    def nondegenerate(self, n: int) -> list:
+        """The elements of level n whose mask is full, in order."""
+        keep = self._nondeg.get(n)
+        if keep is None:
+            keep = self._nondeg[n] = self._full_mask_elements(n)
+        return keep
+
+    def _full_mask_elements(self, n: int) -> list:
+        full = (1 << n) - 1
+        return [e for e in self.elements(n) if self.mask(n, e) == full]
 
     def validate(self, up_to: int | None = None) -> bool:
         """Check every simplicial identity inside the truncation window."""
@@ -126,25 +199,6 @@ class SimplicialModule:
 
 def _jumps_of(values) -> tuple:
     return tuple(t for t in range(len(values) - 1) if values[t + 1] > values[t])
-
-
-def functor_masks(tag: FunctorTag, masks) -> list:
-    """Masks of the labels of F(V) from the masks of V's labels."""
-    out = []
-    for parts in functor_parts(tag, len(masks)):
-        m = 0
-        for i in parts:
-            m |= masks[i]
-        out.append(m)
-    return out
-
-
-def tensor_masks(mask_lists) -> list:
-    """Masks of the labels of a tensor_modules product from its factors'."""
-    out = [0]
-    for masks in mask_lists:
-        out = [a | b for a in out for b in masks]
-    return out
 
 
 def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
@@ -238,38 +292,46 @@ def degenerate_indices(A: SimplicialModule, n: int) -> set:
 def normalize(A: SimplicialModule) -> ChainComplex:
     """Quotient of each level by the degenerate coordinates.
 
-    With jump masks (see the module docstring) a label is kept exactly
-    when its mask is full, and no degeneracy is evaluated.  Otherwise the
-    degenerate coordinates are read off the degeneracy matrices, and
-    DegeneracyShapeError is raised when those are not signed basis
-    injections.
+    With masks (see the module docstring) the basis is the elements whose
+    mask is full: only they get labels and face columns, and no
+    degeneracy is evaluated.  A face row outside them is dropped once its
+    mask shows it degenerate.  Otherwise the degenerate coordinates are
+    read off the degeneracy matrices, and DegeneracyShapeError is raised
+    when those are not signed basis injections.
     """
-    masks = A.jump_masks()
-    nondeg = {}
-    for n in range(A.n_max + 1):
-        if masks is not None:
-            full = (1 << n) - 1
-            nondeg[n] = [i for i, m in enumerate(masks[n]) if m == full]
-            continue
-        deg_rows = degenerate_indices(A, n) if n else set()
-        nondeg[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
+    masked = A.has_masks()
+    if masked:
+        keep = {n: A.nondegenerate(n) for n in range(A.n_max + 1)}
+        label, column = A.label, A.face_col
+    else:
+        keep = {}
+        for n in range(A.n_max + 1):
+            deg_rows = degenerate_indices(A, n) if n else set()
+            keep[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
+
+        def label(n, i):
+            return A.level(n).labels[i]
+
+        def column(n, i, c):
+            return A.face(n, i).col(c)
+
     ring = A.ring
-    modules = {}
-    for n, keep in nondeg.items():
-        modules[n] = LabeledFreeModule(ring, [A.level(n).labels[i] for i in keep])
+    modules = {n: LabeledFreeModule(ring, [label(n, e) for e in kept]) for n, kept in keep.items()}
     diffs = {}
     for n in range(1, A.n_max + 1):
         if modules[n].rank == 0 or modules[n - 1].rank == 0:
             continue
-        keep_src = nondeg[n]
-        pos_of = {row: p for p, row in enumerate(nondeg[n - 1])}
+        pos_of = {e: p for p, e in enumerate(keep[n - 1])}
+        full = (1 << (n - 1)) - 1
         cols = {}
-        for cpos, c in enumerate(keep_src):
+        for cpos, e in enumerate(keep[n]):
             acc: dict = {}
             for i in range(n + 1):
-                for row, poly in A.face(n, i).col(c).items():
+                for row, poly in column(n, i, e).items():
                     p = pos_of.get(row)
                     if p is None:
+                        if masked and A.mask(n - 1, row) == full:
+                            raise RuntimeError("a face hit a nondegenerate element left out")
                         continue
                     term = poly if i % 2 == 0 else -poly
                     cur = acc.get(p)
@@ -284,46 +346,145 @@ def normalize(A: SimplicialModule) -> ChainComplex:
 # --- diagonal tensor and pointwise functors ---------------------------------
 
 
+class _Composite(SimplicialModule):
+    """The diagonal tensor of ``factors``, or the functor ``tag`` applied
+    levelwise to its one factor.
+
+    A basis element of level n is the tuple of its parts: one element of
+    each factor's level n for the diagonal, the parts of a basis element
+    of F (see ``functor_parts``) over the factor's level n for a functor.
+    Tuples compare in label order.  Columns, labels and masks are built
+    from the factors', element by element: a face or degeneracy acts
+    factorwise, or through the functor's column kernel, and a mask is the
+    union of its parts' masks.  The full level modules, faces and
+    degeneracies are built only on first access.
+    """
+
+    def __init__(self, factors, tag: FunctorTag | None = None):
+        A = factors[0]
+        self.factors, self.tag = factors, tag
+        self._one = A.ring.one()
+        self._slots = factors if tag is None else [A] * tag.arity  # the factor of each part
+        self._cache: dict = {}  # (what, n[, i]) -> {element: value}
+        levels = {
+            n: LazyModule(A.ring, self._rank(n), partial(self._labels, n))
+            for n in range(A.n_max + 1)
+        }
+        faces = _Maps(build=partial(self._full_map, "face_col", -1))
+        degeneracies = _Maps(build=partial(self._full_map, "degeneracy_col", 1))
+        super().__init__(A.ring, A.n_max, levels, faces, degeneracies)
+
+    def has_masks(self) -> bool:
+        return not self.degeneracies.replaced and all(F.has_masks() for F in self.factors)
+
+    def _rank(self, n: int) -> int:
+        if self.tag is None:
+            return prod(F.levels[n].rank for F in self.factors)
+        return functor_rank(self.tag, self.factors[0].levels[n].rank)
+
+    def _part_tuples(self, pools):
+        """The basis tuples over ``pools``, one sequence per factor, in order."""
+        if self.tag is None:
+            return product(*pools)
+        return functor_parts(self.tag, pools[0])
+
+    def elements(self, n: int) -> list:
+        els = self._cache.get(("elements", n))
+        if els is None:
+            pools = [list(F.elements(n)) for F in self.factors]
+            els = self._cache["elements", n] = list(self._part_tuples(pools))
+        return els
+
+    def label(self, n: int, e):
+        memo = self._cache.setdefault(("label", n), {})
+        lab = memo.get(e)
+        if lab is None:
+            parts = [F.label(n, x) for F, x in zip(self._slots, e)]
+            lab = tens(tuple(parts)) if self.tag is None else functor_label(self.tag, parts)
+            memo[e] = lab
+        return lab
+
+    def _labels(self, n: int) -> list:
+        return [self.label(n, e) for e in self.elements(n)]
+
+    def mask(self, n: int, e) -> int:
+        memo = self._cache.setdefault(("mask", n), {})
+        m = memo.get(e)
+        if m is None:
+            m = 0
+            for F, x in zip(self._slots, e):
+                m |= F.mask(n, x)
+            memo[e] = m
+        return m
+
+    def _full_mask_elements(self, n: int) -> list:
+        """Enumerate position tuples over the factors' levels and keep those
+        whose masks cover [n]; no other element is formed.  A factor
+        element whose mask is too small to be completed to n gaps by the
+        other parts' largest masks is left out of the enumeration."""
+        full = (1 << n) - 1
+        pools = []
+        for F in self.factors:
+            pairs = [(x, F.mask(n, x)) for x in F.elements(n)]
+            pools.append((pairs, max((m.bit_count() for _, m in pairs), default=0)))
+        arity = len(pools) if self.tag is None else self.tag.arity
+        room = sum(top for _, top in pools) * (1 if self.tag is None else arity)
+        pools = [
+            [(x, m) for x, m in pairs if m.bit_count() + room - top >= n] for pairs, top in pools
+        ]
+        slots = pools if self.tag is None else pools * arity
+        out = []
+        for idx in self._part_tuples([range(len(pool)) for pool in pools]):
+            m = 0
+            for pool, i in zip(slots, idx):
+                m |= pool[i][1]
+            if m == full:
+                out.append(tuple(pool[i][0] for pool, i in zip(slots, idx)))
+        return out
+
+    def _column(self, op: str, n: int, i: int, e) -> dict:
+        memo = self._cache.setdefault((op, n, i), {})
+        col = memo.get(e)
+        if col is None:
+            cols = [partial(getattr(F, op), n, i) for F in self.factors]
+            if self.tag is None:
+                col = tensor_column(cols, e)
+            else:
+                col = functor_column(self.tag, cols[0], e, self._one)
+            memo[e] = col
+        return col
+
+    def face_col(self, n: int, i: int, e) -> dict:
+        return self._column("face_col", n, i, e)
+
+    def degeneracy_col(self, n: int, j: int, e) -> dict:
+        return self._column("degeneracy_col", n, j, e)
+
+    def _full_map(self, op: str, step: int, n: int, i: int) -> MapMatrix:
+        """The face (step -1) or degeneracy (step +1) ``i`` on level n, on
+        the full level modules."""
+        m = n + step
+        if not (0 <= min(n, m) and max(n, m) <= self.n_max and 0 <= i <= n):
+            raise KeyError((n, i))
+        els = self.elements(n)
+        row_of = {e: p for p, e in enumerate(self.elements(m))}
+
+        def provider(c):
+            return {row_of[e]: q for e, q in self._column(op, n, i, els[c]).items()}
+
+        return MapMatrix(self.levels[n], self.levels[m], provider=provider)
+
+
 def diagonal_tensor(As) -> SimplicialModule:
     """Diagonal of the multi-simplicial tensor: level n is the tensor of
     the levels n, faces and degeneracies act factorwise."""
-    n_max = As[0].n_max
-    if any(A.n_max != n_max for A in As):
+    if any(A.n_max != As[0].n_max for A in As):
         raise ValueError("mismatched truncation degrees")
-    ring = As[0].ring
-    levels = {n: tensor_modules([A.level(n) for A in As]) for n in range(n_max + 1)}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            maps = [A.face(n, i) for A in As]
-            faces[(n, i)] = tensor_maps(maps, levels[n], levels[n - 1])
-    for n in range(0, n_max):
-        for j in range(n + 1):
-            maps = [A.degeneracy(n, j) for A in As]
-            degeneracies[(n, j)] = tensor_maps(maps, levels[n], levels[n + 1])
-    factor_masks = [A.jump_masks() for A in As]
-    masks = None
-    if all(m is not None for m in factor_masks):
-        masks = {n: tensor_masks([m[n] for m in factor_masks]) for n in range(n_max + 1)}
-    return SimplicialModule(ring, n_max, levels, faces, degeneracies, masks)
+    return _Composite(list(As))
 
 
 def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialModule:
-    levels = {n: functor_module(tag, A.level(n)) for n in range(A.n_max + 1)}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, A.n_max + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = functor_on_map(tag, A.face(n, i), levels[n], levels[n - 1])
-    for n in range(0, A.n_max):
-        for j in range(n + 1):
-            degeneracies[(n, j)] = functor_on_map(
-                tag, A.degeneracy(n, j), levels[n], levels[n + 1]
-            )
-    inner = A.jump_masks()
-    masks = None if inner is None else {n: functor_masks(tag, m) for n, m in inner.items()}
-    return SimplicialModule(A.ring, A.n_max, levels, faces, degeneracies, masks)
+    return _Composite([A], tag)
 
 
 # --- Eilenberg-Zilber comparison maps ----------------------------------------
@@ -478,10 +639,14 @@ def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
     D with C and N(D) is the previous ``shuffle.target``.
     """
     top = As[0].n_max
-    D, ND = As[0], normalize(As[0])
+    normalized = {}  # id -> N(A), so a factor repeated in As is normalized once
+    for A in As:
+        if id(A) not in normalized:
+            normalized[id(A)] = normalize(A)
+    D, ND = As[0], normalized[id(As[0])]
     sh = aw = None
     for k in range(1, len(As)):
-        C, NC = As[k], normalize(As[k])
+        C, NC = As[k], normalized[id(As[k])]
         E = diagonal_tensor(As[: k + 1])
         sh_k, aw_k = _ez_pair(D, ND, C, NC, E)
         if sh is not None:

@@ -93,6 +93,22 @@ def test_functoriality(tag):
     assert Fid.equals(ln.identity_map(Fid.source))
 
 
+@pytest.mark.parametrize(
+    "dual, tag",
+    [(fu.Div(2), fu.Sym(2)), (fu.Div(3), fu.Sym(3)), (fu.CoSchurL31, fu.SchurL31)],
+    ids=["div2", "div3", "coschur3"],
+)
+def test_dual_functors_are_transposes_on_the_transpose(dual, tag):
+    """Divided powers and co-Schur are evaluated column by column; their
+    matrices are those of Sym and Schur on the transposed map, transposed."""
+    rng = np.random.default_rng(5)
+    A, B = km("a", 3), km("b", 4)
+    f = rand_map(rng, A, B)
+    Ff = fu.functor_on_map(dual, f).materialize().to_field_matrix()
+    Gt = fu.functor_on_map(tag, f.transpose_raw(B, A)).materialize().to_field_matrix()
+    assert Ff.shape == Gt.T.shape and (Ff == Gt.T).all()
+
+
 def test_cross_effect_ranks_sym_cube():
     args = lambda k: [km(f"v{i}", 1) for i in range(k)]
     assert fu.cross_effect(fu.Sym(3), args(2)).module.rank == 2

@@ -8,7 +8,7 @@ import pytest
 from conftest import two_term
 from dflab import functors as fu
 from dflab import linear as ln
-from dflab import scenarios, simplicial
+from dflab import complexes, scenarios, simplicial
 from dflab.complexes import is_quasi_iso, total_complex, total_complex_many, truncate
 from dflab.ring import ring_descriptor
 from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
@@ -281,9 +281,21 @@ def without_masks(A):
     return SimplicialModule(A.ring, A.n_max, A.levels, A.faces, A.degeneracies)
 
 
+def assert_normalizations_agree(A, name):
+    """normalize(A) from the masks equals normalize from the matrix path."""
+    N, M = normalize(A), normalize(without_masks(A))
+    assert N.ranks() == M.ranks(), name
+    for n in range(A.n_max + 1):
+        assert N.module(n).labels == M.module(n).labels, (name, n)
+        if n:
+            assert N.diff(n).equals(M.diff(n)), (name, n)
+
+
 @pytest.mark.parametrize("rationals", [False, True])
 def test_masks_give_the_degenerate_labels(rationals):
-    """The mask rule against the matrix path, level by level."""
+    """The mask rule against the matrix path, level by level, and the
+    normalized complexes of both paths: every module up to level 4,
+    three of them up to level 5."""
     ring = ring_descriptor(rationals=rationals)
     for name, A in mask_oracle_modules(ring).items():
         masks = A.jump_masks()
@@ -293,12 +305,9 @@ def test_masks_give_the_degenerate_labels(rationals):
             by_mask = {i for i, m in enumerate(masks[n]) if m != full}
             assert by_mask == degenerate_indices(A, n), (name, n)
         if name in ("Sym2(GP) x GP", "L31(GK)", "Div3(GK)"):
-            N, M = normalize(A), normalize(without_masks(A))
-            assert N.ranks() == M.ranks(), name
-            for n in range(A.n_max + 1):
-                assert N.module(n).labels == M.module(n).labels, (name, n)
-                if n:
-                    assert N.diff(n).equals(M.diff(n)), (name, n)
+            assert_normalizations_agree(A, name)
+    for name, A in mask_oracle_modules(ring, n_max=4).items():
+        assert_normalizations_agree(A, name)
 
 
 def test_replaced_degeneracy_takes_the_matrix_path(kl_pair):
@@ -318,53 +327,92 @@ def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
     S3 = apply_pointwise_functor(fu.Sym(3), diagonal_tensor([GK, GL]))
     NS3 = normalize(S3)
     one = ring97.one()
+    sources = _cauchy_sources(GK, GL)
     for n in range(5):
         level, Nmod = S3.level(n), NS3.module(n)
         proj_cols = {level.index(lab): {p: one} for p, lab in enumerate(Nmod.labels)}
         proj = ln.MapMatrix(level, Nmod, proj_cols)
         P, Q = GK.level(n), GL.level(n)
         gens = (fu.cauchy_det_map(P, Q), fu.cauchy_m21_map(P, Q))
-        for gen, keep in zip(gens, _cauchy_sources(GK, GL, n)):
+        for gen, src in zip(gens, sources):
+            assert src.level(n).labels == gen.source.labels, n
+            position = {e: j for j, e in enumerate(src.elements(n))}
+            keep = [position[e] for e in src.nondegenerate(n)]
             M = proj.compose(gen).to_field_matrix()
             nonzero = [j for j in range(M.shape[1]) if M[:, j].any()]
             assert nonzero == keep, n
 
 
 def test_pipelines_evaluate_no_degeneracy_column(monkeypatch):
-    degeneracy_maps, alive, calls = set(), [], []  # alive: no id is reused
-    init, col, signed = SimplicialModule.__init__, ln.MapMatrix.col, simplicial._signed_image
+    """gk, cross3 and check-l31 build no degeneracy map of a composite
+    module (a diagonal tensor or pointwise functor), evaluate no
+    degeneracy column of any module and check no degeneracy's shape."""
+    modules, gamma_degeneracies, calls = [], set(), []
+    init, col = SimplicialModule.__init__, ln.MapMatrix.col
 
     def record(self, *args, **kw):
         init(self, *args, **kw)
-        alive.extend(self.degeneracies.values())
-        degeneracy_maps.update(id(s) for s in self.degeneracies.values())
+        modules.append(self)  # kept alive, so no id is reused
+        gamma_degeneracies.update(id(s) for s in self.degeneracies.values())
 
     def counted_col(self, j):
-        if id(self) in degeneracy_maps:
+        if id(self) in gamma_degeneracies:
             calls.append("col")
         return col(self, j)
 
-    def counted_signed(*args):
-        calls.append("_signed_image")
-        return signed(*args)
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
 
     monkeypatch.setattr(SimplicialModule, "__init__", record)
     monkeypatch.setattr(ln.MapMatrix, "col", counted_col)
-    monkeypatch.setattr(simplicial, "_signed_image", counted_signed)
-    for name in ("gk", "cross3"):
+    signed = counted("_signed_image", simplicial._signed_image)
+    monkeypatch.setattr(simplicial, "_signed_image", signed)
+    for cls in (SimplicialModule, simplicial._Composite):
+        original = cls.__dict__["degeneracy_col"]
+        monkeypatch.setattr(cls, "degeneracy_col", counted("degeneracy_col", original))
+    for name in ("gk", "cross3", "check-l31"):
         assert SCENARIOS[name](ScenarioConfig()).passed, name
-    assert degeneracy_maps and calls == []
+    composites = [A for A in modules if isinstance(A, simplicial._Composite)]
+    assert composites and gamma_degeneracies and calls == []
+    assert all(len(A.degeneracies) == 0 for A in composites)
+
+
+def test_check_l31_builds_few_labels(monkeypatch):
+    """Labels exist only for nondegenerate elements (and the small gamma
+    levels): one check-l31 run builds at most 30,000 of them (227,807
+    when every level and Cauchy source was built in full)."""
+    built = []
+    init = ln.LabeledFreeModule.__init__
+
+    def counted(self, ring, labels):
+        labels = tuple(labels)
+        built.append(len(labels))
+        init(self, ring, labels)
+
+    monkeypatch.setattr(ln.LabeledFreeModule, "__init__", counted)
+    assert SCENARIOS["check-l31"](ScenarioConfig()).passed
+    assert 0 < sum(built) <= 30_000, sum(built)
 
 
 def test_check_ez_build_counts(monkeypatch):
     counts = Counter()
-    for name in ("normalize", "diagonal_tensor"):
+    for module, names in (
+        (simplicial, ("normalize", "diagonal_tensor")),
+        (complexes, ("homology_graded",)),
+    ):
+        for name in names:
 
-        def counted(*args, _build=getattr(simplicial, name), _name=name):
-            counts[_name] += 1
-            return _build(*args)
+            def counted(*args, _build=getattr(module, name), _name=name, **kw):
+                counts[_name] += 1
+                return _build(*args, **kw)
 
-        for module in (simplicial, scenarios):
-            monkeypatch.setattr(module, name, counted)
+            for owner in (module, scenarios):
+                monkeypatch.setattr(owner, name, counted)
     assert SCENARIOS["check-ez"](ScenarioConfig()).passed
-    assert 0 < counts["normalize"] <= 8 and 0 < counts["diagonal_tensor"] <= 3, counts
+    # normalize: the three distinct factors and the two diagonals;
+    # homology_graded: both sides of the pair and of the triple, once each
+    assert counts == {"normalize": 6, "diagonal_tensor": 3, "homology_graded": 4}, counts
