@@ -19,6 +19,7 @@ unreduced complex, so ``engines_agree`` also checks the reduction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 
 from . import fieldla
@@ -174,20 +175,86 @@ def truncate(C: ChainComplex, top: int) -> ChainComplex:
 # --- reduction over R --------------------------------------------------------
 
 
+class _PivotHeap:
+    """Unit-pivot candidates of one degree, popped by least Markowitz cost.
+
+    The cost of (i, j) is (row count - 1) * (column count - 1) in the
+    current matrix.  ``pop`` returns exactly min((cost, i, j)) over the
+    live candidates: every candidate keeps a heap entry whose stored cost
+    is at most its current cost (``push`` on entry, ``shrunk`` again
+    whenever its row or column loses an entry), so the first entry that
+    is live and not stale is the minimum, ties included.  A stale entry
+    (the row or column has grown since) is pushed again at its cost.
+    """
+
+    def __init__(self, rows: dict, cols: dict):
+        self.rows, self.cols = rows, cols
+        self.live: set = set()
+        self.heap: list = []
+
+    def cost(self, i, j) -> int:
+        return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
+
+    def push(self, i, j):
+        self.live.add((i, j))
+        heapq.heappush(self.heap, (self.cost(i, j), i, j))
+
+    def discard(self, i, j):
+        self.live.discard((i, j))
+
+    def shrunk(self, rows, cols):
+        """Push again the candidates of rows and columns that lost entries."""
+        live, heap = self.live, self.heap
+        for r in rows:
+            for b in self.rows.get(r, ()):
+                if (r, b) in live:
+                    heapq.heappush(heap, (self.cost(r, b), r, b))
+        for b in cols:
+            for r in self.cols.get(b, ()):
+                if (r, b) in live:
+                    heapq.heappush(heap, (self.cost(r, b), r, b))
+
+    def pop(self):
+        """The cheapest candidate (i, j), removed; None when none is left."""
+        heap = self.heap
+        while heap:
+            stored, i, j = heapq.heappop(heap)
+            if (i, j) not in self.live:
+                continue
+            now = self.cost(i, j)
+            if stored != now:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            self.live.discard((i, j))
+            return i, j
+        return None
+
+
 def reduce_complex(C: ChainComplex) -> ChainComplex:
     """A smaller complex homotopy equivalent to C over R.
 
-    Gaussian elimination with unit pivots: for a nonzero constant entry
-    u = d_n[i, j] between generators of equal internal degree, the pair
-    (e_j, e_i) is cancelled.  Every other column b of d_n becomes
-    col_b - (col_b[i] / u) col_j, row i of d_n and column j are dropped,
-    row j of d_{n+1} and column i of d_{n-1} are dropped.  Pivots are
-    taken by smallest (row count - 1) * (column count - 1), one degree at
-    a time from the bottom; dropping rows and columns never creates a
-    unit, so a finished degree stays finished.  Homogeneity is kept, and
-    the result has no unit entries left: on homogeneous input it is the
-    minimal complex.
+    Gaussian elimination with unit pivots (the unit-pivot reduction of
+    algebraic Morse theory, Sköldberg, Trans. AMS 358 (2006)): for a
+    nonzero constant entry u = d_n[i, j] between generators of equal
+    internal degree, the pair (e_j, e_i) is cancelled.  Every other
+    column b of d_n becomes col_b - (col_b[i] / u) col_j, row i of d_n
+    and column j are dropped, row j of d_{n+1} and column i of d_{n-1}
+    are dropped.  Pivots are taken by least Markowitz cost (row count - 1)
+    * (column count - 1) (Markowitz, Management Sci. 3 (1957)), ties by
+    (i, j), one degree at a time from the bottom; dropping rows and
+    columns never creates a unit, so a finished degree stays finished.
+    The candidates sit in a lazily invalidated heap (``_PivotHeap``) that
+    pops exactly the candidate a full scan for min((cost, i, j)) would
+    pick, so the pivot order, and the result, are those of that scan.
+    Homogeneity is kept, and the result has no unit entries left: on
+    homogeneous input it is the minimal complex.
     """
+    return _reduce_complex(C, _PivotHeap)
+
+
+def _reduce_complex(C: ChainComplex, pivots) -> ChainComplex:
+    """reduce_complex; ``pivots(rows, cols)`` makes each degree's candidate
+    queue (``push``, ``discard``, ``shrunk``, ``pop`` as in ``_PivotHeap``)."""
     field = C.ring.field
     cols = {
         n: {j: dict(d.col(j)) for j in range(d.source.rank) if d.col(j)}
@@ -207,17 +274,22 @@ def reduce_complex(C: ChainComplex) -> ChainComplex:
         def is_pivot(i, j, q):
             return q.is_unit() and sdeg[j] == tdeg[i]
 
-        cand = {(i, j) for j, col in cn.items() for i, q in col.items() if is_pivot(i, j, q)}
-        while cand:
-            _, i, j = min(((len(rn[i]) - 1) * (len(cn[j]) - 1), i, j) for i, j in cand)
+        cand = pivots(rn, cn)
+        for j, col in cn.items():
+            for i, q in col.items():
+                if is_pivot(i, j, q):
+                    cand.push(i, j)
+        while (pivot := cand.pop()) is not None:
+            i, j = pivot
             cj = cn.pop(j)
             for r in cj:
                 rn[r].discard(j)
-                cand.discard((r, j))
+                cand.discard(r, j)
             ratio = field.neg(field.inv(cj.pop(i).leading()[1]))
-            for b in rn.pop(i):
+            row_i = rn.pop(i)
+            for b in row_i:
                 cb = cn[b]
-                cand.discard((i, b))
+                cand.discard(i, b)
                 factor = cb.pop(i).scale(ratio)
                 for r, p in cj.items():
                     q = factor * p
@@ -226,16 +298,17 @@ def reduce_complex(C: ChainComplex) -> ChainComplex:
                     if q.is_zero():
                         del cb[r]
                         rn[r].discard(b)
-                        cand.discard((r, b))
+                        cand.discard(r, b)
                         continue
                     cb[r] = q
                     rn.setdefault(r, set()).add(b)
                     if is_pivot(r, b, q):
-                        cand.add((r, b))
+                        cand.push(r, b)
                     else:
-                        cand.discard((r, b))
+                        cand.discard(r, b)
                 if not cb:
                     del cn[b]
+            cand.shrunk(cj, row_i)
             if n + 1 in cols:
                 above = cols[n + 1]
                 for b in rows[n + 1].pop(j, ()):

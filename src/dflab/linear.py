@@ -13,8 +13,10 @@ multiset sorting, slice ordering).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import fieldla
-from .ring import Poly, RingDescriptor, monomial_key, monomial_mul, monomials_of_degree
+from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, monomials_of_degree
 
 # --- labels --------------------------------------------------------------
 
@@ -297,21 +299,30 @@ class MapMatrix:
     # algebra ------------------------------------------------------------
 
     def compose(self, f: "MapMatrix") -> "MapMatrix":
-        """self ∘ f (apply f first)."""
+        """self ∘ f (apply f first).
+
+        Each output column accumulates raw term dicts with ``addmul`` and
+        makes one Poly per nonzero entry.  Every entry's ring is checked
+        against this map's (identity first, then ``check_compatible``).
+        """
         if f.target.labels != self.source.labels:
             raise ValueError("shape mismatch in compose")
-
-        def provider(j, f=f, g=self):
-            out: dict = {}
-            ring = g.target.ring
+        ring = self.source.ring
+        field = ring.field
+        cols = {}
+        for j in range(f.source.rank):
+            acc: dict = {}
             for i, q in f.col(j).items():
-                for k, r in g.col(i).items():
-                    prod = r * q
-                    acc = out.get(k)
-                    out[k] = prod if acc is None else acc + prod
-            return out
-
-        return MapMatrix(f.source, self.target, provider=provider).materialize()
+                if q.ring is not ring:
+                    ring.check_compatible(q.ring)
+                for k, r in self.col(i).items():
+                    if r.ring is not ring:
+                        ring.check_compatible(r.ring)
+                    addmul(acc.setdefault(k, {}), r.terms, q.terms, field)
+            col = {k: Poly(ring, terms) for k, terms in acc.items() if terms}
+            if col:
+                cols[j] = col
+        return MapMatrix(f.source, self.target, cols)
 
     def __add__(self, other: "MapMatrix") -> "MapMatrix":
         cols: dict = {}
@@ -371,15 +382,18 @@ def zero_map(source, target) -> MapMatrix:
 
 
 def from_field_matrix(source, target, M) -> MapMatrix:
+    """Constant map with the target.rank x source.rank field matrix M.
+
+    Reads only the nonzero cells of each column (int64 residues over F_p,
+    ``Fraction`` objects over Q).
+    """
     ring = source.ring
     cols: dict = {}
     for j in range(source.rank):
-        col = {}
-        for i in range(target.rank):
-            if M[i, j] != 0:
-                col[i] = ring.const(M[i, j])
-        if col:
-            cols[j] = col
+        column = M[:, j]
+        rows = np.flatnonzero(column)
+        if len(rows):
+            cols[j] = {int(i): ring.const(column[i]) for i in rows}
     return MapMatrix(source, target, cols)
 
 

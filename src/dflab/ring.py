@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 
 class DescriptorError(ValueError):
@@ -271,6 +272,26 @@ class RingDescriptor:
         return base
 
 
+def addmul(acc: dict, a: dict, b: dict, field) -> dict:
+    """acc += a * b on term dicts, in place; returns acc.
+
+    The one multiply-accumulate kernel of the ring layer: ``Poly.__mul__``
+    and ``MapMatrix.compose`` both run on it.  A coefficient that sums to
+    zero (a cancellation, or a multiple of p) is removed, so acc never
+    holds a zero term.
+    """
+    zero, fadd, fmul = field.zero, field.add, field.mul
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            s = fadd(acc.get(m, zero), fmul(c1, c2))
+            if s == zero:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+    return acc
+
+
 class Poly:
     """Sparse polynomial: dict of exponent tuple -> nonzero coefficient."""
 
@@ -302,7 +323,8 @@ class Poly:
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        self.ring.check_compatible(other.ring)
+        if other.ring is not self.ring:
+            self.ring.check_compatible(other.ring)
         F = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -321,18 +343,9 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self.ring.check_compatible(other.ring)
-        F = self.ring.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if s == F.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Poly(self.ring, out)
+        if other.ring is not self.ring:
+            self.ring.check_compatible(other.ring)
+        return Poly(self.ring, addmul({}, self.terms, other.terms, self.ring.field))
 
     def scale(self, c) -> "Poly":
         F = self.ring.field
@@ -364,7 +377,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.ring.compatible(other.ring)
+            and (other.ring is self.ring or self.ring.compatible(other.ring))
             and self.terms == other.terms
         )
 

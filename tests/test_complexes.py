@@ -1,11 +1,14 @@
 """Chain complexes, total complexes, shifts, and the homology engines."""
 
+import hashlib
+import json
+import pathlib
 from math import comb
 
 import pytest
 
 from conftest import engines_complex, two_term
-from dflab import fieldla
+from dflab import complexes, fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
 from dflab.complexes import (
@@ -23,6 +26,7 @@ from dflab.complexes import (
 from dflab.functors import Sym
 from dflab.koszul import regular_sequence_resolution
 from dflab.ring import ring_descriptor
+from dflab.scenarios import m21_complex
 from dflab.simplicial import apply_pointwise_functor, diagonal_tensor, gamma, normalize
 
 R = ring_descriptor()
@@ -220,3 +224,130 @@ def test_ri_rank_counts_free_generators_over_the_quotient(resolution):
     assert rep.degrees[0].annihilator_ok == {"x": True, "y^2": True}
     assert rep.degrees[0].stabilized and rep.degrees[0].ri_rank is None
     assert rep.rank_vector([0, 1, 2]) == [None, 0, 0]
+
+
+# --- pinned reductions ---------------------------------------------------------
+#
+# tests/data/reduced-complexes.json holds, for the normalized gk and cross3
+# complexes at default scale (F_97, (x, y), n_max 7) and for m21_complex's
+# complex, the ranks and the sha256 of ``_reduced_digest``: every label,
+# degree and entry (with its terms) of ``reduce_complex``'s output.  It was
+# written before the pivots moved from a full min-scan to a heap, so any
+# change to the pivot order shows up here.
+
+REDUCED = pathlib.Path(__file__).parent / "data" / "reduced-complexes.json"
+
+
+def _reduced_digest(C):
+    M = reduce_complex(C)
+    doc = {
+        str(n): {
+            "labels": [repr(lab) for lab in M.module(n).labels],
+            "degrees": list(M.module(n).degrees),
+            "entries": [
+                [j, i, sorted([list(m), str(c)] for m, c in q.terms.items())]
+                for j in range(M.module(n).rank)
+                for i, q in sorted(M.diff(n).col(j).items())
+            ],
+        }
+        for n in M.support()
+    }
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return {"ranks": [M.module(n).rank for n in M.support()], "sha256": digest}
+
+
+def _pinned_complexes(ring):
+    GP = gamma(regular_sequence_resolution(ring), 7)
+    return {
+        "gk": normalize(apply_pointwise_functor(Sym(3), GP)),
+        "cross3": normalize(diagonal_tensor([GP, GP, GP])),
+        "m21": m21_complex(ring, 7)[0],
+    }
+
+
+def test_reduced_complexes_match_the_pinned_digests(ring97):
+    expected = json.loads(REDUCED.read_text())
+    got = {name: _reduced_digest(C) for name, C in _pinned_complexes(ring97).items()}
+    assert got == expected
+
+
+# --- the pivot heap against a full scan ----------------------------------------
+
+
+class ScanPivots:
+    """Reference queue: every pivot is min((cost, i, j)) over a full scan
+    of the live candidates."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols, self.live = rows, cols, set()
+        self.order = []
+
+    def push(self, i, j):
+        self.live.add((i, j))
+
+    def discard(self, i, j):
+        self.live.discard((i, j))
+
+    def shrunk(self, rows, cols):
+        pass
+
+    def pop(self):
+        if not self.live:
+            return None
+        _, i, j = min(
+            ((len(self.rows[i]) - 1) * (len(self.cols[j]) - 1), i, j) for i, j in self.live
+        )
+        self.live.discard((i, j))
+        self.order.append((i, j))
+        return i, j
+
+
+class RecordedHeap(complexes._PivotHeap):
+    def __init__(self, rows, cols):
+        super().__init__(rows, cols)
+        self.order = []
+
+    def pop(self):
+        pivot = super().pop()
+        if pivot is not None:
+            self.order.append(pivot)
+        return pivot
+
+
+def _reduced_with(C, queue):
+    """(reduced complex, pivot order per degree) with the queue class ``queue``."""
+    queues = []
+
+    def make(rows, cols):
+        queues.append(queue(rows, cols))
+        return queues[-1]
+
+    return complexes._reduce_complex(C, make), [q.order for q in queues]
+
+
+def _small_complexes(ring):
+    x, y = ring.var("x"), ring.var("y")
+    resolution = total_complex(two_term(ring, "k", x, 1), two_term(ring, "l", y, 1))
+    cone = shift(two_term(ring, "u", ring.one(), 0), -3)
+    stacked = ChainComplex(
+        ring,
+        {**resolution.modules, 3: cone.module(3), 4: cone.module(4)},
+        {**resolution.diffs, 4: cone.diff(4)},
+    )
+    return {"cone": cone, "resolution+cone": stacked, "engines": engines_complex(ring)}
+
+
+@pytest.mark.parametrize(
+    "ring", [ring_descriptor(prime=2), ring_descriptor(), ring_descriptor(rationals=True)],
+    ids=["F_2", "F_97", "QQ"],
+)
+def test_pivot_heap_matches_the_full_scan(ring):
+    for name, C in _small_complexes(ring).items():
+        heap, heap_order = _reduced_with(C, RecordedHeap)
+        scan, scan_order = _reduced_with(C, ScanPivots)
+        assert heap_order == scan_order and any(heap_order), name
+        assert heap.ranks() == scan.ranks(), name
+        for n in heap.support():
+            assert heap.module(n).labels == scan.module(n).labels, name
+            assert heap.diff(n).equals(scan.diff(n)), name
+        assert reduce_complex(C).ranks() == heap.ranks(), name

@@ -1,10 +1,13 @@
 """Labeled modules, sparse matrices, graded slices."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from dflab import fieldla
 from dflab import linear as ln
-from dflab.ring import ring_descriptor
+from dflab.ring import DescriptorError, Poly, addmul, ring_descriptor
 
 R = ring_descriptor()
 X, Y = R.var("x"), R.var("y")
@@ -135,3 +138,143 @@ def test_label_order_total():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         ln.LabeledFreeModule(R, [ln.atom("a", 0), ln.atom("a", 0)])
+
+
+# --- the multiply-accumulate kernel and sparse field matrices ------------------
+
+KERNEL_RINGS = {
+    "F_2": ring_descriptor(prime=2),
+    "F_97": ring_descriptor(),
+    "QQ": ring_descriptor(rationals=True),
+}
+
+
+def _random_poly(ring, rng):
+    """A sparse poly with small exponents, coefficients often cancelling mod p."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 4))):
+        mono = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        c = ring.field.coerce(Fraction(int(rng.integers(-3, 4)), int(rng.choice([1, 3]))))
+        if c != ring.field.zero:
+            terms[mono] = c
+    return Poly(ring, terms)
+
+
+def _random_map(ring, src, tgt, rng, density=0.4):
+    cols = {}
+    for j in range(src.rank):
+        col = {}
+        for i in range(tgt.rank):
+            if rng.random() < density:
+                q = _random_poly(ring, rng)
+                if not q.is_zero():
+                    col[i] = q
+        if col:
+            cols[j] = col
+    return ln.MapMatrix(src, tgt, cols)
+
+
+def _naive_product_terms(ring, pairs):
+    """sum of r * q over (r, q) pairs: integer or Fraction sums per monomial,
+    coerced into the field at the end, zeros dropped."""
+    sums: dict = {}
+    for r, q in pairs:
+        for m1, c1 in r.terms.items():
+            for m2, c2 in q.terms.items():
+                m = (m1[0] + m2[0], m1[1] + m2[1])
+                sums[m] = sums.get(m, 0) + c1 * c2
+    out = {m: ring.field.coerce(c) for m, c in sums.items()}
+    return {m: c for m, c in out.items() if c != ring.field.zero}
+
+
+def _no_zero_terms(poly):
+    return all(c != poly.ring.field.zero for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_compose_and_mul_match_naive_products(name):
+    ring = KERNEL_RINGS[name]
+    rng = np.random.default_rng(7)
+    mods = [ln.LabeledFreeModule(ring, [ln.atom(f"k{k}_{i}", 0) for i in range(5)]) for k in range(3)]
+    for _ in range(10):
+        f = _random_map(ring, mods[0], mods[1], rng)
+        g = _random_map(ring, mods[1], mods[2], rng)
+        gf = g.compose(f)
+        for j in range(mods[0].rank):
+            want = {}
+            for k in range(mods[2].rank):
+                pairs = [(g.col(i)[k], q) for i, q in f.col(j).items() if k in g.col(i)]
+                terms = _naive_product_terms(ring, pairs)
+                if terms:
+                    want[k] = terms
+            assert {k: q.terms for k, q in gf.col(j).items()} == want
+            assert all(_no_zero_terms(q) for q in gf.col(j).values())
+        for _ in range(10):
+            a, b = _random_poly(ring, rng), _random_poly(ring, rng)
+            ab = a * b
+            assert ab.terms == _naive_product_terms(ring, [(a, b)])
+            assert _no_zero_terms(ab) and ab.ring is ring
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_kernel_drops_cancelled_terms(name):
+    ring = KERNEL_RINGS[name]
+    x, y = ring.var("x"), ring.var("y")
+    minus_one = ring.const(-1)
+    # (x + y)(x - y): the xy terms cancel in every characteristic
+    assert (x + y) * (x + y * minus_one) == x * x + y * y * minus_one
+    assert addmul({}, (x + y).terms, (x + y * minus_one).terms, ring.field) == (x * x + y * y * minus_one).terms
+    # a row (x, y) against the column (y, -x) composes to a zero entry
+    A = ln.LabeledFreeModule(ring, [ln.atom("a", 0)])
+    B = ln.LabeledFreeModule(ring, [ln.atom("b1", 0), ln.atom("b2", 0)])
+    row = ln.MapMatrix(B, A, {0: {0: x}, 1: {0: y}})
+    col = ln.MapMatrix(A, B, {0: {0: y, 1: x * minus_one}})
+    assert row.compose(col).col(0) == {} and row.compose(col).is_zero()
+    if name == "F_2":
+        assert ((x + y) * (x + y)).terms == {(2, 0): 1, (0, 2): 1}
+
+
+def test_compose_checks_every_ring():
+    other = ring_descriptor(prime=5)
+    O0 = ln.LabeledFreeModule(other, [ln.atom("e", 0)])
+    O1 = ln.LabeledFreeModule(other, [ln.atom("f", 1)])
+    ox = ln.MapMatrix(O1, O0, {0: {0: other.var("x")}})
+    with pytest.raises(DescriptorError):
+        ox.compose(my)  # labels match, primes do not
+    with pytest.raises(DescriptorError):
+        mx.compose(ln.MapMatrix(M2, M1, {0: {0: other.var("y")}}))
+    same = ring_descriptor()  # equal to R, a distinct object
+    assert same is not R
+    sy = ln.MapMatrix(M2, M1, {0: {0: same.var("y")}})
+    assert mx.compose(sy).equals(mx.compose(my))
+
+
+def _dense_from_field_matrix(source, target, M):
+    """Reference: reads every cell."""
+    cols = {}
+    for j in range(source.rank):
+        col = {i: source.ring.const(M[i, j]) for i in range(target.rank) if M[i, j] != 0}
+        if col:
+            cols[j] = col
+    return ln.MapMatrix(source, target, cols)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_from_field_matrix_reads_nonzero_cells(name):
+    ring = KERNEL_RINGS[name]
+    field = ring.field
+    rng = np.random.default_rng(3)
+    src = ln.LabeledFreeModule(ring, [ln.atom(f"s{j}", 0) for j in range(7)])
+    tgt = ln.LabeledFreeModule(ring, [ln.atom(f"t{i}", 0) for i in range(6)])
+    M = fieldla.zeros(field, tgt.rank, src.rank)
+    for i in range(tgt.rank):
+        for j in (0, 2, 3, 5):  # columns 1, 4 and 6 stay zero
+            if rng.random() < 0.5:
+                M[i, j] = field.coerce(Fraction(int(rng.integers(-4, 5)), int(rng.choice([1, 3]))))
+    got = ln.from_field_matrix(src, tgt, M)
+    assert got.equals(_dense_from_field_matrix(src, tgt, M))
+    for j in range(src.rank):
+        assert all(type(i) is int for i in got.col(j))
+    assert [j for j in range(src.rank) if got.col(j)] == [j for j in (0, 2, 3, 5) if M[:, j].any()]
+    zero = fieldla.zeros(field, tgt.rank, src.rank)
+    assert ln.from_field_matrix(src, tgt, zero).is_zero()

@@ -81,6 +81,20 @@ def test_poly_arith_dispatch_and_descriptor_error(R):
         poly_arith(x, other.var("x"), "add")
 
 
+def test_arithmetic_checks_the_ring_unless_it_is_the_same_object(R):
+    x = R.var("x")
+    other = ring_descriptor(prime=5)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: b * a, lambda a, b: b + a):
+        with pytest.raises(DescriptorError):
+            op(x, other.var("x"))
+    assert x != other.var("x")
+    same = ring_descriptor()  # equal to R, a distinct object
+    assert same is not R
+    sx, sy = same.var("x"), same.var("y")
+    assert x * sy == sx * sy and x + sy == sx + sy and x == sx
+    assert (x * sy).ring is R and (sy * x).ring is same
+
+
 def test_monomial_orders():
     # degrevlex: x^2 > xy; y^3 > x^2; lex with x > y: x > y^2
     assert monomial_compare((2, 0), (1, 1), "degrevlex") == 1
