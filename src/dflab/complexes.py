@@ -445,10 +445,14 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
 
 
 def _quotient_hilbert(ring, ideal, t_max):
-    """(Hilbert function of R/I in degrees 0..t_max, dim_k R/I or None)."""
+    """(Hilbert function of R/I in degrees 0..t_max, dim_k R/I), R/I finite."""
     gb = gb_mod.buchberger([gb_mod.from_map_column({0: f}) for f in ideal], 1, ring)
     pres = gb_mod.Presentation(1, gb, gen_degrees=(0,))
-    _, dim = gb_mod.quotient_dim(pres)
+    finite, dim = gb_mod.quotient_dim(pres)
+    if not finite:
+        raise NotImplementedError(
+            "ranks over R/I are certified only where R/I is finite-dimensional"
+        )
     return gb_mod.hilbert_dims(pres, t_max), dim
 
 
@@ -467,7 +471,7 @@ def _free_rank(deg: GradedDegree, h, dim_quotient):
         if c_t:
             c[t] = c_t
     rank = sum(c.values())
-    if rank and (dim_quotient is None or rank * dim_quotient != deg.total):
+    if rank and rank * dim_quotient != deg.total:
         return None
     return rank
 

@@ -315,67 +315,52 @@ class Presentation:
 
 
 def _staircase_count(monos, nvars):
-    """Number of standard monomials below a monomial ideal; None = infinite."""
-    if any(sum(m) == 0 for m in monos):
-        return 0
-    if nvars == 0:
-        return 1
-    if nvars == 1:
-        if not monos:
-            return None
-        return min(m[0] for m in monos)
-    if nvars == 2:
-        xs = [m for m in monos if m[1] == 0]
-        ys = [m for m in monos if m[0] == 0]
-        if not xs or not ys:
-            return None
-        ax = min(m[0] for m in xs)
-        count = 0
-        for a in range(ax):
-            bs = [m[1] for m in monos if m[0] <= a]
-            count += min(bs)
-        return count
-    raise NotImplementedError("staircase counting supports at most 2 variables")
+    """Number of standard monomials below a monomial ideal; None = infinite.
+
+    The count is finite exactly when every variable has a pure power
+    x_i^(a_i) among the generators; every standard monomial then has
+    degree at most sum(a_i - 1).
+    """
+    powers = [min((m[i] for m in monos if sum(m) == m[i]), default=None) for i in range(nvars)]
+    if None in powers:
+        return None
+    return sum(_staircase_dims(monos, nvars, sum(a - 1 for a in powers)))
 
 
 def _staircase_dims(monos, nvars, t_max):
-    """Per-degree counts of standard monomials, degrees 0..t_max."""
+    """Per-degree counts of standard monomials, degrees 0..t_max.
+
+    Recursion on the first exponent: x_1^a * m is standard exactly when m
+    is standard below the generators with first exponent at most a, that
+    exponent removed.  That set only grows at a generator's first
+    exponent, so the tail counts are recomputed only there.
+    """
     if nvars == 0:
-        base = [0] * (t_max + 1)
-        if not any(sum(m) == 0 for m in monos):
-            base[0] = 1
-        return base
-    dims = [0] * (t_max + 1)
+        return [0 if monos else 1] + [0] * t_max
     if nvars == 1:
-        bound = min((m[0] for m in monos), default=None)
-        for t in range(t_max + 1):
-            dims[t] = 1 if (bound is None or t < bound) else 0
-        return dims
-    if nvars == 2:
-        for a in range(t_max + 1):
-            bs = [m[1] for m in monos if m[0] <= a]
-            bound = min(bs, default=None)
-            for b in range(t_max + 1 - a):
-                if bound is None or b < bound:
-                    dims[a + b] += 1
-        return dims
-    raise NotImplementedError("staircase counting supports at most 2 variables")
+        bound = min((m[0] for m in monos), default=t_max + 1)
+        return [1 if t < bound else 0 for t in range(t_max + 1)]
+    dims = [0] * (t_max + 1)
+    steps = {m[0] for m in monos}
+    tail = None
+    for a in range(t_max + 1):
+        if tail is None or a in steps:
+            tail = _staircase_dims([m[1:] for m in monos if m[0] <= a], nvars - 1, t_max - a)
+            if not any(tail):
+                break
+        for b in range(t_max + 1 - a):
+            dims[a + b] += tail[b]
+    return dims
 
 
 def quotient_dim(pres: Presentation):
     """(finite, dim) by counting standard monomials of the relations' LTs."""
     nvars = pres.relations.ring.nvars
-    total = 0
-    for pos, monos in pres.leading_exponents_by_position().items():
-        c = _staircase_count(monos, nvars)
-        if c is None:
-            pres.finite = False
-            pres.dim = None
-            return False, None
-        total += c
-    pres.finite = True
-    pres.dim = total
-    return True, total
+    by_pos = pres.leading_exponents_by_position()
+    counts = [_staircase_count(monos, nvars) for monos in by_pos.values()]
+    pres.finite = None not in counts
+    pres.dim = sum(counts) if pres.finite else None
+    return pres.finite, pres.dim
 
 
 def hilbert_dims(pres: Presentation, t_max: int):
@@ -406,11 +391,7 @@ def minimal_generators(pres: Presentation) -> int:
             mono = tuple(1 if k == v else 0 for k in range(ring.nvars))
             gens.append({(pos, mono): field.one})
     gb = buchberger(gens, pres.generator_count, ring)
-    total = 0
-    for pos, monos in Presentation(pres.generator_count, gb).leading_exponents_by_position().items():
-        c = _staircase_count(monos, ring.nvars)
-        total += 0 if c is None else c
-    return total
+    return quotient_dim(Presentation(pres.generator_count, gb))[1]  # finite: each x_i is in
 
 
 def annihilates(pres: Presentation, poly) -> bool:

@@ -13,7 +13,10 @@ two-term complex the Sym/Lambda comparison expects.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, total_complex
+from functools import reduce
+from itertools import combinations
+
+from .complexes import ChainComplex, total_complex_many
 from .functors import div_module, ext_module, sym_module
 from .linear import (
     LabeledFreeModule,
@@ -126,44 +129,47 @@ def cyclic_two_term(ring: RingDescriptor, name: str, f: Poly, deg: int | None = 
 
 
 def regular_sequence_resolution(ring: RingDescriptor) -> ChainComplex:
-    """Koszul resolution of R/(regular sequence), as Tot of two-term pieces.
+    """Koszul resolution of R/(f_1..f_d), as Tot of the two-term pieces.
 
-    Length 1 gives (R -> R, f); length 2 gives Tot(K (x) L) and checks
-    the explicit isomorphism with Kos^2 of (f,g): R^2 -> R.
+    The pieces are named k, l, m, ... in sequence order; the result is
+    checked against Kos^d of (f_1..f_d): R^d -> R.
     """
     if not ring.regular_sequence:
         raise ValueError("ring has no configured regular sequence")
-    pieces = [cyclic_two_term(ring, name, f) for name, f in zip("kl", ring.regular_sequence)]
-    if len(pieces) == 1:
-        return pieces[0]
-    T = total_complex(pieces[0], pieces[1])
-    _check_koszul_match(ring, T)
+    pieces = [
+        cyclic_two_term(ring, chr(ord("k") + i), f) for i, f in enumerate(ring.regular_sequence)
+    ]
+    T = total_complex_many(pieces)
+    _check_koszul_match(ring, pieces, T)
     return T
 
 
-def _check_koszul_match(ring: RingDescriptor, T: ChainComplex):
-    """Verify Tot(K (x) L) is isomorphic to Kos^2((f,g): R^2 -> R)."""
-    f, g = ring.regular_sequence
-    P = LabeledFreeModule(
-        ring, [atom("p1", max(f.degree(), 0)), atom("p2", max(g.degree(), 0))]
-    )
-    Q = LabeledFreeModule(ring, [atom("q", 0)])
-    fg = MapMatrix(P, Q, {0: {0: f}, 1: {0: g}})
-    kos = koszul_complex(fg, 2)
+def _check_koszul_match(ring: RingDescriptor, pieces, T: ChainComplex):
+    """Verify T = Tot(pieces) is isomorphic to Kos^d((f_1..f_d): R^d -> R).
+
+    Kos^d is built on P = the pieces' degree-1 generators p_i.  The basis
+    element of T whose degree-1 factors are the pieces in S goes to
+    (-1)^(|S|(|S|-1)/2) times the wedge of the p_i, i in S.
+    """
+    d = len(pieces)
+    P = LabeledFreeModule(ring, [C.module(1).labels[0] for C in pieces])
+    q = atom("q", 0)
+    fs = {i: {0: f} for i, f in enumerate(ring.regular_sequence)}
+    kos = koszul_complex(MapMatrix(P, LabeledFreeModule(ring, [q]), fs), d)
     if kos.ranks() != T.ranks():
         raise RuntimeError("Koszul comparison: rank mismatch")
-    # explicit basis matching: degree 1 sends K1(x)L0 -> p1, K0(x)L1 -> p2,
-    # degree 2 sends K1(x)L1 -> -(p1^p2); degree 0 matches the generators
-    iso = {
-        0: MapMatrix(T.module(0), kos.module(0), {0: {0: ring.one()}}),
-        1: MapMatrix(
-            T.module(1),
-            kos.module(1),
-            {0: {1: ring.one()}, 1: {0: ring.one()}},
-        ),
-        2: MapMatrix(T.module(2), kos.module(2), {0: {0: ring.const(-1)}}),
-    }
-    for n in (1, 2):
+    iso = {}
+    for n in range(d + 1):
+        cols = {}
+        sign_n = (-1) ** (n * (n - 1) // 2)
+        for S in combinations(range(d), n):
+            factors = [C.module(int(i in S)).labels[0] for i, C in enumerate(pieces)]
+            label = reduce(lambda a, b: tens((a, b)), factors)
+            sign, w = wedge([P.labels[i] for i in S])
+            target = kos.module(n).index(tens((w, sym((q,) * (d - n)))))
+            cols[T.module(n).index(label)] = {target: ring.const(sign * sign_n)}
+        iso[n] = MapMatrix(T.module(n), kos.module(n), cols)
+    for n in range(1, d + 1):
         lhs = iso[n - 1].compose(T.diff(n))
         rhs = kos.diff(n).compose(iso[n])
         if not lhs.equals(rhs):

@@ -465,12 +465,11 @@ def slice_basis(module: LabeledFreeModule, t: int):
     """(label index, monomial) pairs of internal degree t, in label order
     then decreasing monomial order."""
     ring = module.ring
-    out = []
-    for i, d in enumerate(module.degrees):
-        monos = monomials_of_degree(ring.nvars, t - d)
-        monos.sort(key=lambda m: monomial_key(m, ring.order), reverse=True)
-        out.extend((i, m) for m in monos)
-    return out
+    monos = {  # label degree -> the monomials that complete it to t, sorted once
+        d: sorted(monomials_of_degree(ring.nvars, t - d), key=lambda m: monomial_key(m, ring.order))
+        for d in set(module.degrees)
+    }
+    return [(i, m) for i, d in enumerate(module.degrees) for m in reversed(monos[d])]
 
 
 def slice_positions(basis):

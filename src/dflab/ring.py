@@ -187,8 +187,8 @@ class RingDescriptor:
     """A prime field or Q, optionally extended to a polynomial ring.
 
     ``variables`` may be empty, in which case the ring is the field
-    itself.  A regular sequence of length 1 or 2 can be attached; its
-    entries must be nonzero non-units.
+    itself.  A regular sequence of length 1 up to the number of
+    variables can be attached; its entries must be nonzero non-units.
     """
 
     __slots__ = ("field", "variables", "order", "regular_sequence", "_cache")
@@ -251,8 +251,8 @@ class RingDescriptor:
     def set_regular_sequence(self, polys):
         """Attach the generators of the configured ideal (once)."""
         polys = tuple(polys)
-        if not 1 <= len(polys) <= 2:
-            raise ValueError("regular sequence must have length 1 or 2")
+        if not 1 <= len(polys) <= self.nvars:
+            raise ValueError(f"regular sequence must have length 1 to {self.nvars}")
         for f in polys:
             if f.is_zero():
                 raise ValueError("regular sequence entry is zero")
@@ -521,14 +521,14 @@ def _tokenize(text: str):
 def ring_descriptor(prime=97, rationals=False, variables=("x", "y"), order="degrevlex", sequence=None):
     """Build a descriptor and attach a regular sequence given as strings.
 
-    ``sequence=None`` defaults to the variables themselves (so (x, y)
-    over the default two-variable ring); pass ``sequence=()`` for a bare
-    ring with no configured ideal.
+    ``sequence=None`` defaults to the first two variables (so (x, y) over
+    the default two-variable ring and over k[x, y, z]); pass
+    ``sequence=()`` for a bare ring with no configured ideal.
     """
     field = Rationals() if rationals else PrimeField(prime)
     ring = RingDescriptor(field, tuple(variables), order)
     if sequence is None:
-        sequence = tuple(ring.variables[:2]) if ring.variables else ()
+        sequence = ring.variables[:2]
     seq_polys = [parse_poly(ring, s) if isinstance(s, str) else s for s in sequence]
     if seq_polys:
         ring.set_regular_sequence(seq_polys)

@@ -79,7 +79,7 @@ class ScenarioConfig:
     rationals: bool = False
     variables: tuple = ("x", "y")
     order: str = "degrevlex"
-    sequence: tuple | None = None  # default: the variables themselves
+    sequence: tuple | None = None  # default: the first two variables
     n_max: int = 7
     t_max: int = 12
     engine: str = "graded"  # gk only: graded | groebner | both
@@ -203,9 +203,12 @@ def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
             raise ConfigError(f"{spec.name} needs a regular sequence{length}")
         if not all(f.is_homogeneous() for f in seq):
             raise ConfigError(f"{spec.name} needs a homogeneous regular sequence")
-        if len(seq) == 2 and not _is_regular_pair(ring, *seq):
-            f, g = seq
-            raise ConfigError(f"{spec.name} needs a regular sequence: {g} is a zero divisor mod {f}")
+        for i in range(1, len(seq)):
+            if not _is_regular_after(ring, seq[:i], seq[i]):
+                mod = ", ".join(map(str, seq[:i]))
+                raise ConfigError(
+                    f"{spec.name} needs a regular sequence: {seq[i]} is a zero divisor mod {mod}"
+                )
     expected = {key: EXPECTED[entry]["value"] for key, entry in spec.expected.items()}
     res = ScenarioResult(spec.name, expected=expected)
     ctx = Context(cfg, ring, res, budget)
@@ -215,18 +218,19 @@ def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
     except BudgetExceeded:
         res.partial = True
         res.notes.append("budget exceeded; partial report")
-    except NotImplementedError as e:  # e.g. staircase counting in three variables
+    except NotImplementedError as e:  # e.g. ranks over an infinite-dimensional R/I
         raise ConfigError(f"{spec.name}: {e}") from e
     res.millis = int(budget.elapsed() * 1000)
     return res
 
 
-def _is_regular_pair(ring, f, g) -> bool:
-    """g is a nonzerodivisor mod f: a*g + b*f = 0 forces a into (f)."""
-    syz, _ = gb_mod.kernel_of_columns([gb_mod.from_map_column({0: q}) for q in (g, f)], 1, ring)
-    ideal_f = gb_mod.buchberger([gb_mod.from_map_column({0: f})], 1, ring)
+def _is_regular_after(ring, fs, g) -> bool:
+    """g is a nonzerodivisor mod (fs): a*g + sum b_i*f_i = 0 forces a into (fs)."""
+    cols = [gb_mod.from_map_column({0: q}) for q in (g, *fs)]
+    syz, _ = gb_mod.kernel_of_columns(cols, 1, ring)
+    ideal = gb_mod.buchberger(cols[1:], 1, ring)
     return all(
-        gb_mod.elem_is_zero(gb_mod.normal_form({k: c for k, c in s.items() if k[0] == 0}, ideal_f))
+        gb_mod.elem_is_zero(gb_mod.normal_form({k: c for k, c in s.items() if k[0] == 0}, ideal))
         for s in syz
     )
 
@@ -484,37 +488,30 @@ def _solve_commuting_isos(field, mats, eps_list, n2, n3):
 
 
 def _certify_cyclic_mod(pres, f, others, t_max) -> str:
-    """Classify a presentation as '0', 'R/(f)' (cyclic, killed by f, Hilbert
-    function 1 in each degree past the generator), or 'other'."""
-    finite, dim = pres.finite, pres.dim
-    if finite and dim == 0:
+    """Classify a presentation as '0', 'R/(f)' (cyclic, killed by f and by
+    no other entry, with the dimension and the Hilbert function of R/(f)
+    shifted to its generator degree), or 'other'."""
+    if pres.generator_count == 0 or (pres.finite and pres.dim == 0):
         return "0"
-    if pres.generator_count == 0:
-        return "0"
-    if finite:
+    ideal = gb_mod.buchberger([gb_mod.from_map_column({0: f})], 1, pres.relations.ring)
+    quotient = gb_mod.Presentation(1, ideal, gen_degrees=(min(pres.gen_degrees, default=0),))
+    if gb_mod.quotient_dim(quotient) != (pres.finite, pres.dim):
         return "other"
-    if gb_mod.minimal_generators(pres) != 1:
+    if gb_mod.hilbert_dims(quotient, t_max) != gb_mod.hilbert_dims(pres, t_max):
         return "other"
-    if not gb_mod.annihilates(pres, f):
+    if gb_mod.minimal_generators(pres) != 1 or not gb_mod.annihilates(pres, f):
         return "other"
     if any(gb_mod.annihilates(pres, g) for g in others):
         return "other"
-    dims = gb_mod.hilbert_dims(pres, t_max)
-    t0 = min(pres.gen_degrees) if pres.gen_degrees else 0
-    if all(dims[t] == (1 if t >= t0 else 0) for t in range(t_max + 1)):
-        return f"R/({f})"
-    return "other"
+    return f"R/({f})"
 
 
 def _l31(ctx: Context) -> bool:
     cfg, res, ring = ctx.cfg, ctx.res, ctx.ring
     f = ring.regular_sequence[0]
     others = list(ring.regular_sequence[1:])
-    fname = str(f)
-    expected_named = {
-        label: [s.replace("x", fname) if s != "0" else s for s in res.expected[label]]
-        for label in ("l31", "mixed", "cube")
-    }
+    for label in ("l31", "mixed", "cube"):  # the tables name R/(x); compare with R/(f)
+        res.expected[label] = [s.replace("x", str(f)) for s in res.expected[label]]
     n_small = min(cfg.n_max, 5)
     GK = gamma(cyclic_two_term(ring, "k", f), n_small)
     pieces = {
@@ -530,7 +527,7 @@ def _l31(ctx: Context) -> bool:
             table.append(_certify_cyclic_mod(pres, f, others, cfg.t_max))
         res.computed[label] = table
         res.per_degree[label] = {str(k): v for k, v in enumerate(table)}
-    ok = all(res.computed[label] == expected_named[label] for label in pieces)
+    ok = all(res.computed[label] == res.expected[label] for label in pieces)
     if len(ring.regular_sequence) == 2:
         ctx.budget.check()
         m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max, ctx.budget.check)

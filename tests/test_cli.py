@@ -89,16 +89,20 @@ def test_config_error_exit_code(tmp_path):
 
 
 def test_three_variables_fail_closed_where_staircases_are_counted():
-    # (x, y) in k[x, y, z]: the quotient k[z] needs staircase counting in 3 variables
+    # (x, y) in k[x, y, z]: the staircase of k[z] is infinite, so no rank over it is certified
     small = ["--vars", "x,y,z", "--nmax", "2", "--tmax", "3"]
     for args in (["all"], ["gk"], ["tor-powers"], ["check", "l31"]):
         p = run_cli(*args, *small, timeout=120)
         assert p.returncode == 2, (args, p.stderr)
-        assert "staircase counting supports at most 2 variables" in p.stderr, args
+        assert "certified only where R/I is finite-dimensional" in p.stderr, args
         assert "Traceback" not in p.stderr, args
-    for suite in ("koszul", "gamma"):
-        p = run_cli("check", suite, *small, timeout=120)
-        assert p.returncode == 0, (suite, p.stderr)
+    for extra in (["koszul"], ["gamma"], ["koszul", "--seq", "x,y,z"]):
+        p = run_cli("check", *extra, *small, timeout=120)
+        assert p.returncode == 0, (extra, p.stderr)
+    p = run_cli("check", "koszul", *small, "--seq", "x,y,x", timeout=120)
+    assert p.returncode == 2, p.stderr
+    assert "x is a zero divisor mod x, y" in p.stderr
+    assert "Traceback" not in p.stderr
 
 
 def test_tor_powers_over_a_quotient_of_dimension_two(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import engines_complex
 from dflab import complexes
 from dflab import groebner as gb
-from dflab.ring import ring_descriptor
+from dflab.ring import monomial_divides, monomials_of_degree, ring_descriptor
 
 R = ring_descriptor()
 F = R.field
@@ -103,6 +103,58 @@ def test_hilbert_and_invariants():
     assert gb.minimal_generators(pres) == 1
     assert gb.annihilates(pres, R.var("x"))
     assert not gb.annihilates(pres, R.var("y"))
+
+
+def _standard_dims(monos, nvars, t_max):
+    """Brute force: monomials of each degree that no generator divides."""
+    return [
+        sum(not any(monomial_divides(g, m) for g in monos) for m in monomials_of_degree(nvars, t))
+        for t in range(t_max + 1)
+    ]
+
+
+def _check_staircase(monos, nvars):
+    t_max = 9
+    assert gb._staircase_dims(monos, nvars, t_max) == _standard_dims(monos, nvars, t_max)
+    count = gb._staircase_count(monos, nvars)
+    if count is None:
+        # a variable with no pure power among the generators has every power standard
+        assert all(_standard_dims(monos, nvars, t_max))
+    else:
+        # every standard monomial has each exponent below that variable's pure power
+        assert count == sum(_standard_dims(monos, nvars, 4 * nvars))
+
+
+@pytest.mark.parametrize(
+    "monos,nvars,count",
+    [
+        ([], 0, 1),
+        ([()], 0, 0),
+        ([], 1, None),
+        ([(3,)], 1, 3),
+        ([(1, 0), (0, 1)], 2, 1),
+        ([(2, 0), (1, 1), (0, 2)], 2, 3),
+        ([(1, 1)], 2, None),  # no pure power at all
+        ([(2, 0), (1, 1)], 2, None),  # y has none
+        ([(0, 0, 0)], 3, 0),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 1),
+        # 12 monomials in the 2 x 3 x 2 box, less x*y*z and x*y^2*z
+        ([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)], 3, 10),
+        ([(1, 0, 0), (0, 1, 0)], 3, None),  # z has none: k[z]
+        ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3, None),
+    ],
+)
+def test_staircase_examples(monos, nvars, count):
+    assert gb._staircase_count(monos, nvars) == count
+    _check_staircase(monos, nvars)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6), st.just(n))
+))
+def test_staircase_matches_brute_force(case):
+    _check_staircase(*case)
 
 
 def test_buchberger_zero_generators_make_unit_syzygies():

@@ -4,9 +4,11 @@ import pytest
 
 from dflab import functors as fu
 from dflab import linear as ln
-from dflab.complexes import homology_graded, truncate
+from dflab.complexes import ChainComplex, homology_graded, truncate
 from dflab.koszul import (
+    _check_koszul_match,
     cokoszul_complex,
+    cyclic_two_term,
     koszul_complex,
     regular_sequence_resolution,
     two_term_complex,
@@ -98,6 +100,29 @@ def test_resolution_matches_koszul_for_quadratic_sequence():
     rep = homology_graded(res, 6)
     assert rep.degrees[0].total == 2  # k[x,y]/(x^2, y) has dimension 2
     assert rep.degrees[1].total == 0 and rep.degrees[2].total == 0
+
+
+@pytest.mark.parametrize("seq,dim", [(("x", "y", "z"), 1), (("x", "y^2", "z^3"), 6)])
+def test_resolution_of_three_entries_matches_koszul(seq, dim):
+    R3 = ring_descriptor(variables=("x", "y", "z"), sequence=seq)
+    T = regular_sequence_resolution(R3)  # raises unless the basis match commutes
+    assert T.ranks() == {0: 1, 1: 3, 2: 3, 3: 1}
+    rep = homology_graded(T, 8)
+    assert [rep.degrees[k].total for k in range(4)] == [dim, 0, 0, 0]  # dim_k R/(seq)
+    # the match is not vacuous: flipping the sign of d_2 breaks square 2
+    pieces = [cyclic_two_term(R3, name, f) for name, f in zip("klm", R3.regular_sequence)]
+    flipped = ChainComplex(R3, T.modules, {**T.diffs, 2: T.diff(2).scale(-1)})
+    with pytest.raises(RuntimeError, match="square 2"):
+        _check_koszul_match(R3, pieces, flipped)
+
+
+def test_sym3_at_conormal_rank_three():
+    # L_k Sym^3 of the residue field of F_97[x, y, z]: certified ranks over R/(x, y, z)
+    R3 = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
+    GP = gamma(regular_sequence_resolution(R3), 4)
+    rep = homology_graded(normalize(apply_pointwise_functor(fu.Sym(3), GP)), 7)
+    assert rep.rank_vector(range(4)) == [1, 0, 3, 1]
+    assert rep.euler_ok and all(rep.degrees[k].ri_rank is not None for k in range(4))
 
 
 def _dims(C, tmax=6):

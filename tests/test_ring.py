@@ -112,7 +112,11 @@ def test_parse_poly_roundtrip(R):
 
 def test_regular_sequence_validation():
     with pytest.raises(ValueError):
-        ring_descriptor(sequence=("x", "y", "x"))
+        ring_descriptor(sequence=("x", "y", "x"))  # longer than the variable count
+    xyz = ("x", "y", "z")
+    assert len(ring_descriptor(variables=xyz, sequence=xyz).regular_sequence) == 3
+    with pytest.raises(ValueError):
+        ring_descriptor(variables=xyz, sequence=xyz + ("x",))
     with pytest.raises(ValueError):
         ring_descriptor(sequence=("1",))
     with pytest.raises(ValueError):

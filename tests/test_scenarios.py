@@ -44,6 +44,24 @@ def test_koszul_scenario():
     assert r.passed and r.computed["all_tables_match"]
 
 
+@pytest.mark.parametrize(
+    "variables,seq",
+    [
+        (("x", "y"), ("x^2", "y")),
+        (("x", "y"), ("y^2", "x")),
+        (("x", "y"), ("x^3",)),
+        (("x", "y", "z"), ("x",)),
+    ],
+)
+def test_l31_certifies_the_quotient_by_the_first_entry(variables, seq):
+    r = SCENARIOS["check-l31"](ScenarioConfig(variables=variables, sequence=seq))
+    assert r.passed
+    quotient = f"R/({seq[0]})"
+    # the report's expected tables are the ones compared, named by the first entry
+    assert r.expected["l31"] == r.computed["l31"] == ["0", quotient, "0", "0"]
+    assert r.expected["cube"] == r.computed["cube"] == [quotient, "0", "0", "0"]
+
+
 def test_predictions_symbolic_only():
     r = SCENARIOS["predict"](ScenarioConfig(), d=3)
     assert r.passed
@@ -71,6 +89,14 @@ def test_config_errors():
     for seq in (("x", "x"), ("x", "x^2"), ("x*y", "x"), ("x^2-y^2", "x+y")):
         with pytest.raises(ConfigError, match="zero divisor"):
             SCENARIOS["tor-powers"](ScenarioConfig(sequence=seq))
+    # each entry is checked against all the entries before it
+    xyz = ("x", "y", "z")
+    for seq, message in (
+        (("x", "y", "x"), "x is a zero divisor mod x, y"),
+        (("x*y", "z", "y"), r"y is a zero divisor mod x\*y, z"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            SCENARIOS["check-koszul"](ScenarioConfig(variables=xyz, sequence=seq))
     for seq in (("x", "y"), ("3*x", "5*y"), ("x^2", "y^3")):
         # regular: accepted, and the zero budget then stops the run at once
         assert SCENARIOS["tor-powers"](ScenarioConfig(sequence=seq, budget_s=0.0)).partial
