@@ -7,13 +7,16 @@ Usage:
 For every workload in CHECKOUT's BENCHMARK.json this runs
 ``perfbench/run.py --trace 0`` at seed 0 for the declared run_seconds
 and one short ``--trace 1`` run for the module sizes, then times one
-serial ``dflab all`` from CHECKOUT's sources.
+serial ``dflab all`` and one ``dflab gk --engine both --no-timing`` from
+CHECKOUT's sources (no workload runs the Groebner engine at default
+scale).
 CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
 The file holds the end-to-end metrics of each workload and its traced
 size counters (``SIZE_COUNTERS``: level and normalized ranks per call,
 which do not depend on how long the traced run lasts); the wall time,
 exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
-its report with ``millis`` zeroed (the ``--no-timing`` bytes); the git
+its report with ``millis`` zeroed (the ``--no-timing`` bytes); the wall
+time, exit code and report sha256 of ``gk --engine both``; the git
 commit of CHECKOUT and whether its tracked files differ from that
 commit, the Python and numpy versions and the CPU count.  Nothing
 under ``perfbench/`` is changed; a run takes a few minutes.
@@ -56,6 +59,21 @@ def perfbench_metrics(root: Path, workload: str, seconds: float) -> dict:
     return dict(metrics, **sizes, attempted=result["attempted"], failed=result["failed"])
 
 
+def run_dflab(root: Path, *args) -> tuple[float, int, str | None]:
+    """(wall time, exit code, report text) of one ``dflab`` run from root's sources."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dflab.cli", *args, "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        wall = time.monotonic() - t0
+        text = out.read_text() if out.exists() else None
+    return wall, proc.returncode, text
+
+
 def time_all(root: Path) -> dict:
     """Time one serial ``dflab all`` and keep each scenario's ``millis``.
 
@@ -63,17 +81,9 @@ def time_all(root: Path) -> dict:
     as the command line tool writes it, so it equals the sha256 of the
     ``--no-timing`` report.
     """
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "all.json"
-        t0 = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dflab.cli", "all", "--out", str(out)],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
-        wall = time.monotonic() - t0
-        report = json.loads(out.read_text()) if out.exists() else None
-    result = {"wall_s": wall, "exit_code": proc.returncode, "json_sha256": None, "millis": {}}
+    wall, code, text = run_dflab(root, "all")
+    report = json.loads(text) if text is not None else None
+    result = {"wall_s": wall, "exit_code": code, "json_sha256": None, "millis": {}}
     if report is not None:
         for s in report["scenarios"]:
             result["millis"][s["name"]] = s["millis"]
@@ -81,6 +91,13 @@ def time_all(root: Path) -> dict:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         result["json_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     return result
+
+
+def time_gk_both(root: Path) -> dict:
+    """Time one ``dflab gk --engine both --no-timing``: both engines at default scale."""
+    wall, code, text = run_dflab(root, "gk", "--engine", "both", "--no-timing")
+    sha = hashlib.sha256(text.encode()).hexdigest() if text is not None else None
+    return {"wall_s": wall, "exit_code": code, "json_sha256": sha}
 
 
 def git(root: Path, *args) -> str:
@@ -111,6 +128,8 @@ def main(argv=None) -> int:
         print(w["name"], json.dumps(doc["workloads"][w["name"]]), file=sys.stderr)
     doc["dflab_all"] = time_all(root)
     print("dflab all", json.dumps(doc["dflab_all"]), file=sys.stderr)
+    doc["gk_engine_both"] = time_gk_both(root)
+    print("dflab gk --engine both", json.dumps(doc["gk_engine_both"]), file=sys.stderr)
     out = (args.out or root) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

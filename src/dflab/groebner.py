@@ -7,18 +7,22 @@ ring's monomial order.  Buchberger runs with cofactor shadows in terms
 of the *input* generators, so zero reductions of S-vectors hand back
 kernel elements (Schreyer) with no extra machinery.
 
-Scale note: these routines certify the homology engines at desk scale
-(module ranks in the tens).  Buchberger keeps its pairs in a heap keyed
-by the lcm's degree and monomial key, ties in creation order
-(Gebauer–Möller, J. Symb. Comp. 6 (1988)), and computes each pair's
-cost once, when the pair is made.  Basis elements never change once
-added, so each leading term is computed once: ``buchberger`` keeps a
-list parallel to the basis and ``ModuleGB.lts`` caches a finished
-basis's.  There are still no pair criteria: every pair that a criterion
-would skip is one whose S-vector reduces to zero, and that zero
-reduction's shadow is an input syzygy.  ``homology_groebner`` presents
-H_k by those syzygies, so skipping pairs would change the presentation
-(and the product criterion is unsound for module elements anyway).
+Scale note: these routines certify the homology engines at desk scale:
+module ranks in the tens to a few thousand (``gk --engine both`` at the
+default n_max 7 takes about 18 s on a 2-vCPU VM).  Buchberger keeps its
+pairs in a heap keyed by the lcm's degree and monomial key, ties in
+creation order (Gebauer–Möller, J. Symb. Comp. 6 (1988)), and computes
+each pair's cost and lcm once, when the pair is made.  Basis elements
+never change once added, so each leading term and the inverse of its
+coefficient are computed once: ``buchberger`` keeps lists parallel to
+the basis and ``ModuleGB.lts`` caches a finished basis's.  Normal forms
+run on a heap of the working element's terms (``_reduce_full``) and
+reduce in place, so no step rescans the element or copies it.  There
+are still no pair criteria: every pair that a criterion would skip is
+one whose S-vector reduces to zero, and that zero reduction's shadow is
+an input syzygy.  ``homology_groebner`` presents H_k by those syzygies,
+so skipping pairs would change the presentation (and the product
+criterion is unsound for module elements anyway).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import count
+from operator import add, le, neg, sub
 
 from .ring import (
     RingDescriptor,
@@ -35,7 +40,6 @@ from .ring import (
     monomial_divides,
     monomial_key,
     monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -57,21 +61,6 @@ def elem_scale(field, v: dict, c) -> dict:
     if c == field.zero:
         return {}
     return {k: field.mul(cv, c) for k, cv in v.items()}
-
-
-def elem_sub(field, v: dict, w: dict) -> dict:
-    out = dict(v)
-    for k, c in w.items():
-        s = field.sub(out.get(k, field.zero), c)
-        if s == field.zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def elem_mul_term(field, v: dict, mono, c) -> dict:
-    return {(pos, monomial_mul(m, mono)): field.mul(cv, c) for (pos, m), cv in v.items()}
 
 
 def elem_lt(ring, v: dict):
@@ -110,49 +99,107 @@ class ModuleGB:
     @cached_property
     def by_position(self) -> dict:
         """The leading terms bucketed by position (see _by_position)."""
-        return _by_position(self.lts)
+        field = self.ring.field
+        return _by_position(self.lts, [field.inv(c) for _, c in self.lts])
 
     def leading_terms(self):
         return [pm for pm, _ in self.lts]
 
 
-def _by_position(lts) -> dict:
-    """position -> [(index, monomial, coeff)] of the leading terms there,
+def _by_position(lts, invs) -> dict:
+    """position -> [(index, monomial, 1/coeff)] of the leading terms there,
     in basis order, so a scan of one bucket finds the same first divisor
-    as a scan of the whole basis."""
+    as a scan of the whole basis.  invs[i] is 1/(leading coeff of i)."""
     out: dict = {}
-    for idx, ((pos, mono), c) in enumerate(lts):
-        out.setdefault(pos, []).append((idx, mono, c))
+    for idx, (((pos, mono), _), inv) in enumerate(zip(lts, invs)):
+        out.setdefault(pos, []).append((idx, mono, inv))
     return out
+
+
+def _heap_key(order: str):
+    """(position, monomial) -> a key whose minimum is the leading term
+    (position over term: lowest position, then largest monomial)."""
+    if order == "degrevlex":
+        return lambda pos, m: (pos, -sum(m), *m[::-1])
+    if order == "lex":
+        return lambda pos, m: (pos, *map(neg, m))
+    raise ValueError(f"unknown monomial order {order!r}")
 
 
 def _reduce_full(ring, v, basis, by_pos, shadows=None, vshadow=None):
     """Full normal form of v against basis, whose leading terms are
-    bucketed by position in ``by_pos``; optionally drags a shadow."""
+    bucketed by position in ``by_pos``; optionally drags a shadow.
+
+    Heap division (Monagan–Pearce, CASC 2007): the working element is a
+    dict with a min-heap of ``_heap_key`` keys, each computed when its
+    term enters the dict.  A reduction subtracts q * x^u * basis[idx] in
+    place and pushes only the terms it adds.  Every term it touches is
+    below the one popped, so popped keys strictly decrease; an entry
+    whose term has cancelled, or was pushed twice, is skipped.  The
+    steps, the remainder and the shadow are those of repeatedly reducing
+    the largest remaining term.  Neither v nor vshadow is changed.
+    """
     field = ring.field
-    key = pot_key(ring)
-    rem: dict = {}
+    zero, fsub, fmul = field.zero, field.sub, field.mul
+    hkey = _heap_key(ring.order)
+    heappop, heappush = heapq.heappop, heapq.heappush
     work = dict(v)
-    while work:
-        pm = max(work, key=key)
+    sh = dict(vshadow) if shadows is not None else None
+    heap = [(hkey(*pm), pm) for pm in work]
+    heapq.heapify(heap)
+    rem: dict = {}
+    while heap:
+        pm = heappop(heap)[1]
+        c = work.get(pm)
+        if c is None:
+            continue
         pos, mono = pm
-        c = work[pm]
-        hit = None
-        for idx, bmono, bc in by_pos.get(pos, ()):
-            if monomial_divides(bmono, mono):
-                hit = (idx, monomial_div(mono, bmono), field.mul(c, field.inv(bc)))
+        for idx, bmono, binv in by_pos.get(pos, ()):
+            if all(map(le, bmono, mono)):
                 break
-        if hit is None:
+        else:
             rem[pm] = c
             del work[pm]
             continue
-        idx, qmono, qc = hit
-        work = elem_sub(field, work, elem_mul_term(field, basis[idx], qmono, qc))
-        if shadows is not None:
-            vshadow = elem_sub(field, vshadow, elem_mul_term(field, shadows[idx], qmono, qc))
+        u = tuple(map(sub, mono, bmono))
+        q = fmul(c, binv)
+        for (bpos, bm), bc in basis[idx].items():
+            m = tuple(map(add, bm, u))
+            k = (bpos, m)
+            old = work.get(k)
+            if old is None:
+                work[k] = fsub(zero, fmul(bc, q))
+                heappush(heap, (hkey(bpos, m), k))
+            else:
+                s = fsub(old, fmul(bc, q))
+                if s == zero:
+                    del work[k]
+                else:
+                    work[k] = s
+        if sh is not None:
+            _sub_multiple(field, sh, shadows[idx], u, q)
     if shadows is not None:
-        return rem, vshadow
+        return rem, sh
     return rem
+
+
+def _sub_multiple(field, acc: dict, w: dict, u, q) -> dict:
+    """acc -= q * x^u * w, in place; returns acc."""
+    zero, fsub, fmul = field.zero, field.sub, field.mul
+    for (pos, m), c in w.items():
+        k = (pos, tuple(map(add, m, u)))
+        s = fsub(acc.get(k, zero), fmul(c, q))
+        if s == zero:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def _s_vector(field, a: dict, b: dict, ua, ub, qa, qb) -> dict:
+    """qa * x^ua * a - qb * x^ub * b, built in one dict."""
+    out = {(pos, tuple(map(add, m, ua))): field.mul(c, qa) for (pos, m), c in a.items()}
+    return _sub_multiple(field, out, b, ub, qb)
 
 
 def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
@@ -166,6 +213,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
     m = len(gens)
     basis = []
     lts = []  # elem_lt of each basis element; elements never change
+    invs = []  # 1/(leading coefficient) of each basis element
     shadows = []
     syzygies = []
     for i, g in enumerate(gens):
@@ -174,8 +222,9 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
         else:
             basis.append(dict(g))
             lts.append(elem_lt(ring, g))
+            invs.append(field.inv(lts[-1][1]))
             shadows.append({(i, (0,) * ring.nvars): field.one})
-    by_pos = _by_position(lts)  # kept up to date as the basis grows
+    by_pos = _by_position(lts, invs)  # kept up to date as the basis grows
 
     pairs = []
     created = count()
@@ -186,28 +235,19 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
         if ipos == jpos:
             lcm = monomial_lcm(imono, jmono)
             cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
-            heapq.heappush(pairs, (cost, next(created), i, j))
+            heapq.heappush(pairs, (cost, next(created), i, j, lcm))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             add_pair(i, j)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        (_, imono), ic = lts[i]
-        (_, jmono), jc = lts[j]
-        lcm = monomial_lcm(imono, jmono)
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        (_, imono), _ = lts[i]
+        (_, jmono), _ = lts[j]
         ui, uj = monomial_div(lcm, imono), monomial_div(lcm, jmono)
-        s = elem_sub(
-            field,
-            elem_mul_term(field, basis[i], ui, field.inv(ic)),
-            elem_mul_term(field, basis[j], uj, field.inv(jc)),
-        )
-        sh = elem_sub(
-            field,
-            elem_mul_term(field, shadows[i], ui, field.inv(ic)),
-            elem_mul_term(field, shadows[j], uj, field.inv(jc)),
-        )
+        s = _s_vector(field, basis[i], basis[j], ui, uj, invs[i], invs[j])
+        sh = _s_vector(field, shadows[i], shadows[j], ui, uj, invs[i], invs[j])
         rem, sh = _reduce_full(ring, s, basis, by_pos, shadows, sh)
         if elem_is_zero(rem):
             if not elem_is_zero(sh):
@@ -215,14 +255,15 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
         else:
             basis.append(rem)
             lts.append(elem_lt(ring, rem))
+            invs.append(field.inv(lts[-1][1]))
             shadows.append(sh)
             k = len(basis) - 1
-            (pos, mono), c = lts[k]
-            by_pos.setdefault(pos, []).append((k, mono, c))
+            pos, mono = lts[k][0]
+            by_pos.setdefault(pos, []).append((k, mono, invs[k]))
             for t in range(k):
                 add_pair(t, k)
 
-    reduced, cofactors = _interreduce(ring, basis, lts, shadows)
+    reduced, cofactors = _interreduce(ring, basis, lts, invs, shadows)
     return ModuleGB(
         ambient_rank=ambient_rank,
         ring=ring,
@@ -234,40 +275,36 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
     )
 
 
-def _interreduce(ring, basis, lts, shadows):
-    """Minimal reduced GB (monic, tails reduced) with tracked cofactors."""
+def _interreduce(ring, basis, lts, invs, shadows):
+    """Minimal reduced GB (monic, tails reduced) with tracked cofactors.
+
+    Each minimal element's leading term is divisible by no other's, so
+    reducing its tail against the others keeps that term and coefficient:
+    the results stay in the sorted order and are scaled by invs.
+    """
     field = ring.field
     key = pot_key(ring)
-    items = sorted(zip(basis, lts, shadows), key=lambda item: key(item[1][0]))
-    min_basis, min_lts, min_shadows = [], [], []
-    for g, lt, sh in items:
+    items = sorted(zip(basis, lts, invs, shadows), key=lambda item: key(item[1][0]))
+    min_basis, min_lts, min_invs, min_shadows = [], [], [], []
+    for g, lt, inv, sh in items:
         (pos, mono), _ = lt
         if any(bpos == pos and monomial_divides(bmono, mono) for (bpos, bmono), _ in min_lts):
             continue
         min_basis.append(g)
         min_lts.append(lt)
+        min_invs.append(inv)
         min_shadows.append(sh)
+    by_pos = _by_position(min_lts, min_invs)
 
-    def others(xs, idx):
-        return xs[:idx] + xs[idx + 1 :]
-
-    out = []
-    for idx, (g, sh) in enumerate(zip(min_basis, min_shadows)):
-        rem, rsh = _reduce_full(
-            ring,
-            g,
-            others(min_basis, idx),
-            _by_position(others(min_lts, idx)),
-            others(min_shadows, idx),
-            sh,
-        )
-        if elem_is_zero(rem):
-            continue
-        lt, lc = elem_lt(ring, rem)
-        inv = field.inv(lc)
-        out.append((key(lt), elem_scale(field, rem, inv), elem_scale(field, rsh, inv)))
-    out.sort(key=lambda item: item[0])
-    return [g for _, g, _ in out], [sh for _, _, sh in out]
+    out, cofactors = [], []
+    for idx, (g, lt, inv, sh) in enumerate(zip(min_basis, min_lts, min_invs, min_shadows)):
+        (pos, _), _ = lt
+        others = dict(by_pos)
+        others[pos] = [d for d in by_pos[pos] if d[0] != idx]
+        rem, rsh = _reduce_full(ring, g, min_basis, others, min_shadows, sh)
+        out.append(elem_scale(field, rem, inv))
+        cofactors.append(elem_scale(field, rsh, inv))
+    return out, cofactors
 
 
 def normal_form(v: dict, gb: ModuleGB) -> dict:

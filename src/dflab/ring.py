@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, le, sub
 
 
 class DescriptorError(ValueError):
@@ -153,19 +153,19 @@ def monomial_compare(m1, m2, order: str) -> int:
 
 
 def monomial_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def monomial_divides(m1, m2) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def monomial_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def monomial_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def monomials_of_degree(nvars: int, d: int):

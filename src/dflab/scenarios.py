@@ -638,12 +638,14 @@ def _koszul(ctx: Context) -> bool:
     P1 = LabeledFreeModule(ring, [atom("p", max(f.degree(), 0))])
     Q1 = LabeledFreeModule(ring, [atom("q", 0)])
     cases["single"] = MapMatrix(P1, Q1, {0: {0: f}})
-    if len(ring.regular_sequence) == 2:
-        g = ring.regular_sequence[1]
-        P2 = LabeledFreeModule(
-            ring, [atom("p1", max(f.degree(), 0)), atom("p2", max(g.degree(), 0))]
+    seq = ring.regular_sequence
+    if len(seq) >= 2:
+        # the whole sequence as one map R^d -> R; "pair" names it at d = 2
+        Pd = LabeledFreeModule(
+            ring, [atom(f"p{i + 1}", max(g.degree(), 0)) for i, g in enumerate(seq)]
         )
-        cases["pair"] = MapMatrix(P2, Q1, {0: {0: f}, 1: {0: g}})
+        label = "pair" if len(seq) == 2 else f"length-{len(seq)}"
+        cases[label] = MapMatrix(Pd, Q1, {i: {0: g} for i, g in enumerate(seq)})
     I2s = LabeledFreeModule(ring, [atom("i1", 0), atom("i2", 0)])
     I2t = LabeledFreeModule(ring, [atom("j1", 0), atom("j2", 0)])
     cases["invertible"] = MapMatrix(

@@ -1,8 +1,10 @@
 """Module Groebner bases, normal forms, syzygies, staircase counts."""
 
+import copy
 import hashlib
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import engines_complex
 from dflab import complexes
+from dflab import functors as fu
 from dflab import groebner as gb
-from dflab.ring import monomial_divides, monomials_of_degree, ring_descriptor
+from dflab.koszul import regular_sequence_resolution
+from dflab.ring import (
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomials_of_degree,
+    ring_descriptor,
+)
+from dflab.simplicial import apply_pointwise_functor, gamma, normalize
 
 R = ring_descriptor()
 F = R.field
@@ -162,6 +174,130 @@ def test_buchberger_zero_generators_make_unit_syzygies():
     assert any(set(s) == {(0, (0, 0))} for s in g.input_syzygies)
 
 
+# --- the max-scan reference normal form -------------------------------------
+#
+# The reference for groebner._reduce_full: find the largest remaining term
+# by a scan, take the first basis element (in basis order) whose leading
+# term divides it, and rebuild the working element and the shadow as new
+# dicts.  Of the module under test it uses only pot_key and elem_lt.
+
+
+def elem_sub(field, v: dict, w: dict) -> dict:
+    out = dict(v)
+    for k, c in w.items():
+        s = field.sub(out.get(k, field.zero), c)
+        if s == field.zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def elem_mul_term(field, v: dict, mono, c) -> dict:
+    return {(pos, monomial_mul(m, mono)): field.mul(cv, c) for (pos, m), cv in v.items()}
+
+
+def reference_normal_form(ring, v, basis, shadows=None, vshadow=None):
+    field = ring.field
+    key = gb.pot_key(ring)
+    lts = [gb.elem_lt(ring, g) for g in basis]
+    rem: dict = {}
+    work = dict(v)
+    while work:
+        pm = max(work, key=key)
+        pos, mono = pm
+        c = work[pm]
+        divides = [bpos == pos and monomial_divides(bmono, mono) for (bpos, bmono), _ in lts]
+        hit = divides.index(True) if True in divides else None
+        if hit is None:
+            rem[pm] = c
+            del work[pm]
+            continue
+        (_, bmono), bc = lts[hit]
+        u, q = monomial_div(mono, bmono), field.mul(c, field.inv(bc))
+        work = elem_sub(field, work, elem_mul_term(field, basis[hit], u, q))
+        if shadows is not None:
+            vshadow = elem_sub(field, vshadow, elem_mul_term(field, shadows[hit], u, q))
+    if shadows is not None:
+        return rem, vshadow
+    return rem
+
+
+_FIELDS = {"F_2": {"prime": 2}, "F_97": {"prime": 97}, "Q": {"rationals": True}}
+
+
+@st.composite
+def _rings(draw):
+    nvars = draw(st.integers(1, 3))
+    return ring_descriptor(
+        variables=("x", "y", "z")[:nvars],
+        order=draw(st.sampled_from(["degrevlex", "lex"])),
+        sequence=(),
+        **_FIELDS[draw(st.sampled_from(sorted(_FIELDS)))],
+    )
+
+
+def _elements(draw, ring, rank, max_terms=4, nonzero=False):
+    v = {}
+    for _ in range(draw(st.integers(1 if nonzero else 0, max_terms))):
+        mono = tuple(draw(st.integers(0, 3)) for _ in range(ring.nvars))
+        # odd denominators: each is a unit in F_2 and F_97 too
+        num, den = draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 3, 5]))
+        c = ring.field.coerce(Fraction(num, den))
+        if c != ring.field.zero:
+            v[(draw(st.integers(0, rank - 1)), mono)] = c
+    if nonzero and not v:
+        v[(0, (0,) * ring.nvars)] = ring.field.one
+    return v
+
+
+@st.composite
+def division_cases(draw):
+    """(ring, v, basis, shadows, vshadow): any nonzero basis, shadows of rank m."""
+    ring = draw(_rings())
+    rank, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    basis = [_elements(draw, ring, rank, nonzero=True) for _ in range(draw(st.integers(1, 4)))]
+    shadows = [_elements(draw, ring, m) for _ in basis]
+    return ring, _elements(draw, ring, rank, 6), basis, shadows, _elements(draw, ring, m)
+
+
+@settings(max_examples=300)
+@given(division_cases())
+def test_heap_normal_form_matches_the_max_scan(case):
+    ring, v, basis, shadows, vshadow = case
+    lts = [gb.elem_lt(ring, g) for g in basis]
+    by_pos = gb._by_position(lts, [ring.field.inv(c) for _, c in lts])
+    inputs = copy.deepcopy((v, basis, shadows, vshadow, by_pos))
+    rem, sh = gb._reduce_full(ring, v, basis, by_pos, shadows, vshadow)
+    ref_rem, ref_sh = reference_normal_form(ring, v, basis, shadows, vshadow)
+    # the same terms in the same dict order: the remainder largest term
+    # first, the shadow as the rebuilt dicts would have it
+    assert list(rem.items()) == list(ref_rem.items())
+    assert list(sh.items()) == list(ref_sh.items())
+    assert list(gb._reduce_full(ring, v, basis, by_pos).items()) == list(ref_rem.items())
+    assert (v, basis, shadows, vshadow, by_pos) == inputs
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_normal_form_with_cofactors_matches_the_max_scan(data):
+    ring = data.draw(_rings())
+    rank = data.draw(st.integers(1, 2))
+    gens = [_elements(data.draw, ring, rank, 3) for _ in range(data.draw(st.integers(1, 3)))]
+    inputs = copy.deepcopy(gens)
+    g = gb.buchberger(gens, rank, ring)
+    assert gens == inputs
+    v = _elements(data.draw, ring, rank, 6)
+    kept = copy.deepcopy((v, g.generators, g.cofactors, g.by_position))
+    rem, expr = gb.normal_form_with_cofactors(v, g)
+    ref_rem, ref_sh = reference_normal_form(ring, v, g.generators, g.cofactors, {})
+    assert rem == ref_rem
+    assert expr == {k: ring.field.neg(c) for k, c in ref_sh.items()}
+    # v - rem is the combination expr of the inputs
+    assert elem_sub(ring.field, v, rem) == apply_columns(gens, expr, ring)
+    assert (v, g.generators, g.cofactors, g.by_position) == kept
+
+
 # --- randomized properties ------------------------------------------------
 
 _expo = st.integers(min_value=0, max_value=3)
@@ -205,7 +341,7 @@ def test_syzygies_annihilate_columns(a, b, e1, e2):
     syz_gb = gb.buchberger(g.input_syzygies, len(gens), R)
     if g.input_syzygies:
         s0 = g.input_syzygies[0]
-        mult = gb.elem_mul_term(R.field, s0, (e1, e2), 5)
+        mult = elem_mul_term(R.field, s0, (e1, e2), 5)
         assert gb.elem_is_zero(gb.normal_form(mult, syz_gb))
 
 
@@ -219,13 +355,11 @@ def _all_s_vectors_reduce_to_zero(g):
             (pj, mj), cj = gb.elem_lt(ring, basis[j])
             if pi != pj:
                 continue
-            from dflab.ring import monomial_div, monomial_lcm
-
             lcm = monomial_lcm(mi, mj)
-            s = gb.elem_sub(
+            s = elem_sub(
                 fld,
-                gb.elem_mul_term(fld, basis[i], monomial_div(lcm, mi), fld.inv(ci)),
-                gb.elem_mul_term(fld, basis[j], monomial_div(lcm, mj), fld.inv(cj)),
+                elem_mul_term(fld, basis[i], monomial_div(lcm, mi), fld.inv(ci)),
+                elem_mul_term(fld, basis[j], monomial_div(lcm, mj), fld.inv(cj)),
             )
             if not gb.elem_is_zero(gb.normal_form(s, g)):
                 return False
@@ -243,28 +377,55 @@ def test_buchberger_criterion_on_reduced_bases():
         assert _all_s_vectors_reduce_to_zero(g)
 
 
-# --- oracle on the perfbench `engines` complex ------------------------------
+# --- oracle on the perfbench `engines` complex and a reduced Sym^3 -----------
 #
 # tests/data/groebner-presentations.json holds, for each k, the sha256 of
 # every Groebner basis ``homology_groebner(C, k)`` builds (generators, input
 # syzygies, cofactors, in call order) together with the presentation's
-# ``gen_degrees``.  It was written with ``_digest`` before the pair heap and
-# the leading-term caches went in, so a change to the Buchberger pair order
-# or to any reduction shows up here.
+# ``gen_degrees``.  The two F_p `engines` entries were written with
+# ``_digest`` before the pair heap and the leading-term caches went in, the
+# Q `engines` entry and the reduced Sym^3 over F_97[x, y, z] before the
+# normal form moved onto a heap, so a change to the Buchberger pair order or
+# to any reduction shows up here.
 
 ORACLE = pathlib.Path(__file__).parent / "data" / "groebner-presentations.json"
-ENGINES_RINGS = {"F_97 (x, y)": (97, ("x", "y")), "F_32749 (3x, 5y)": (32749, ("3*x", "5*y"))}
+
+
+def _engines_case(prime, seq, rationals=False):
+    def build():
+        C = engines_complex(ring_descriptor(prime=prime, rationals=rationals, sequence=seq))
+        return C, C.support()
+
+    return build
+
+
+def _sym3_conormal_three():
+    # Sym^3 of the residue field of F_97[x, y, z], cut at 4, then reduced:
+    # degree 4 keeps 2082 generators, so H_3's relations are a large input
+    R3 = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
+    N = normalize(apply_pointwise_functor(fu.Sym(3), gamma(regular_sequence_resolution(R3), 5)))
+    return complexes.reduce_complex(complexes.truncate(N, 4)), range(4)
+
+
+ORACLE_CASES = {
+    "F_97 (x, y)": _engines_case(97, ("x", "y")),
+    "F_32749 (3x, 5y)": _engines_case(32749, ("3*x", "5*y")),
+    "Q (x, y)": _engines_case(97, ("x", "y"), rationals=True),
+    "F_97 (x, y, z) reduced Sym^3": _sym3_conormal_three,
+}
 
 
 def _canon(v):
-    return sorted([pos, list(mono), c] for (pos, mono), c in v.items())
+    # F_p coefficients are ints; a Fraction over Q is written as "p/q"
+    return sorted(
+        [pos, list(mono), c if isinstance(c, int) else str(c)] for (pos, mono), c in v.items()
+    )
 
 
-def _presentations(ring, record):
+def _presentations(C, ks, record):
     """k -> (presentation, [(inputs, ModuleGB) of every buchberger call])."""
-    C = engines_complex(ring)
     out = {}
-    for k in C.support():
+    for k in ks:
         record.clear()
         pres = complexes.homology_groebner(C, k)
         out[k] = (pres, list(record))
@@ -297,12 +458,12 @@ def _recording(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES_RINGS))
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_engines_presentations_match_the_oracle(name, monkeypatch):
-    prime, seq = ENGINES_RINGS[name]
-    ring = ring_descriptor(prime=prime, sequence=seq)
+    C, ks = ORACLE_CASES[name]()
+    ring = C.ring
     calls = _recording(monkeypatch)
-    presentations = _presentations(ring, calls)
+    presentations = _presentations(C, ks, calls)
     expected = json.loads(ORACLE.read_text())[name]
     assert {str(k): _digest(p, c) for k, (p, c) in presentations.items()} == expected
     for _, bases in presentations.values():

@@ -44,6 +44,20 @@ def test_koszul_scenario():
     assert r.passed and r.computed["all_tables_match"]
 
 
+def test_koszul_scenario_compares_the_whole_sequence():
+    # (x, y, z) as one map R^3 -> R: Kos^n of it against the derived Sym^n and Lambda^n
+    xyz = ("x", "y", "z")
+    r = SCENARIOS["check-koszul"](ScenarioConfig(variables=xyz, sequence=xyz))
+    assert r.passed and r.computed["all_tables_match"]
+    keys = {k for k in r.per_degree if k.startswith("length-3/")}
+    assert keys == {f"length-3/n={n}/{side}" for n in (1, 2, 3) for side in ("sym", "ext")}
+    for key in keys:
+        assert r.per_degree[key]["koszul"] == r.per_degree[key]["derived"], key
+    # the map's rank-3 source shows in the tables: H_1 of the n = 2 co-Koszul complex
+    assert r.per_degree["length-3/n=2/ext"]["koszul"]["1"] == {"1": 3, "2": 3}
+    assert not any(k.startswith("pair/") for k in r.per_degree)
+
+
 @pytest.mark.parametrize(
     "variables,seq",
     [
