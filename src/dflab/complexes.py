@@ -446,7 +446,8 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
 
 def _quotient_hilbert(ring, ideal, t_max):
     """(Hilbert function of R/I in degrees 0..t_max, dim_k R/I), R/I finite."""
-    gb = gb_mod.buchberger([gb_mod.from_map_column({0: f}) for f in ideal], 1, ring)
+    gens = [gb_mod.from_map_column({0: f}) for f in ideal]
+    gb = gb_mod.buchberger(gens, 1, ring, basis_only=True)
     pres = gb_mod.Presentation(1, gb, gen_degrees=(0,))
     finite, dim = gb_mod.quotient_dim(pres)
     if not finite:
@@ -546,7 +547,7 @@ def homology_groebner(C: ChainComplex, k: int) -> gb_mod.Presentation:
                 raise RuntimeError("boundary not contained in kernel: broken complex")
             if not gb_mod.elem_is_zero(expr):
                 relations.append(expr)
-    rel_gb = gb_mod.buchberger(relations, len(kernel), ring)
+    rel_gb = gb_mod.buchberger(relations, len(kernel), ring, basis_only=True)
     pres = gb_mod.Presentation(len(kernel), rel_gb, gen_degrees=gen_degs)
     gb_mod.quotient_dim(pres)
     return pres

@@ -3,13 +3,13 @@
 Elements of a free module R^r are flat sparse dicts
 ``{(position, monomial): coeff}``.  The module order is
 position-over-term: lower position dominates, ties broken by the
-ring's monomial order.  Buchberger runs with cofactor shadows in terms
-of the *input* generators, so zero reductions of S-vectors hand back
-kernel elements (Schreyer) with no extra machinery.
+ring's monomial order.  By default Buchberger runs with cofactor
+shadows in terms of the *input* generators, so zero reductions of
+S-vectors hand back kernel elements (Schreyer) with no extra machinery.
 
 Scale note: these routines certify the homology engines at desk scale:
 module ranks in the tens to a few thousand (``gk --engine both`` at the
-default n_max 7 takes about 18 s on a 2-vCPU VM).  Buchberger keeps its
+default n_max 7 takes about 1.5 s on a 2-vCPU VM).  Buchberger keeps its
 pairs in a heap keyed by the lcm's degree and monomial key, ties in
 creation order (Gebauer–Möller, J. Symb. Comp. 6 (1988)), and computes
 each pair's cost and lcm once, when the pair is made.  Basis elements
@@ -17,12 +17,20 @@ never change once added, so each leading term and the inverse of its
 coefficient are computed once: ``buchberger`` keeps lists parallel to
 the basis and ``ModuleGB.lts`` caches a finished basis's.  Normal forms
 run on a heap of the working element's terms (``_reduce_full``) and
-reduce in place, so no step rescans the element or copies it.  There
-are still no pair criteria: every pair that a criterion would skip is
-one whose S-vector reduces to zero, and that zero reduction's shadow is
-an input syzygy.  ``homology_groebner`` presents H_k by those syzygies,
-so skipping pairs would change the presentation (and the product
-criterion is unsound for module elements anyway).
+reduce in place, so no step rescans the element or copies it.
+
+Pair criteria: a pair that a criterion skips is one whose syzygy
+follows from those of other pairs; reducing it anyway hands back one
+more input syzygy.  A caller that reads the syzygies or the cofactors
+(``homology_groebner`` presents H_k by the syzygies of its kernel
+basis, and fewer of them would change that presentation) gets every
+pair reduced.  With ``basis_only=True`` no shadow is
+carried and Buchberger's chain criterion skips a pair (i, j) when some
+other element k in the same position has a leading monomial dividing
+lcm(i, j) and neither (i, k) nor (j, k) is still pending (the guard
+that keeps two pairs from each being skipped on the other's account).
+The reduced basis is unique, so both modes return the same generators.
+The product criterion is not used: it is unsound for module elements.
 """
 
 from __future__ import annotations
@@ -81,15 +89,19 @@ def from_map_column(col: dict) -> dict:
 
 @dataclass
 class ModuleGB:
-    """A (reduced, unless flagged otherwise) Groebner basis of a submodule."""
+    """A (reduced, unless flagged otherwise) Groebner basis of a submodule.
+
+    A basis built with ``buchberger(..., basis_only=True)`` holds
+    ``input_syzygies = None`` and ``cofactors = None``.
+    """
 
     ambient_rank: int
     ring: RingDescriptor
     generators: list
     reduced: bool = True
-    input_syzygies: list = dc_field(default_factory=list)
+    input_syzygies: list | None = dc_field(default_factory=list)
     input_count: int = 0
-    cofactors: list = dc_field(default_factory=list)
+    cofactors: list | None = dc_field(default_factory=list)
 
     @cached_property
     def lts(self) -> list:
@@ -202,31 +214,36 @@ def _s_vector(field, a: dict, b: dict, ua, ub, qa, qb) -> dict:
     return _sub_multiple(field, out, b, ub, qb)
 
 
-def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
+def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=False) -> ModuleGB:
     """Reduced GB of the submodule generated by gens, with input syzygies.
 
     gens: list of flat elements (dicts); zero entries allowed.  Pairs
     wait in a heap keyed by (degree of the lcm, monomial key of the lcm,
     creation index): the lowest lcm first, ties in creation order.
+    With ``basis_only=True`` no shadow is carried, the chain criterion
+    skips pairs, and the result has no syzygies and no cofactors.
     """
     field = ring.field
     m = len(gens)
     basis = []
     lts = []  # elem_lt of each basis element; elements never change
     invs = []  # 1/(leading coefficient) of each basis element
-    shadows = []
-    syzygies = []
+    shadows = None if basis_only else []
+    syzygies = None if basis_only else []
     for i, g in enumerate(gens):
         if elem_is_zero(g):
-            syzygies.append({(i, (0,) * ring.nvars): field.one})
+            if not basis_only:
+                syzygies.append({(i, (0,) * ring.nvars): field.one})
         else:
             basis.append(dict(g))
             lts.append(elem_lt(ring, g))
             invs.append(field.inv(lts[-1][1]))
-            shadows.append({(i, (0,) * ring.nvars): field.one})
+            if not basis_only:
+                shadows.append({(i, (0,) * ring.nvars): field.one})
     by_pos = _by_position(lts, invs)  # kept up to date as the basis grows
 
     pairs = []
+    pending = set()  # (i, j), i < j, of the pairs still in the heap
     created = count()
 
     def add_pair(i, j):
@@ -236,6 +253,19 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
             lcm = monomial_lcm(imono, jmono)
             cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
             heapq.heappush(pairs, (cost, next(created), i, j, lcm))
+            pending.add((i, j))
+
+    def chain_skips(i, j, pos, lcm):
+        for k, kmono, _ in by_pos[pos]:
+            if (
+                k != i
+                and k != j
+                and all(map(le, kmono, lcm))
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                return True
+        return False
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -243,23 +273,30 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
 
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
-        (_, imono), _ = lts[i]
+        pending.discard((i, j))
+        (pos, imono), _ = lts[i]
         (_, jmono), _ = lts[j]
+        if basis_only and chain_skips(i, j, pos, lcm):
+            continue
         ui, uj = monomial_div(lcm, imono), monomial_div(lcm, jmono)
         s = _s_vector(field, basis[i], basis[j], ui, uj, invs[i], invs[j])
-        sh = _s_vector(field, shadows[i], shadows[j], ui, uj, invs[i], invs[j])
-        rem, sh = _reduce_full(ring, s, basis, by_pos, shadows, sh)
+        if basis_only:
+            rem = _reduce_full(ring, s, basis, by_pos)
+        else:
+            sh = _s_vector(field, shadows[i], shadows[j], ui, uj, invs[i], invs[j])
+            rem, sh = _reduce_full(ring, s, basis, by_pos, shadows, sh)
         if elem_is_zero(rem):
-            if not elem_is_zero(sh):
+            if not basis_only and not elem_is_zero(sh):
                 syzygies.append(sh)
         else:
             basis.append(rem)
             lts.append(elem_lt(ring, rem))
             invs.append(field.inv(lts[-1][1]))
-            shadows.append(sh)
+            if not basis_only:
+                shadows.append(sh)
             k = len(basis) - 1
-            pos, mono = lts[k][0]
-            by_pos.setdefault(pos, []).append((k, mono, invs[k]))
+            kpos, kmono = lts[k][0]
+            by_pos.setdefault(kpos, []).append((k, kmono, invs[k]))
             for t in range(k):
                 add_pair(t, k)
 
@@ -276,7 +313,8 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor) -> ModuleGB:
 
 
 def _interreduce(ring, basis, lts, invs, shadows):
-    """Minimal reduced GB (monic, tails reduced) with tracked cofactors.
+    """Minimal reduced GB (monic, tails reduced), with tracked cofactors
+    unless shadows is None (then the cofactors are None).
 
     Each minimal element's leading term is divisible by no other's, so
     reducing its tail against the others keeps that term and coefficient:
@@ -284,6 +322,9 @@ def _interreduce(ring, basis, lts, invs, shadows):
     """
     field = ring.field
     key = pot_key(ring)
+    tracked = shadows is not None
+    if not tracked:
+        shadows = [None] * len(basis)
     items = sorted(zip(basis, lts, invs, shadows), key=lambda item: key(item[1][0]))
     min_basis, min_lts, min_invs, min_shadows = [], [], [], []
     for g, lt, inv, sh in items:
@@ -301,10 +342,13 @@ def _interreduce(ring, basis, lts, invs, shadows):
         (pos, _), _ = lt
         others = dict(by_pos)
         others[pos] = [d for d in by_pos[pos] if d[0] != idx]
-        rem, rsh = _reduce_full(ring, g, min_basis, others, min_shadows, sh)
+        if tracked:
+            rem, rsh = _reduce_full(ring, g, min_basis, others, min_shadows, sh)
+            cofactors.append(elem_scale(field, rsh, inv))
+        else:
+            rem = _reduce_full(ring, g, min_basis, others)
         out.append(elem_scale(field, rem, inv))
-        cofactors.append(elem_scale(field, rsh, inv))
-    return out, cofactors
+    return out, cofactors if tracked else None
 
 
 def normal_form(v: dict, gb: ModuleGB) -> dict:
@@ -313,16 +357,12 @@ def normal_form(v: dict, gb: ModuleGB) -> dict:
 
 def normal_form_with_cofactors(v: dict, gb: ModuleGB):
     """(remainder, expression of the reduced part in terms of gb's inputs)."""
+    if gb.cofactors is None:
+        raise ValueError("a basis-only ModuleGB has no cofactors")
     field = gb.ring.field
     zero_sh: dict = {}
     rem, sh = _reduce_full(gb.ring, v, gb.generators, gb.by_position, gb.cofactors, zero_sh)
     return rem, elem_scale(field, sh, field.neg(field.one))
-
-
-def syzygies(gb: ModuleGB) -> ModuleGB:
-    """Kernel of (free module on gb.generators) -> ambient, as a ModuleGB."""
-    inner = buchberger([dict(g) for g in gb.generators], gb.ambient_rank, gb.ring)
-    return buchberger(inner.input_syzygies, len(gb.generators), gb.ring)
 
 
 def kernel_of_columns(cols, ambient_rank: int, ring: RingDescriptor):
@@ -427,7 +467,7 @@ def minimal_generators(pres: Presentation) -> int:
         for v in range(ring.nvars):
             mono = tuple(1 if k == v else 0 for k in range(ring.nvars))
             gens.append({(pos, mono): field.one})
-    gb = buchberger(gens, pres.generator_count, ring)
+    gb = buchberger(gens, pres.generator_count, ring, basis_only=True)
     return quotient_dim(Presentation(pres.generator_count, gb))[1]  # finite: each x_i is in
 
 

@@ -228,7 +228,7 @@ def _is_regular_after(ring, fs, g) -> bool:
     """g is a nonzerodivisor mod (fs): a*g + sum b_i*f_i = 0 forces a into (fs)."""
     cols = [gb_mod.from_map_column({0: q}) for q in (g, *fs)]
     syz, _ = gb_mod.kernel_of_columns(cols, 1, ring)
-    ideal = gb_mod.buchberger(cols[1:], 1, ring)
+    ideal = gb_mod.buchberger(cols[1:], 1, ring, basis_only=True)
     return all(
         gb_mod.elem_is_zero(gb_mod.normal_form({k: c for k, c in s.items() if k[0] == 0}, ideal))
         for s in syz
@@ -493,7 +493,9 @@ def _certify_cyclic_mod(pres, f, others, t_max) -> str:
     shifted to its generator degree), or 'other'."""
     if pres.generator_count == 0 or (pres.finite and pres.dim == 0):
         return "0"
-    ideal = gb_mod.buchberger([gb_mod.from_map_column({0: f})], 1, pres.relations.ring)
+    ideal = gb_mod.buchberger(
+        [gb_mod.from_map_column({0: f})], 1, pres.relations.ring, basis_only=True
+    )
     quotient = gb_mod.Presentation(1, ideal, gen_degrees=(min(pres.gen_degrees, default=0),))
     if gb_mod.quotient_dim(quotient) != (pres.finite, pres.dim):
         return "other"

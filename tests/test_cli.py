@@ -11,6 +11,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 # committed --no-timing reports: file stem -> arguments
 GOLDEN = {
     "gk": ["gk"],
+    # both engines at default scale: the Groebner engine on the unreduced complex
+    "gk-engine-both": ["gk", "--engine", "both"],
     "cross2": ["cross2"],
     "cross3": ["cross3"],
     "tor-powers": ["tor-powers"],
