@@ -9,14 +9,18 @@ For every workload in CHECKOUT's BENCHMARK.json this runs
 and one short ``--trace 1`` run for the module sizes, then times one
 serial ``dflab all`` and one ``dflab gk --engine both --no-timing`` from
 CHECKOUT's sources (no workload runs the Groebner engine at default
-scale).
+scale), and one conormal-rank-3 point: ``homology_graded`` of the
+diagonal of GP^3 over F_97[x,y,z] with sequence (x,y,z) at n_max 5 and
+t_max 9, in a child process whose address space is capped at 2 GiB.
 CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
 The file holds the end-to-end metrics of each workload and its traced
 size counters (``SIZE_COUNTERS``: level and normalized ranks per call,
 which do not depend on how long the traced run lasts); the wall time,
 exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
 its report with ``millis`` zeroed (the ``--no-timing`` bytes); the wall
-time, exit code and report sha256 of ``gk --engine both``; the git
+time, exit code and report sha256 of ``gk --engine both``; the build
+and ``homology_graded`` wall times, peak RSS (``ru_maxrss``), rank
+vector and error (``MemoryError`` past the cap) of the d = 3 point; the git
 commit of CHECKOUT and whether its tracked files differ from that
 commit, the Python and numpy versions and the CPU count.  Nothing
 under ``perfbench/`` is changed; a run takes a few minutes.
@@ -100,6 +104,44 @@ def time_gk_both(root: Path) -> dict:
     return {"wall_s": wall, "exit_code": code, "json_sha256": sha}
 
 
+D3 = {"n_max": 5, "t_max": 9, "cap_bytes": 2 * 1024**3}
+D3_CHILD = """
+import json, resource, sys, time
+n_max, t_max, cap = (int(a) for a in sys.argv[1:])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from dflab.complexes import homology_graded
+from dflab.koszul import regular_sequence_resolution
+from dflab.ring import ring_descriptor
+from dflab.simplicial import diagonal_tensor, gamma, normalize
+ring = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
+t0 = time.monotonic()
+GP = gamma(regular_sequence_resolution(ring), n_max)
+C = normalize(diagonal_tensor([GP, GP, GP]))
+t1 = time.monotonic()
+ranks = error = None
+try:
+    ranks = homology_graded(C, t_max).rank_vector(range(n_max + 1))
+except MemoryError:
+    error = "MemoryError"
+t2 = time.monotonic()
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"build_s": t1 - t0, "homology_s": t2 - t1, "maxrss_mb": rss,
+                  "ranks": ranks, "error": error}))
+"""
+
+
+def time_d3(root: Path) -> dict:
+    """The d = 3 point: cross3's complex over F_97[x,y,z], ranked by homology_graded."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", D3_CHILD, *(str(D3[k]) for k in ("n_max", "t_max", "cap_bytes"))],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {"error": proc.stderr[-500:]}
+    return dict(D3, exit_code=proc.returncode, **result)
+
+
 def git(root: Path, *args) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
 
@@ -130,6 +172,8 @@ def main(argv=None) -> int:
     print("dflab all", json.dumps(doc["dflab_all"]), file=sys.stderr)
     doc["gk_engine_both"] = time_gk_both(root)
     print("dflab gk --engine both", json.dumps(doc["gk_engine_both"]), file=sys.stderr)
+    doc["d3_cross3"] = time_d3(root)
+    print("d = 3 cross3", json.dumps(doc["d3_cross3"]), file=sys.stderr)
     out = (args.out or root) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -7,9 +7,12 @@ minimal complex.  The reduction is a homotopy equivalence of complexes
 of graded R-modules, so homology is the same graded R-module and every
 certificate (dims, stabilization, annihilators) carries over.  The engine
 then slices the reduced complex into exact field linear algebra, one
-internal degree at a time, and certifies R/I-module ranks by annihilator
-checks on explicit homology representatives and a Hilbert-function
-freeness check.
+internal degree at a time: each slice is a stream of sparse columns
+(``linear.slice_columns``) ranked by sparse elimination
+(``fieldla.sparse_rank``), so memory follows the nonzeros and the pivots,
+not rows times columns.  It certifies R/I-module ranks by annihilator
+checks on explicit homology representatives, on dense slices at the
+degrees where homology is nonzero, and a Hilbert-function freeness check.
 
 The Groebner engine presents each homology module by generators
 (syzygies of the differential) and relations (lifted boundaries plus
@@ -31,6 +34,8 @@ from .linear import (
     identity_map,
     multiplication_slice,
     slice_basis,
+    slice_columns,
+    slice_positions,
     tensor_maps,
     tensor_modules,
     zero_map,
@@ -386,9 +391,11 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
     a key for every degree of the input.  ``annihilators`` defaults to the
     ring's regular sequence; for each homology class representative z and
     each generator f the certificate checks that f*z is a boundary.
-    Slices are built and discarded one internal degree at a time;
-    certificates re-slice at the (small) degrees where homology is
-    nonzero.
+    At each internal degree t the slice basis of every C_k is built once
+    and serves as d_k's source and d_{k+1}'s target; the rank of d_k is
+    ``fieldla.sparse_rank`` of its ``slice_columns``, which keeps only
+    the pivot columns.  Certificates build dense slices
+    (``graded_slice``), only at the degrees where homology is nonzero.
     """
     ring = C.ring
     field = ring.field
@@ -407,14 +414,14 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
 
     euler_ok = True
     for t in range(0, t_max + 1):
-        dim_c = {k: len(slice_basis(C.module(k), t)) for k in ks}
+        bases = {k: slice_basis(C.module(k), t) for k in ks}  # d_k's source, d_{k+1}'s target
+        dim_c = {k: len(b) for k, b in bases.items()}
         ranks = {ks[0]: 0}  # ranks[k] = rank of d_k at t
         for k in ks[1:]:
             ranks[k] = 0
             if dim_c[k] and dim_c[k - 1]:
-                M, _, _ = graded_slice(C.diff(k), t)
-                ranks[k] = fieldla.rank(field, M)
-                del M
+                cols = slice_columns(C.diff(k), bases[k], slice_positions(bases[k - 1]))
+                ranks[k] = fieldla.sparse_rank(field, cols)
         lhs = rhs = 0
         for k in ks:
             dim_h = dim_c[k] - ranks[k] - ranks.get(k + 1, 0)

@@ -2,10 +2,12 @@
 
 Each field has one backend, and only the backends know how its matrices
 are stored; every routine below picks the backend of its field once.
-There are two eliminations, both written over the backend's ``reduce``
-and ``inv``: ``_echelon`` (Gauss-Jordan on a whole matrix) and
-``ColumnSpace._reduce``/``add``, which reduce one vector at a time
-against a basis kept in reduced echelon form.
+There are two dense eliminations, both written over the backend's
+``reduce`` and ``inv``: ``_echelon`` (Gauss-Jordan on a whole matrix)
+and ``ColumnSpace._reduce``/``add``, which reduce one vector at a time
+against a basis kept in reduced echelon form.  ``sparse_rank`` ranks
+columns given as dicts with the field's own arithmetic, one code path
+for F_p and Q; the graded engine ranks its slices with it.
 
 F_p matrices are int64 arrays of least non-negative residues.  The
 elimination reduces after every row operation, so each product it forms
@@ -157,6 +159,38 @@ def random_matrix(field, m, n, rng):
 def rank(field, M) -> int:
     r, _, _ = echelon(field, M)
     return r
+
+
+def sparse_rank(field, cols) -> int:
+    """Rank of the matrix with the given sparse columns, {row: coeff}.
+
+    Each pivot column is stored normalized to 1 at its lowest row.  An
+    incoming column is reduced by taking its lowest row again and again:
+    where a pivot sits at that row it is eliminated, otherwise the column
+    becomes the pivot of that row.  The pivots' lowest rows are distinct,
+    so they are independent and span every column seen: the rank is
+    their number.  Memory is that of the pivots, at most one per row.
+    Zero coefficients are ignored; the columns are not modified.
+    """
+    zero = field.zero
+    pivots: dict = {}  # lowest row -> column, 1 at that row
+    for col in cols:
+        col = {i: c for i, c in col.items() if c}
+        while col:
+            low = min(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = field.inv(col[low])
+                pivots[low] = {i: field.mul(c, inv) for i, c in col.items()}
+                break
+            c = col[low]
+            for i, a in piv.items():
+                v = field.sub(col.get(i, zero), field.mul(c, a))
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+    return len(pivots)
 
 
 def rank_two(field, A, B) -> tuple[int, int]:

@@ -246,14 +246,11 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
     pending = set()  # (i, j), i < j, of the pairs still in the heap
     created = count()
 
-    def add_pair(i, j):
-        (ipos, imono), _ = lts[i]
-        (jpos, jmono), _ = lts[j]
-        if ipos == jpos:
-            lcm = monomial_lcm(imono, jmono)
-            cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
-            heapq.heappush(pairs, (cost, next(created), i, j, lcm))
-            pending.add((i, j))
+    def add_pair(i, j):  # i < j, in the same position
+        lcm = monomial_lcm(lts[i][0][1], lts[j][0][1])
+        cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
+        heapq.heappush(pairs, (cost, next(created), i, j, lcm))
+        pending.add((i, j))
 
     def chain_skips(i, j, pos, lcm):
         for k, kmono, _ in by_pos[pos]:
@@ -267,8 +264,12 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
                 return True
         return False
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    # only same-position pairs exist; each bucket is in basis order, so
+    # pairs are created in (i, j) order
+    placed = dict.fromkeys(by_pos, 0)  # position -> elements of it seen so far
+    for i, ((pos, _), _) in enumerate(lts):
+        placed[pos] += 1
+        for j, _, _ in by_pos[pos][placed[pos]:]:
             add_pair(i, j)
 
     while pairs:
@@ -296,9 +297,10 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
                 shadows.append(sh)
             k = len(basis) - 1
             kpos, kmono = lts[k][0]
-            by_pos.setdefault(kpos, []).append((k, kmono, invs[k]))
-            for t in range(k):
+            bucket = by_pos.setdefault(kpos, [])
+            for t, _, _ in bucket:
                 add_pair(t, k)
+            bucket.append((k, kmono, invs[k]))
 
     reduced, cofactors = _interreduce(ring, basis, lts, invs, shadows)
     return ModuleGB(

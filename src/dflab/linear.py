@@ -476,28 +476,43 @@ def slice_positions(basis):
     return {pair: pos for pos, pair in enumerate(basis)}
 
 
+def slice_columns(f: MapMatrix, src_basis, tgt_positions):
+    """The columns of f restricted to one internal degree, sparse.
+
+    Yields, for each (label index, monomial) pair of ``src_basis`` in
+    order, the dict {target position: coefficient} of its image, where
+    ``tgt_positions`` is ``slice_positions`` of the target slice basis.
+    Distinct (row, term) pairs of a column land on distinct positions,
+    so every coefficient is a nonzero term coefficient.  An entry that
+    is not homogeneous of the right degree lands outside the target
+    slice and raises ``ValueError``.
+    """
+    for j, mono in src_basis:
+        col = {}
+        for i, q in f.col(j).items():
+            for mterm, coeff in q.terms.items():
+                rpos = tgt_positions.get((i, monomial_mul(mono, mterm)))
+                if rpos is None:
+                    raise ValueError("non-homogeneous entry hit a missing slice row")
+                col[rpos] = coeff
+        yield col
+
+
 def graded_slice(f: MapMatrix, t: int, src_basis=None, tgt_basis=None):
     """Field matrix of f restricted to internal degree t.
 
-    Returns (matrix, tgt_basis, src_basis); requires f homogeneous (the
-    caller certifies via is_homogeneous, not re-checked here).
+    Returns (matrix, tgt_basis, src_basis): the columns of
+    ``slice_columns`` scattered into a dense matrix.
     """
-    ring = f.source.ring
-    field = ring.field
+    field = f.source.ring.field
     if src_basis is None:
         src_basis = slice_basis(f.source, t)
     if tgt_basis is None:
         tgt_basis = slice_basis(f.target, t)
-    pos = slice_positions(tgt_basis)
     M = fieldla.zeros(field, len(tgt_basis), len(src_basis))
-    for cpos, (j, mono) in enumerate(src_basis):
-        for i, q in f.col(j).items():
-            for mterm, coeff in q.terms.items():
-                key = (i, monomial_mul(mono, mterm))
-                rpos = pos.get(key)
-                if rpos is None:
-                    raise ValueError("non-homogeneous entry hit a missing slice row")
-                M[rpos, cpos] = field.add(M[rpos, cpos], coeff)
+    for cpos, col in enumerate(slice_columns(f, src_basis, slice_positions(tgt_basis))):
+        for rpos, coeff in col.items():
+            M[rpos, cpos] = coeff
     return M, tgt_basis, src_basis
 
 

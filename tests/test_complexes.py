@@ -183,6 +183,40 @@ def test_reduced_dims_match_unreduced_slices(ring_name, request):
     assert rep.rank_vector(range(5)) == [1, 2, 1, 0, 0]
 
 
+def test_sparse_slice_ranks_match_the_dense_ranks(ring97):
+    """For every (k, t), the rank homology_graded takes from the sparse
+    slice columns equals fieldla.rank of the dense graded_slice."""
+    GP = gamma(regular_sequence_resolution(ring97), 7)
+    N = engines_complex(ring97)
+    complexes_ = {
+        "gk": reduce_complex(normalize(apply_pointwise_functor(Sym(3), GP))),
+        "cross3": reduce_complex(normalize(diagonal_tensor([GP, GP, GP]))),
+        "engines": reduce_complex(N),
+        "engines unreduced": N,  # larger slices, with fill-in
+    }
+    field = ring97.field
+    for name, M in complexes_.items():
+        nonzero = 0
+        for t in range(13):
+            for k in list(M.support())[1:]:
+                src, tgt = ln.slice_basis(M.module(k), t), ln.slice_basis(M.module(k - 1), t)
+                cols = ln.slice_columns(M.diff(k), src, ln.slice_positions(tgt))
+                dense = fieldla.rank(field, ln.graded_slice(M.diff(k), t)[0])
+                assert fieldla.sparse_rank(field, cols) == dense, (name, k, t)
+                nonzero += dense > 0
+        assert nonzero, name
+        assert graded_dims(homology_graded(M, 12)) == unreduced_dims(M, 12), name
+
+
+def test_cross3_in_three_variables():
+    """The third cross-effect at conormal rank 3: certified C(6, k) for k <= 2."""
+    ring = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
+    GP = gamma(regular_sequence_resolution(ring), 3)
+    rep = homology_graded(normalize(diagonal_tensor([GP, GP, GP])), 5)
+    assert rep.rank_vector(range(3)) == [1, 6, 15]
+    assert rep.euler_ok
+
+
 def test_reduce_complex_gives_minimal_complexes(ring97):
     GP = gamma(regular_sequence_resolution(ring97), 7)
     gk = normalize(apply_pointwise_functor(Sym(3), GP))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dflab import fieldla
 from dflab.ring import PrimeField, Rationals
@@ -197,3 +198,54 @@ def test_primes_above_the_bound_are_refused():
     k = 2**63 // (BIG - 1) ** 2 + 1  # k terms of (BIG - 1)**2 would wrap int64
     with pytest.raises(OverflowError):
         fieldla.matmul(PrimeField(BIG), np.ones((1, k), np.int64), np.ones((k, 1), np.int64))
+
+
+# --- sparse rank against the dense elimination ---------------------------------
+
+SPARSE_FIELDS = {"F_2": PrimeField(2), "F_97": F, "QQ": Rationals()}
+
+
+def _nonzero(field, data):
+    if isinstance(field, Rationals):
+        return Fraction(data.draw(st.integers(1, 4)) * data.draw(st.sampled_from([1, -1])),
+                        data.draw(st.integers(1, 3)))
+    return data.draw(st.integers(1, field.p - 1))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_sparse_rank_matches_the_dense_rank(data):
+    """Empty, zero, sparse, dense, repeated and dependent columns over
+    F_2, F_97 and Q: sparse_rank equals fieldla.rank of the dense matrix."""
+    field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
+    m, n = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 12))
+    rows = st.sets(st.integers(0, m - 1), max_size=m) if m else st.just(set())
+    cols = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["empty", "zero", "sparse", "dense", "repeat", "sum"]))
+        if kind == "zero":
+            col = {i: field.zero for i in data.draw(rows)}
+        elif kind == "sparse":
+            col = {i: _nonzero(field, data) for i in data.draw(rows)}
+        elif kind == "dense":
+            col = {i: _nonzero(field, data) for i in range(m)}
+        elif kind in ("repeat", "sum") and cols:
+            a, b = data.draw(st.sampled_from(cols)), data.draw(st.sampled_from(cols))
+            if kind == "repeat":
+                b = {}
+            ca, cb = _nonzero(field, data), _nonzero(field, data)
+            col = {}
+            for i in set(a) | set(b):
+                c = field.add(field.mul(ca, a.get(i, field.zero)), field.mul(cb, b.get(i, field.zero)))
+                if c:
+                    col[i] = c
+        else:
+            col = {}
+        cols.append(col)
+    M = fieldla.zeros(field, m, n)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            M[i, j] = c
+    before = [dict(col) for col in cols]
+    assert fieldla.sparse_rank(field, iter(cols)) == fieldla.rank(field, M)
+    assert cols == before

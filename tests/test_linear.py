@@ -73,6 +73,28 @@ def test_graded_slice_univariate_identity():
     assert M.shape == (1, 1) and M[0, 0] == 1
 
 
+def test_slice_columns_are_the_columns_of_the_dense_slice():
+    c = mx.compose(my) + ln.MapMatrix(M2, M0, {0: {0: X * X}})
+    for f in (mx, my, c):
+        for t in range(5):
+            M, tb, sb = ln.graded_slice(f, t)
+            cols = list(ln.slice_columns(f, sb, ln.slice_positions(tb)))
+            assert len(cols) == M.shape[1]
+            for j, col in enumerate(cols):
+                assert all(col.values())
+                assert {i: int(M[i, j]) for i in np.flatnonzero(M[:, j])} == col
+
+
+@pytest.mark.parametrize("entry", [X * X, X + R.one()], ids=["wrong-degree", "inhomogeneous"])
+def test_non_homogeneous_entry_raises_from_the_slice_builder(entry):
+    bad = ln.MapMatrix(M1, M0, {0: {0: entry}})
+    sb, tb = ln.slice_basis(M1, 1), ln.slice_basis(M0, 1)
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        list(ln.slice_columns(bad, sb, ln.slice_positions(tb)))
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        ln.graded_slice(bad, 1)
+
+
 def test_slice_dimensions():
     assert len(ln.slice_basis(M0, 3)) == 4  # monomials of degree 3 in two variables
     assert len(ln.slice_basis(M0, -1)) == 0
