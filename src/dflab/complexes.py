@@ -11,8 +11,9 @@ internal degree at a time: each slice is a stream of sparse columns
 (``linear.slice_columns``) ranked by sparse elimination
 (``fieldla.sparse_rank``), so memory follows the nonzeros and the pivots,
 not rows times columns.  It certifies R/I-module ranks by annihilator
-checks on explicit homology representatives, on dense slices at the
-degrees where homology is nonzero, and a Hilbert-function freeness check.
+checks on the whole cycle space (f * Z_k must lie in B_k), on dense
+slices at the degrees where homology is nonzero, and a Hilbert-function
+freeness check.
 
 The Groebner engine presents each homology module by generators
 (syzygies of the differential) and relations (lifted boundaries plus
@@ -389,8 +390,8 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
 
     The complex is first cut down by ``reduce_complex``; the report keeps
     a key for every degree of the input.  ``annihilators`` defaults to the
-    ring's regular sequence; for each homology class representative z and
-    each generator f the certificate checks that f*z is a boundary.
+    ring's regular sequence; for each generator f the certificate checks
+    that f * z is a boundary for every cycle z in a basis of Z_k(t).
     At each internal degree t the slice basis of every C_k is built once
     and serves as d_k's source and d_{k+1}'s target; the rank of d_k is
     ``fieldla.sparse_rank`` of its ``slice_columns``, which keeps only
@@ -484,44 +485,41 @@ def _free_rank(deg: GradedDegree, h, dim_quotient):
     return rank
 
 
-def _homology_reps(C, field, k, t, dim_h):
-    """Column vectors representing a basis of H_k at internal degree t."""
-    sb = slice_basis(C.module(k), t)
-    if k - 1 >= C.lo and C.module(k - 1).rank:
-        dk, _, _ = graded_slice(C.diff(k), t, src_basis=sb)
-        K = fieldla.nullspace(field, dk)
-    else:
-        K = fieldla.identity(field, len(sb))
-    space = fieldla.ColumnSpace(field, len(sb))
-    if k + 1 <= C.hi and C.module(k + 1).rank:
-        B, _, _ = graded_slice(C.diff(k + 1), t, tgt_basis=sb)
-        space.add_columns(B)
-    reps = []
-    for j in range(K.shape[1]):
-        v = K[:, j]
-        if space.add(v):
-            reps.append(v)
-        if len(reps) == dim_h:
-            break
-    if len(reps) != dim_h:
-        raise RuntimeError("homology representative extraction mismatch")
-    return reps, sb
+def _cycles(C, field, k, t, sb, dim_h):
+    """Columns spanning the cycles Z_k at internal degree t (slice basis sb).
+
+    The nullspace of d_k's slice; when C_{k-1} is empty the slice has no
+    rows and every vector is a cycle.  dim Z - rank B must be ``dim_h``,
+    the homology dimension of the rank loop, else ``RuntimeError``.
+    """
+    dk, _, _ = graded_slice(C.diff(k), t, src_basis=sb)
+    Z = fieldla.nullspace(field, dk)
+    if Z.shape[1] - _boundaries(C, field, k, t, sb).rank != dim_h:
+        raise RuntimeError(f"dim Z - rank B at (k, t) = ({k}, {t}) is not dim H = {dim_h}")
+    return Z
+
+
+def _boundaries(C, field, k, t, tb):
+    """ColumnSpace of the boundaries B_k at internal degree t (slice basis tb)."""
+    space = fieldla.ColumnSpace(field, len(tb))
+    space.add_columns(graded_slice(C.diff(k + 1), t, tgt_basis=tb)[0])
+    return space
 
 
 def _annihilator_check(C, field, k, t, dim_h, f, fdeg) -> bool:
-    """f * (every class at (k, t)) must be a boundary at t + deg f."""
-    reps, sb = _homology_reps(C, field, k, t, dim_h)
+    """f * (every cycle at (k, t)) must be a boundary at t + deg f.
+
+    Checked on a basis of the whole cycle space, one column at a time
+    until one fails: Z_k(t) is spanned by class representatives and
+    B_k(t), and f * B_k(t) lies in B_k(t + deg f) because f commutes
+    with d, so this says f kills H_k at t.
+    """
+    sb = slice_basis(C.module(k), t)
+    Z = _cycles(C, field, k, t, sb, dim_h)
     tb = slice_basis(C.module(k), t + fdeg)
-    space = fieldla.ColumnSpace(field, len(tb))
-    if k + 1 <= C.hi and C.module(k + 1).rank:
-        B, _, _ = graded_slice(C.diff(k + 1), t + fdeg, tgt_basis=tb)
-        space.add_columns(B)
+    space = _boundaries(C, field, k, t + fdeg, tb)
     mult = multiplication_slice(C.module(k), f, t, src_basis=sb, tgt_basis=tb)
-    for v in reps:
-        image = mult @ v
-        if not space.contains(image):
-            return False
-    return True
+    return all(space.contains(mult @ Z[:, j]) for j in range(Z.shape[1]))
 
 
 # --- Groebner homology engine ----------------------------------------------
@@ -639,6 +637,11 @@ class ChainMap:
 def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None, reports=None) -> bool:
     """Equal graded homology dims and induced bijections on every slice.
 
+    ``cm`` must be a chain map (check ``is_chain_map`` first): it then
+    sends cycles to cycles and boundaries to boundaries, so the images of
+    a basis of the source cycles Z_k(t) span, modulo the target
+    boundaries, the image of the induced map on H_k at t, which is
+    bijective when that span has dimension dim H_k(t).
     ``k_max`` bounds the compared homological degrees; use it when the
     complexes are truncations whose top degree is an artifact.
     ``reports``, when given, are homology_graded(source) and
@@ -659,15 +662,10 @@ def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None, reports=Non
         if a != b:
             return False
     for k in ks:
-        dims = hs.degrees.get(k, GradedDegree()).dims
-        for t, dim_h in dims.items():
-            reps, sb_k = _homology_reps(src, field, k, t, dim_h)
-            tb_k = slice_basis(tgt.module(k), t)
-            dk1_tgt, _, _ = graded_slice(tgt.diff(k + 1), t, tgt_basis=tb_k)
-            fmat, _, _ = graded_slice(cm.map_at(k), t, src_basis=sb_k, tgt_basis=tb_k)
-            space_tgt = fieldla.ColumnSpace(field, len(tb_k))
-            space_tgt.add_columns(dk1_tgt)
-            added = sum(bool(space_tgt.add(fmat @ rep)) for rep in reps)
-            if added != dim_h:
+        for t, dim_h in hs.degrees.get(k, GradedDegree()).dims.items():
+            sb, tb = slice_basis(src.module(k), t), slice_basis(tgt.module(k), t)
+            Z = _cycles(src, field, k, t, sb, dim_h)
+            fmat, _, _ = graded_slice(cm.map_at(k), t, src_basis=sb, tgt_basis=tb)
+            if _boundaries(tgt, field, k, t, tb).add_columns(fmat @ Z) != dim_h:
                 return False
     return True

@@ -347,12 +347,12 @@ class CrossEffect:
     pivot_cols: list
 
 
-def cross_effect(tag: FunctorTag, args, ring=None) -> CrossEffect:
+def cross_effect(tag: FunctorTag, args) -> CrossEffect:
     """Image of the cross-effect idempotent, basis = pivot columns.
 
     args: list of LabeledFreeModule over a plain field ring.
     """
-    ring = ring or args[0].ring
+    ring = args[0].ring
     if ring.nvars != 0:
         raise ValueError("cross-effects are computed over a plain field ring")
     field = ring.field

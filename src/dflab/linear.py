@@ -132,32 +132,6 @@ def label_degree(label) -> int:
     return d
 
 
-def label_str(label) -> str:
-    kind = label[0]
-    if kind == ATOM:
-        return label[1]
-    if kind == GAM:
-        return f"g{list(label[1])}[{label_str(label[2])}]"
-    if kind == TENS:
-        return "(" + "@".join(label_str(x) for x in label[1]) + ")"
-    if kind == SYM:
-        return "s(" + "·".join(label_str(x) for x in label[1]) + ")"
-    if kind == WEDGE:
-        return "w(" + "^".join(label_str(x) for x in label[1]) + ")"
-    if kind == DIV:
-        return "d(" + "·".join(label_str(x) for x in label[1]) + ")"
-    if kind in (SCHUR, COSCH):
-        tag = "L" if kind == SCHUR else "coL"
-        return f"{tag}({label_str(label[1])}^{label_str(label[2])}|{label_str(label[3])})"
-    if kind == DUAL:
-        return label_str(label[1]) + "*"
-    if kind == SMD:
-        return f"[{label[1]}]{label_str(label[2])}"
-    if kind == CR:
-        return "cr:" + label_str(label[1])
-    return repr(label)
-
-
 # --- modules -------------------------------------------------------------
 
 
@@ -517,18 +491,14 @@ def graded_slice(f: MapMatrix, t: int, src_basis=None, tgt_basis=None):
 
 
 def multiplication_slice(module: LabeledFreeModule, poly: Poly, t: int, src_basis=None, tgt_basis=None):
-    """Matrix of multiplication by a homogeneous poly from slice t to t+deg."""
-    ring = module.ring
-    field = ring.field
-    d = poly.degree()
+    """Matrix of multiplication by a homogeneous poly from slice t to t+deg.
+
+    The ``graded_slice`` of the diagonal map with every entry ``poly``; a
+    non-homogeneous poly raises ``slice_columns``' ``ValueError``.
+    """
     if src_basis is None:
         src_basis = slice_basis(module, t)
     if tgt_basis is None:
-        tgt_basis = slice_basis(module, t + d)
-    pos = slice_positions(tgt_basis)
-    M = fieldla.zeros(field, len(tgt_basis), len(src_basis))
-    for cpos, (i, mono) in enumerate(src_basis):
-        for mterm, coeff in poly.terms.items():
-            rpos = pos[(i, monomial_mul(mono, mterm))]
-            M[rpos, cpos] = field.add(M[rpos, cpos], coeff)
-    return M
+        tgt_basis = slice_basis(module, t + poly.degree())
+    diagonal = MapMatrix(module, module, provider=lambda j: {j: poly})
+    return graded_slice(diagonal, t, src_basis, tgt_basis)[0]

@@ -78,7 +78,6 @@ class ScenarioConfig:
     prime: int = 97
     rationals: bool = False
     variables: tuple = ("x", "y")
-    order: str = "degrevlex"
     sequence: tuple | None = None  # default: the first two variables
     n_max: int = 7
     t_max: int = 12
@@ -95,7 +94,6 @@ class ScenarioConfig:
                 prime=self.prime,
                 rationals=self.rationals,
                 variables=() if plain else self.variables,
-                order=self.order,
                 sequence=() if plain else self.sequence,
             )
         except ValueError as e:

@@ -13,11 +13,13 @@ from dflab import groebner as gb
 from dflab import linear as ln
 from dflab.complexes import (
     ChainComplex,
+    ChainMap,
     NonHomogeneousComplex,
     engines_agree,
     homology_graded,
     homology_groebner,
     homology_groebner_report,
+    is_quasi_iso,
     reduce_complex,
     shift,
     total_complex,
@@ -80,6 +82,27 @@ def test_cokernel_of_x(ring97):
     assert not rep.degrees[0].stabilized
     assert rep.degrees[0].annihilator_ok == {"x": True, "y": False}
     assert rep.degrees[1].total == 0
+    # R/(x) + R/(y): x kills the first summand only, so its check must read past it
+    M0 = ln.LabeledFreeModule(ring97, [ln.atom("a", 0), ln.atom("b", 0)])
+    M1 = ln.LabeledFreeModule(ring97, [ln.atom("fa", 1), ln.atom("fb", 1)])
+    C = ChainComplex(ring97, {0: M0, 1: M1}, {1: ln.MapMatrix(M1, M0, {0: {0: X}, 1: {1: Y}})})
+    assert homology_graded(C, 3).degrees[0].annihilator_ok == {"x": False, "y": False}
+
+
+def test_cycle_space_certificate_rejects_a_rank_loop_that_undercounts(resolution, monkeypatch):
+    exact = fieldla.sparse_rank
+    monkeypatch.setattr(fieldla, "sparse_rank", lambda field, cols: exact(field, cols) - 1)
+    with pytest.raises(RuntimeError, match="dim Z - rank B"):
+        homology_graded(resolution, 4)
+
+
+def test_quasi_iso_needs_a_bijection_on_every_slice(resolution):
+    """The zero map has equal homology dims on both sides but kills H_0."""
+    ids = {n: ln.identity_map(resolution.module(n)) for n in resolution.support()}
+    one, zero = ChainMap(resolution, resolution, ids), ChainMap(resolution, resolution, {})
+    assert zero.is_chain_map() and one.is_chain_map()
+    assert is_quasi_iso(one, 6)
+    assert not is_quasi_iso(zero, 6)
 
 
 def test_graded_rejects_nonhomogeneous(ring97):

@@ -95,6 +95,40 @@ def test_non_homogeneous_entry_raises_from_the_slice_builder(entry):
         ln.graded_slice(bad, 1)
 
 
+@pytest.mark.parametrize("name", ["F_97", "QQ"])
+def test_multiplication_slice_multiplies_coordinates(name):
+    """slice @ coords(p) == coords(f * p) for drawn homogeneous p, labels of mixed degrees."""
+    ring = KERNEL_RINGS[name]
+    field = ring.field
+    x, y = ring.var("x"), ring.var("y")
+    labels = [ln.atom("a", 0), ln.atom("b", 2), ln.atom("c", 1), ln.atom("e", 1)]
+    module = ln.LabeledFreeModule(ring, labels)
+    rng = np.random.default_rng(3)
+
+    def coords(elem, basis):
+        v = fieldla.zeros(field, len(basis), 1)[:, 0]
+        for pos, (i, mono) in enumerate(basis):
+            if i in elem:
+                v[pos] = elem[i].terms.get(mono, field.zero)
+        return v
+
+    for f in (x + ring.const(2) * y, x * x - y * y):
+        for t in range(5):
+            sb, tb = ln.slice_basis(module, t), ln.slice_basis(module, t + f.degree())
+            S = ln.multiplication_slice(module, f, t)
+            assert S.shape == (len(tb), len(sb))
+            for _ in range(3):
+                p = {}
+                for i, mono in sb:
+                    c = field.coerce(Fraction(int(rng.integers(-3, 4)), int(rng.choice([1, 3]))))
+                    if c != field.zero:
+                        p[i] = p.get(i, ring.zero()) + Poly(ring, {mono: c})
+                fp = {i: f * q for i, q in p.items()}
+                assert (fieldla.reduce(field, S @ coords(p, sb)) == coords(fp, tb)).all()
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        ln.multiplication_slice(module, x + ring.one(), 1)
+
+
 def test_slice_dimensions():
     assert len(ln.slice_basis(M0, 3)) == 4  # monomials of degree 3 in two variables
     assert len(ln.slice_basis(M0, -1)) == 0
