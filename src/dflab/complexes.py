@@ -11,9 +11,9 @@ internal degree at a time: each slice is a stream of sparse columns
 (``linear.slice_columns``) ranked by sparse elimination
 (``fieldla.sparse_rank``), so memory follows the nonzeros and the pivots,
 not rows times columns.  It certifies R/I-module ranks by annihilator
-checks on the whole cycle space (f * Z_k must lie in B_k), on dense
-slices at the degrees where homology is nonzero, and a Hilbert-function
-freeness check.
+checks (f must kill H_k at every t where H_k is nonzero), each the rank
+of one mapping-cone slice taken by the same sparse elimination, and a
+Hilbert-function freeness check.
 
 The Groebner engine presents each homology module by generators
 (syzygies of the differential) and relations (lifted boundaries plus
@@ -24,16 +24,17 @@ unreduced complex, so ``engines_agree`` also checks the reduction.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
+from math import comb
 
 from . import fieldla
 from . import groebner as gb_mod
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
-    graded_slice,
     identity_map,
-    multiplication_slice,
     slice_basis,
     slice_columns,
     slice_positions,
@@ -389,14 +390,14 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
     """Per-degree, per-internal-degree homology dimensions over the field.
 
     The complex is first cut down by ``reduce_complex``; the report keeps
-    a key for every degree of the input.  ``annihilators`` defaults to the
-    ring's regular sequence; for each generator f the certificate checks
-    that f * z is a boundary for every cycle z in a basis of Z_k(t).
-    At each internal degree t the slice basis of every C_k is built once
-    and serves as d_k's source and d_{k+1}'s target; the rank of d_k is
-    ``fieldla.sparse_rank`` of its ``slice_columns``, which keeps only
-    the pivot columns.  Certificates build dense slices
-    (``graded_slice``), only at the degrees where homology is nonzero.
+    a key for every degree of the input.  At each internal degree t the
+    slice basis of every C_k is built once and serves as d_k's source and
+    d_{k+1}'s target; the rank of d_k is ``fieldla.sparse_rank`` of its
+    ``slice_columns``.  The Euler check counts the slices of the *input*
+    complex, so a reduction that loses homology shows.  ``annihilators``
+    defaults to the ring's regular sequence; each generator f must induce
+    zero on H_k wherever H_k is nonzero (``_induced_rank``, with the
+    loop's ranks; those past t_max are ranked when first needed).
     """
     ring = C.ring
     field = ring.field
@@ -404,52 +405,90 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
         raise NonHomogeneousComplex("complex is not homogeneous; use homology_groebner")
     if annihilators is None:
         annihilators = list(ring.regular_sequence or [])
-    ann_degs = [f.degree() for f in annihilators]
 
     quotient = _quotient_hilbert(ring, annihilators, t_max) if annihilators else None
     ks = list(C.support())
+    input_degrees = {k: Counter(C.module(k).degrees) for k in ks}
     C = reduce_complex(C)
     report = HomologyReport(engine="graded", t_max=t_max)
     for k in ks:
         report.degrees[k] = GradedDegree()
 
-    euler_ok = True
+    ranks = {}  # (k, t) -> rank of d_k at t
     for t in range(0, t_max + 1):
         bases = {k: slice_basis(C.module(k), t) for k in ks}  # d_k's source, d_{k+1}'s target
-        dim_c = {k: len(b) for k, b in bases.items()}
-        ranks = {ks[0]: 0}  # ranks[k] = rank of d_k at t
-        for k in ks[1:]:
-            ranks[k] = 0
-            if dim_c[k] and dim_c[k - 1]:
-                cols = slice_columns(C.diff(k), bases[k], slice_positions(bases[k - 1]))
-                ranks[k] = fieldla.sparse_rank(field, cols)
+        for k in ks:
+            ranks[k, t] = _slice_rank(field, C.diff(k), bases[k], bases.get(k - 1, ()))
         lhs = rhs = 0
         for k in ks:
-            dim_h = dim_c[k] - ranks[k] - ranks.get(k + 1, 0)
+            dim_h = len(bases[k]) - ranks[k, t] - ranks.get((k + 1, t), 0)
+            if dim_h < 0:
+                raise RuntimeError(f"negative homology dimension at (k, t) = ({k}, {t})")
             lhs += (-1) ** k * dim_h
-            rhs += (-1) ** k * dim_c[k]
+            rhs += (-1) ** k * _slice_dim(input_degrees[k], ring.nvars, t)
             if dim_h:
                 deg = report.degrees[k]
                 deg.dims[t] = dim_h
                 deg.total += dim_h
-        if lhs != rhs:
-            euler_ok = False
-    report.euler_ok = euler_ok
+        report.euler_ok = report.euler_ok and lhs == rhs
+
+    def rank(k, t):
+        if (k, t) not in ranks:
+            bases = (slice_basis(C.module(k), t), slice_basis(C.module(k - 1), t))
+            ranks[k, t] = _slice_rank(field, C.diff(k), *bases)
+        return ranks[k, t]
 
     for k in ks:
         deg = report.degrees[k]
         deg.stabilized = all(deg.dims.get(t, 0) == 0 for t in (t_max - 1, t_max))
-        ok_all = True
-        for f, fdeg in zip(annihilators, ann_degs):
-            ok = all(
-                _annihilator_check(C, field, k, t, dim_h, f, fdeg)
-                for t, dim_h in deg.dims.items()
+        for f in annihilators:
+            fdeg = f.degree()
+            mult = MapMatrix(C.module(k), C.module(k), provider=lambda j, f=f: {j: f})
+            deg.annihilator_ok[str(f)] = all(
+                not _induced_rank(C, C, mult, k, t, t + fdeg, ranks[k, t], rank(k + 1, t + fdeg), h)
+                for t, h in deg.dims.items()
             )
-            deg.annihilator_ok[str(f)] = ok
-            ok_all = ok_all and ok
-        if deg.stabilized and ok_all and annihilators:
+        if deg.stabilized and all(deg.annihilator_ok.values()) and annihilators:
             deg.ri_rank = _free_rank(deg, *quotient)
     return report
+
+
+def _slice_rank(field, d: MapMatrix, src_basis, tgt_basis) -> int:
+    """Rank of d restricted to the slice with these source and target bases."""
+    if not src_basis or not tgt_basis:
+        return 0
+    return fieldla.sparse_rank(field, slice_columns(d, src_basis, slice_positions(tgt_basis)))
+
+
+def _slice_dim(degrees: Counter, nvars: int, t: int) -> int:
+    """Dimension at t of a free module with ``degrees[d]`` labels of degree d: each
+    has comb(m + nvars - 1, m) monomials of degree m = t - d (just m = 0 if nvars = 0)."""
+    return sum(c * comb(max(t - d + nvars - 1, 0), t - d) for d, c in degrees.items() if t >= d)
+
+
+def _induced_rank(A, B, g, k, s, t, rank_a, rank_b, dim_h) -> int:
+    """Rank of the map H_k(A)_s -> H_k(B)_t that g: A_k -> B_k induces.
+
+    g must send cycles to cycles and boundaries to boundaries (a chain
+    map, or multiplication by a ring element).  The mapping cone's slice
+    [[d^A_k(s), 0], [g, d^B_{k+1}(t)]] then has rank rank_a + rank_b +
+    rank H_k(g), with rank_a = rank d^A_k(s), rank_b = rank d^B_{k+1}(t):
+    a complement of the cycles Z in A_k(s) adds rank_a, and Z leaves
+    [g Z | d^B_{k+1}], of rank rank_b + dim (g Z + B) / B.  Its rows are
+    B_k(t), then A_{k-1}(s).  A result outside 0..dim_h = dim H_k(A)_s
+    means the ranks handed in are wrong and raises ``RuntimeError``.
+    """
+    src = slice_basis(A.module(k), s)
+    rows = slice_positions(slice_basis(B.module(k), t))
+    below = {pair: len(rows) + pos for pos, pair in enumerate(slice_basis(A.module(k - 1), s))}
+    cone = chain(
+        map(dict.__or__, slice_columns(g, src, rows), slice_columns(A.diff(k), src, below)),
+        slice_columns(B.diff(k + 1), slice_basis(B.module(k + 1), t), rows),
+    )
+    induced = fieldla.sparse_rank(A.ring.field, cone) - rank_a - rank_b
+    if not 0 <= induced <= dim_h:
+        raise RuntimeError(f"induced rank {induced} at (k, s, t) = {k, s, t} is not in 0..{dim_h}")
+    return induced
 
 
 def _quotient_hilbert(ring, ideal, t_max):
@@ -483,43 +522,6 @@ def _free_rank(deg: GradedDegree, h, dim_quotient):
     if rank and rank * dim_quotient != deg.total:
         return None
     return rank
-
-
-def _cycles(C, field, k, t, sb, dim_h):
-    """Columns spanning the cycles Z_k at internal degree t (slice basis sb).
-
-    The nullspace of d_k's slice; when C_{k-1} is empty the slice has no
-    rows and every vector is a cycle.  dim Z - rank B must be ``dim_h``,
-    the homology dimension of the rank loop, else ``RuntimeError``.
-    """
-    dk, _, _ = graded_slice(C.diff(k), t, src_basis=sb)
-    Z = fieldla.nullspace(field, dk)
-    if Z.shape[1] - _boundaries(C, field, k, t, sb).rank != dim_h:
-        raise RuntimeError(f"dim Z - rank B at (k, t) = ({k}, {t}) is not dim H = {dim_h}")
-    return Z
-
-
-def _boundaries(C, field, k, t, tb):
-    """ColumnSpace of the boundaries B_k at internal degree t (slice basis tb)."""
-    space = fieldla.ColumnSpace(field, len(tb))
-    space.add_columns(graded_slice(C.diff(k + 1), t, tgt_basis=tb)[0])
-    return space
-
-
-def _annihilator_check(C, field, k, t, dim_h, f, fdeg) -> bool:
-    """f * (every cycle at (k, t)) must be a boundary at t + deg f.
-
-    Checked on a basis of the whole cycle space, one column at a time
-    until one fails: Z_k(t) is spanned by class representatives and
-    B_k(t), and f * B_k(t) lies in B_k(t + deg f) because f commutes
-    with d, so this says f kills H_k at t.
-    """
-    sb = slice_basis(C.module(k), t)
-    Z = _cycles(C, field, k, t, sb, dim_h)
-    tb = slice_basis(C.module(k), t + fdeg)
-    space = _boundaries(C, field, k, t + fdeg, tb)
-    mult = multiplication_slice(C.module(k), f, t, src_basis=sb, tgt_basis=tb)
-    return all(space.contains(mult @ Z[:, j]) for j in range(Z.shape[1]))
 
 
 # --- Groebner homology engine ----------------------------------------------
@@ -638,17 +640,15 @@ def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None, reports=Non
     """Equal graded homology dims and induced bijections on every slice.
 
     ``cm`` must be a chain map (check ``is_chain_map`` first): it then
-    sends cycles to cycles and boundaries to boundaries, so the images of
-    a basis of the source cycles Z_k(t) span, modulo the target
-    boundaries, the image of the induced map on H_k at t, which is
-    bijective when that span has dimension dim H_k(t).
+    sends cycles to cycles and boundaries to boundaries, and the map it
+    induces on each nonzero H_k(t) (``_induced_rank``, with the
+    differentials' ranks read off the dims) must have rank dim H_k(t).
     ``k_max`` bounds the compared homological degrees; use it when the
     complexes are truncations whose top degree is an artifact.
     ``reports``, when given, are homology_graded(source) and
     homology_graded(target) at this t_max, already computed by the caller
     (only their dims are read).
     """
-    field = cm.source.ring.field
     src, tgt = cm.source, cm.target
     if reports is None:
         reports = [homology_graded(C, t_max, annihilators=[]) for C in (src, tgt)]
@@ -663,9 +663,16 @@ def is_quasi_iso(cm: ChainMap, t_max: int, k_max: int | None = None, reports=Non
             return False
     for k in ks:
         for t, dim_h in hs.degrees.get(k, GradedDegree()).dims.items():
-            sb, tb = slice_basis(src.module(k), t), slice_basis(tgt.module(k), t)
-            Z = _cycles(src, field, k, t, sb, dim_h)
-            fmat, _, _ = graded_slice(cm.map_at(k), t, src_basis=sb, tgt_basis=tb)
-            if _boundaries(tgt, field, k, t, tb).add_columns(fmat @ Z) != dim_h:
+            rank_a, rank_b = _boundary_rank(src, hs, k, t), _boundary_rank(tgt, ht, k + 1, t)
+            if _induced_rank(src, tgt, cm.map_at(k), k, t, t, rank_a, rank_b, dim_h) != dim_h:
                 return False
     return True
+
+
+def _boundary_rank(C: ChainComplex, report: HomologyReport, k: int, t: int) -> int:
+    """Rank of d_k at t: rank d_{j+1} = dim C_j - dim H_j - rank d_j, from 0."""
+    rank = 0
+    for j in range(C.lo, k):
+        dim_h = report.degrees.get(j, GradedDegree()).dims.get(t, 0)
+        rank = _slice_dim(Counter(C.module(j).degrees), C.ring.nvars, t) - dim_h - rank
+    return rank

@@ -7,7 +7,7 @@ There are two dense eliminations, both written over the backend's
 and ``ColumnSpace._reduce``/``add``, which reduce one vector at a time
 against a basis kept in reduced echelon form.  ``sparse_rank`` ranks
 columns given as dicts with the field's own arithmetic, one code path
-for F_p and Q; the graded engine ranks its slices with it.
+for F_p and Q; the graded engine ranks slices and mapping cones with it.
 
 F_p matrices are int64 arrays of least non-negative residues.  The
 elimination reduces after every row operation, so each product it forms

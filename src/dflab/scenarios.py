@@ -337,18 +337,10 @@ def _tor_powers(ctx: Context) -> bool:
     res = ctx.res
     P = regular_sequence_resolution(ctx.ring)
     T2 = total_complex(P, P)
-    certified = True
     for label, T, top in (("square", T2, 3), ("cube", total_complex(T2, P), 5)):
         ctx.budget.check()
-        rep = homology_graded(T, ctx.cfg.t_max)
-        res.computed[label] = rep.rank_vector(range(0, top))
-        res.per_degree[label] = rep.to_dict()["per_degree"]
-        certified = certified and all(d.ri_rank is not None for d in rep.degrees.values())
-    return (
-        res.computed["square"] == res.expected["square"]
-        and res.computed["cube"] == res.expected["cube"]
-        and certified
-    )
+        res.computed[label] = ctx.graded(T, range(0, top), label, certify=True)
+    return all(res.computed[label] == res.expected[label] for label in ("square", "cube"))
 
 
 # --- predictions ---------------------------------------------------------------

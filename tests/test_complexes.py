@@ -28,8 +28,14 @@ from dflab.complexes import (
 from dflab.functors import Sym
 from dflab.koszul import regular_sequence_resolution
 from dflab.ring import ring_descriptor
-from dflab.scenarios import m21_complex
-from dflab.simplicial import apply_pointwise_functor, diagonal_tensor, gamma, normalize
+from dflab.scenarios import _one_variable_builds, m21_complex
+from dflab.simplicial import (
+    apply_pointwise_functor,
+    diagonal_tensor,
+    eilenberg_zilber,
+    gamma,
+    normalize,
+)
 
 R = ring_descriptor()
 X, Y = R.var("x"), R.var("y")
@@ -89,11 +95,30 @@ def test_cokernel_of_x(ring97):
     assert homology_graded(C, 3).degrees[0].annihilator_ok == {"x": False, "y": False}
 
 
-def test_cycle_space_certificate_rejects_a_rank_loop_that_undercounts(resolution, monkeypatch):
+def test_rank_faults_raise_or_certify_nothing(resolution, monkeypatch):
+    """A sparse_rank that overcounts makes a negative homology dim or an
+    induced rank out of range; one that undercounts leaves homology at the
+    top degrees, so no rank stabilizes."""
     exact = fieldla.sparse_rank
+    monkeypatch.setattr(fieldla, "sparse_rank", lambda field, cols: exact(field, cols) + 1)
+    for annihilators in (None, []):
+        with pytest.raises(RuntimeError):
+            homology_graded(resolution, 4, annihilators=annihilators)
     monkeypatch.setattr(fieldla, "sparse_rank", lambda field, cols: exact(field, cols) - 1)
-    with pytest.raises(RuntimeError, match="dim Z - rank B"):
-        homology_graded(resolution, 4)
+    rep = homology_graded(resolution, 4)
+    assert all(d.ri_rank is None for d in rep.degrees.values())
+
+
+def test_euler_check_counts_the_input_complex(resolution, monkeypatch):
+    assert homology_graded(resolution, 4).euler_ok
+    reduce = complexes.reduce_complex
+
+    def drop_top(C):
+        M = reduce(C)
+        return ChainComplex(M.ring, {n: m for n, m in M.modules.items() if n < M.hi}, M.diffs)
+
+    monkeypatch.setattr(complexes, "reduce_complex", drop_top)
+    assert not homology_graded(resolution, 4).euler_ok
 
 
 def test_quasi_iso_needs_a_bijection_on_every_slice(resolution):
@@ -103,6 +128,107 @@ def test_quasi_iso_needs_a_bijection_on_every_slice(resolution):
     assert zero.is_chain_map() and one.is_chain_map()
     assert is_quasi_iso(one, 6)
     assert not is_quasi_iso(zero, 6)
+
+
+# --- the dense oracle for the certificates --------------------------------------
+
+
+def dense_space(field, C, k, t, basis):
+    """ColumnSpace of the boundaries B_k(t), on a dense slice."""
+    space = fieldla.ColumnSpace(field, len(basis))
+    space.add_columns(ln.graded_slice(C.diff(k + 1), t, tgt_basis=basis)[0])
+    return space
+
+
+def dense_cycles(field, C, k, t, basis):
+    """Columns spanning the cycles Z_k(t): the nullspace of d_k's dense slice."""
+    return fieldla.nullspace(field, ln.graded_slice(C.diff(k), t, src_basis=basis)[0])
+
+
+def dense_kills(C, f, k, t):
+    """f * Z_k(t) lies in B_k(t + deg f)."""
+    field, fdeg = C.ring.field, f.degree()
+    sb, tb = ln.slice_basis(C.module(k), t), ln.slice_basis(C.module(k), t + fdeg)
+    fZ = ln.multiplication_slice(C.module(k), f, t, sb, tb) @ dense_cycles(field, C, k, t, sb)
+    space = dense_space(field, C, k, t + fdeg, tb)
+    return all(space.contains(fZ[:, j]) for j in range(fZ.shape[1]))
+
+
+def dense_quasi_iso(cm, t_max, k_max):
+    """Equal homology dims, and g * Z_k(t) spans dim H_k(t) modulo B_k(t)."""
+    field = cm.source.ring.field
+    hs, ht = unreduced_dims(cm.source, t_max), unreduced_dims(cm.target, t_max)
+    ks = range(min(cm.source.lo, cm.target.lo), k_max + 1)
+    if any(hs.get(k, {}) != ht.get(k, {}) for k in ks):
+        return False
+    for k in ks:
+        for t, dim_h in hs.get(k, {}).items():
+            sb, tb = ln.slice_basis(cm.source.module(k), t), ln.slice_basis(cm.target.module(k), t)
+            g = ln.graded_slice(cm.map_at(k), t, sb, tb)[0]
+            gZ = g @ dense_cycles(field, cm.source, k, t, sb)
+            if dense_space(field, cm.target, k, t, tb).add_columns(gZ) != dim_h:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F_97", "QQ"])
+def test_certificates_match_the_dense_oracle(rationals):
+    ring = ring_descriptor(rationals=rationals)
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    P = regular_sequence_resolution(ring)
+    M0 = ln.LabeledFreeModule(ring, [ln.atom("a", 0), ln.atom("b", 0)])
+    M1 = ln.LabeledFreeModule(ring, [ln.atom("fa", 1), ln.atom("fb", 1)])
+    sums = ChainComplex(ring, {0: M0, 1: M1}, {1: ln.MapMatrix(M1, M0, {0: {0: x}, 1: {1: y}})})
+    ring3 = ring_descriptor(rationals=rationals, variables=("x", "y", "z"), sequence=("x", "y", "z"))
+    x3, z3 = ring3.var("x"), ring3.var("z")
+    sym3 = normalize(apply_pointwise_functor(Sym(3), gamma(regular_sequence_resolution(ring3), 3)))
+    cases = {
+        "resolution": (P, 6, [x, y, x * y, one]),
+        "cokernel of x": (two_term(ring, "m", x, 1), 5, [x, y, x * y, one]),
+        "R/(x) + R/(y)": (sums, 4, [x, y, x * y, x + y]),
+        "engines": (reduce_complex(engines_complex(ring)), 8, [x, y, x * x, one]),
+        "Sym3, d = 3": (reduce_complex(sym3), 5, [x3, z3 * z3, x3 + z3, ring3.one()]),
+    }
+    seen = set()
+    for name, (C, t_max, fs) in cases.items():
+        rep = homology_graded(C, t_max, annihilators=fs)
+        dims = unreduced_dims(C, t_max)
+        assert graded_dims(rep) == dims, name
+        for k in C.support():
+            want = {str(f): all(dense_kills(C, f, k, t) for t in dims.get(k, ())) for f in fs}
+            assert rep.degrees[k].annihilator_ok == want, (name, k)
+            seen.update(want.values())
+    assert seen == {True, False}
+
+    ids = {n: ln.identity_map(P.module(n)) for n in P.support()}
+    kl = (two_term(ring, "k", x, 1), two_term(ring, "l", y, 1))
+    sh, aw = eilenberg_zilber([gamma(K, 4) for K in kl])
+    maps = {
+        "identity": (ChainMap(P, P, ids), 6, 2),
+        "zero": (ChainMap(P, P, {}), 6, 2),
+        "shuffle": (sh, 6, 3),
+        "front face": (aw, 6, 3),
+    }
+    for name, (cm, t_max, k_max) in maps.items():
+        assert cm.is_chain_map(), name
+        want = dense_quasi_iso(cm, t_max, k_max)
+        assert is_quasi_iso(cm, t_max, k_max=k_max) == want == (name != "zero"), name
+
+
+def test_the_graded_engine_builds_no_dense_matrix(ring97, monkeypatch):
+    """One sparse elimination serves ranks, annihilators and quasi-isomorphisms."""
+    N = engines_complex(ring97)
+    sh, _ = eilenberg_zilber(_one_variable_builds(ring97, 5))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the graded engine reached a dense routine")
+
+    for owner, name in ((ln, "graded_slice"), (fieldla, "nullspace"), (fieldla, "ColumnSpace")):
+        monkeypatch.setattr(owner, name, dense)
+        assert not hasattr(complexes, name)
+    rep = homology_graded(N, 12)
+    assert rep.rank_vector(range(5)) == [1, 2, 1, 0, 0] and rep.euler_ok
+    assert is_quasi_iso(sh, 8, k_max=4)
 
 
 def test_graded_rejects_nonhomogeneous(ring97):
