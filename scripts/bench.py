@@ -9,19 +9,24 @@ For every workload in CHECKOUT's BENCHMARK.json this runs
 and one short ``--trace 1`` run for the module sizes, then times one
 serial ``dflab all`` and one ``dflab gk --engine both --no-timing`` from
 CHECKOUT's sources (no workload runs the Groebner engine at default
-scale), and one conormal-rank-3 point: ``homology_graded`` of the
-diagonal of GP^3 over F_97[x,y,z] with sequence (x,y,z) at n_max 5 and
-t_max 9, in a child process whose address space is capped at 2 GiB.
+scale), ``ONE_SHOT_REPEATS`` one-shot runs each of ``dflab gk
+--no-timing`` and ``dflab check l31 --no-timing`` (the start-up, import
+and memory a user pays per invocation), and one conormal-rank-3 point:
+``homology_graded`` of the diagonal of GP^3 over F_97[x,y,z] with
+sequence (x,y,z) at n_max 5 and t_max 9, in a child process whose
+address space is capped at 2 GiB.
 CHECKOUT defaults to the checkout holding this script, DIR to CHECKOUT.
 The file holds the end-to-end metrics of each workload and its traced
 size counters (``SIZE_COUNTERS``: level and normalized ranks per call,
 which do not depend on how long the traced run lasts); the wall time,
 exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
 its report with ``millis`` zeroed (the ``--no-timing`` bytes); the wall
-time, exit code and report sha256 of ``gk --engine both``; the build
-and ``homology_graded`` wall times, peak RSS (``ru_maxrss``), rank
-vector and error (``MemoryError`` past the cap) of the d = 3 point; the git
-commit of CHECKOUT and whether its tracked files differ from that
+time, exit code and report sha256 of ``gk --engine both``; the median
+wall time and peak RSS of each one-shot command, with every run's
+values, the peak RSS read from that child's own ``ru_maxrss`` through
+``os.wait4``; the build and ``homology_graded`` wall times, peak RSS
+(``ru_maxrss``), rank vector and error (``MemoryError`` past the cap) of
+the d = 3 point; the git commit of CHECKOUT and whether its tracked files differ from that
 commit, the Python and numpy versions and the CPU count.  Nothing
 under ``perfbench/`` is changed; a run takes a few minutes.
 """
@@ -33,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -104,6 +110,44 @@ def time_gk_both(root: Path) -> dict:
     return {"wall_s": wall, "exit_code": code, "json_sha256": sha}
 
 
+ONE_SHOT = {"gk": ("gk", "--no-timing"), "check_l31": ("check", "l31", "--no-timing")}
+ONE_SHOT_REPEATS = 5
+
+
+def one_shot(root: Path, *args) -> dict:
+    """Wall time, exit code and peak RSS of one ``dflab`` process from root's sources.
+
+    The peak RSS is the child's own ``ru_maxrss`` from ``os.wait4``, so it
+    counts neither this script nor earlier children.
+    """
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dflab.cli", *args, "--out", str(Path(tmp) / "report.json")],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": wall, "exit_code": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024}
+
+
+def time_one_shots(root: Path) -> dict:
+    """Medians over ``ONE_SHOT_REPEATS`` runs of each ``ONE_SHOT`` command, and every run."""
+    out = {}
+    for name, args in ONE_SHOT.items():
+        runs = [one_shot(root, *args) for _ in range(ONE_SHOT_REPEATS)]
+        out[name] = {
+            "args": list(args),
+            "exit_codes": sorted({r["exit_code"] for r in runs}),
+            "wall_s": statistics.median(r["wall_s"] for r in runs),
+            "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
+            "runs": runs,
+        }
+    return out
+
+
 D3 = {"n_max": 5, "t_max": 9, "cap_bytes": 2 * 1024**3}
 D3_CHILD = """
 import json, resource, sys, time
@@ -172,6 +216,9 @@ def main(argv=None) -> int:
     print("dflab all", json.dumps(doc["dflab_all"]), file=sys.stderr)
     doc["gk_engine_both"] = time_gk_both(root)
     print("dflab gk --engine both", json.dumps(doc["gk_engine_both"]), file=sys.stderr)
+    doc["one_shot"] = time_one_shots(root)
+    for name, point in doc["one_shot"].items():
+        print(f"one-shot {name}", point["wall_s"], point["maxrss_mb"], file=sys.stderr)
     doc["d3_cross3"] = time_d3(root)
     print("d = 3 cross3", json.dumps(doc["d3_cross3"]), file=sys.stderr)
     out = (args.out or root) / f"BENCH_{args.label}.json"

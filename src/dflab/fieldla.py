@@ -1,13 +1,20 @@
-"""Exact linear algebra over F_p (numpy int64) and Q (object arrays).
+"""Exact linear algebra over F_p and Q: sparse columns and dense matrices.
 
-Each field has one backend, and only the backends know how its matrices
-are stored; every routine below picks the backend of its field once.
-There are two dense eliminations, both written over the backend's
-``reduce`` and ``inv``: ``_echelon`` (Gauss-Jordan on a whole matrix)
-and ``ColumnSpace._reduce``/``add``, which reduce one vector at a time
-against a basis kept in reduced echelon form.  ``sparse_rank`` ranks
-columns given as dicts with the field's own arithmetic, one code path
-for F_p and Q; the graded engine ranks slices and mapping cones with it.
+The sparse routines take columns as dicts {row: coeff} and use the
+field's own arithmetic, one code path for F_p and Q.  ``sparse_rank``
+ranks columns (the graded engine ranks slices and mapping cones with
+it), and ``ColumnSpace`` keeps a column space in reduced echelon form
+(``m21_complex`` builds its filtration basis with it).  Neither needs
+numpy.
+
+The dense routines (``zeros``, ``identity``, ``reduce``, ``echelon``,
+``rank``, ``rank_two``, ``nullspace``, ``solve_columns``, ``matmul``,
+``random_matrix``) work on numpy arrays and import numpy when called, so
+a pipeline that never builds a dense matrix never loads it.  Each field
+has one dense backend, and only the backends know how its matrices are
+stored; every dense routine picks the backend of its field once.  There
+is one dense elimination, ``_echelon`` (Gauss-Jordan on a whole matrix),
+written over the backend's ``reduce`` and ``inv``.
 
 F_p matrices are int64 arrays of least non-negative residues.  The
 elimination reduces after every row operation, so each product it forms
@@ -25,8 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .ring import Rationals
 
 # p**2 < 2**46: int64 products of up to 2**17 residue terms are exact
@@ -40,6 +45,8 @@ def _echelon(la, A):
     and 0 at every other pivot column, and the rows from the rank on are
     zero.
     """
+    import numpy as np
+
     E = la.reduce(A)
     m, n = E.shape
     r = 0
@@ -74,12 +81,18 @@ class _Fp:
         self._square = (p - 1) ** 2
 
     def zeros(self, m: int, n: int):
+        import numpy as np
+
         return np.zeros((m, n), dtype=np.int64)
 
     def identity(self, n: int):
+        import numpy as np
+
         return np.eye(n, dtype=np.int64)
 
     def reduce(self, M):
+        import numpy as np
+
         return np.asarray(M, dtype=np.int64) % self.p
 
     def inv(self, a):
@@ -92,6 +105,8 @@ class _Fp:
         raise OverflowError(f"a {k}-term product over F_{self.p} would overflow int64")
 
     def random(self, m: int, n: int, rng):
+        import numpy as np
+
         return rng.integers(0, self.p, size=(m, n), dtype=np.int64)
 
 
@@ -99,16 +114,22 @@ class _QQ:
     """Q matrices: object arrays of ``Fraction``."""
 
     def zeros(self, m: int, n: int):
+        import numpy as np
+
         M = np.empty((m, n), dtype=object)
         M[:] = Fraction(0)
         return M
 
     def identity(self, n: int):
+        import numpy as np
+
         M = self.zeros(n, n)
         np.fill_diagonal(M, Fraction(1))
         return M
 
     def reduce(self, M):
+        import numpy as np
+
         return np.array(M, dtype=object)
 
     def inv(self, a):
@@ -199,6 +220,8 @@ def rank_two(field, A, B) -> tuple[int, int]:
     Valid because left-to-right pivoting puts exactly rank(A) pivots in
     the first block.
     """
+    import numpy as np
+
     r_all, pivcols, _ = echelon(field, np.concatenate([A, B], axis=1))
     r_a = sum(1 for j in pivcols if j < A.shape[1])
     return r_a, r_all
@@ -223,6 +246,8 @@ def solve_columns(field, B, V):
 
     Intended for small systems (expressing vectors in a chosen basis).
     """
+    import numpy as np
+
     la = _backend(field)
     nb = B.shape[1]
     r, pivcols, E = _echelon(la, np.concatenate([B, V], axis=1))
@@ -233,54 +258,73 @@ def solve_columns(field, B, V):
     return X
 
 
-class ColumnSpace:
-    """Incrementally extendable column-space basis over the field.
+def _subtract(field, v: dict, c, row: dict):
+    """v -= c * row in place, dropping the entries that become zero."""
+    zero = field.zero
+    for i, a in row.items():
+        w = field.sub(v.get(i, zero), field.mul(c, a))
+        if w:
+            v[i] = w
+        else:
+            del v[i]
 
-    ``rows`` hold the basis in reduced echelon form: row k is 1 at
-    ``pivots[k]`` and every other row is 0 there.
+
+class ColumnSpace:
+    """Incrementally extendable column space over the field, sparse.
+
+    Vectors are sparse columns {row: coeff}; coefficients are coerced
+    into the field and zeros are ignored.  ``rows`` hold the basis in
+    reduced echelon form, as dicts {row: coeff} without zeros: row k is 1
+    at ``pivots[k]`` and no other row has that position.  A new row's
+    pivot is the lowest position of the reduced vector.  Reduced echelon
+    form with given pivots is unique, so ``rows`` and ``pivots`` depend
+    only on the vectors added, in their order.
     """
 
     def __init__(self, field, dim: int):
-        self._la = _backend(field)
+        self.field = field
         self.dim = dim
         self.pivots: list[int] = []
-        self.rows: list[np.ndarray] = []
+        self.rows: list[dict] = []
+        self._row_at: dict = {}  # pivot -> its row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v):
-        la = self._la
-        v = la.reduce(v)
-        for piv, row in zip(self.pivots, self.rows):
-            c = v[piv]
-            if c:
-                v = la.reduce(v - c * row)
+    def _reduce(self, v) -> dict:
+        """v minus its pivot components; a new dict without zeros.
+
+        Every row is 0 at the other rows' pivots, so subtracting one row
+        leaves v's coefficients at the other pivots as they were.
+        """
+        field = self.field
+        v = {i: field.coerce(c) for i, c in v.items()}
+        v = {i: c for i, c in v.items() if c}
+        for piv in [i for i in v if i in self._row_at]:
+            _subtract(field, v, v[piv], self._row_at[piv])
         return v
 
     def add(self, v) -> bool:
-        """Adjoin a vector; True if it enlarged the space."""
+        """Adjoin a sparse column; True if it enlarged the space."""
         v = self._reduce(v)
-        nz = np.flatnonzero(v)
-        if not nz.size:
+        if not v:
             return False
-        piv = int(nz[0])
-        la = self._la
-        v = la.reduce(v * la.inv(v[piv]))
-        for k, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[k] = la.reduce(row - c * v)
+        field = self.field
+        piv = min(v)
+        inv = field.inv(v[piv])
+        v = {i: field.mul(c, inv) for i, c in v.items()}
+        for row in self.rows:
+            if piv in row:
+                _subtract(field, row, row[piv], v)
         self.pivots.append(piv)
         self.rows.append(v)
+        self._row_at[piv] = v
         return True
 
-    def add_columns(self, M) -> int:
-        added = 0
-        for j in range(M.shape[1]):
-            added += bool(self.add(M[:, j]))
-        return added
+    def add_columns(self, cols) -> int:
+        """Adjoin sparse columns in order; the number that enlarged the space."""
+        return sum(self.add(v) for v in cols)
 
     def contains(self, v) -> bool:
-        return not np.flatnonzero(self._reduce(v)).size
+        return not self._reduce(v)

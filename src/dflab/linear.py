@@ -13,8 +13,6 @@ multiset sorting, slice ordering).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import fieldla
 from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, monomials_of_degree
 
@@ -361,6 +359,8 @@ def from_field_matrix(source, target, M) -> MapMatrix:
     Reads only the nonzero cells of each column (int64 residues over F_p,
     ``Fraction`` objects over Q).
     """
+    import numpy as np
+
     ring = source.ring
     cols: dict = {}
     for j in range(source.rank):

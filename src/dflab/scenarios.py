@@ -16,8 +16,6 @@ from functools import partial
 from math import comb
 from typing import Callable
 
-import numpy as np
-
 from . import fieldla
 from . import groebner as gb_mod
 from .complexes import (
@@ -54,7 +52,7 @@ from .koszul import (
     regular_sequence_resolution,
     two_term_complex,
 )
-from .linear import LabeledFreeModule, MapMatrix, atom, from_field_matrix, identity_map
+from .linear import LabeledFreeModule, MapMatrix, atom, identity_map
 from .ring import ring_descriptor
 from .simplicial import (
     apply_pointwise_functor,
@@ -440,17 +438,28 @@ def _schur(ctx: Context) -> bool:
             pm, _, _ = plus_map(tag, eps, args2)
             mats[(label, "delta", eps)] = dm.to_field_matrix()
             mats[(label, "plus", eps)] = pm.to_field_matrix()
-    alpha = _solve_commuting_isos(plain.field, mats, eps_list, 2, 2)
-    res.computed["squares_commute"] = alpha is not None
+    found, dim = _commuting_isos(plain.field, mats, eps_list, 2, 2)
+    res.computed["squares_commute"] = found
+    if found is None:
+        res.notes.append(
+            f"squares_commute not decided: the commuting maps form a space of dimension {dim}"
+        )
     # the one-variable squares involve the zero module on both sides
     zero_rank = cross_effect(SchurL31, kmods(1)).module.rank
     res.computed["cr1_zero"] = zero_rank == 0
-    return ok and alpha is not None and zero_rank == 0
+    return ok and found is True and zero_rank == 0
 
 
-def _solve_commuting_isos(field, mats, eps_list, n2, n3):
-    """Find invertible alpha2 (n2 x n2), alpha3 (n3 x n3) with
-    alpha3 @ deltaF = deltaG @ alpha2 and alpha2 @ plusF = plusG @ alpha3."""
+def _commuting_isos(field, mats, eps_list, n2, n3):
+    """Whether invertible alpha2 (n2 x n2), alpha3 (n3 x n3) exist with
+    alpha3 @ deltaF = deltaG @ alpha2 and alpha2 @ plusF = plusG @ alpha3.
+
+    Returns (answer, dimension of the space of commuting pairs).  In a
+    space of dimension at most 1 every pair is c * v for one v, so v
+    decides; in a larger one the answer is None (not decided).
+    """
+    import numpy as np
+
     # unknowns: row-major vec(alpha2) then vec(alpha3); with row-major vec,
     # vec(A @ X @ B) = kron(A, B.T) @ vec(X)
     I2, I3 = fieldla.identity(field, n2), fieldla.identity(field, n3)
@@ -461,17 +470,15 @@ def _solve_commuting_isos(field, mats, eps_list, n2, n3):
         blocks.append(np.hstack([-np.kron(dG, I2), np.kron(I3, dF.T)]))
         blocks.append(np.hstack([np.kron(I2, pF.T), -np.kron(pG, I3)]))
     null = fieldla.nullspace(field, np.vstack(blocks))
-    if null.shape[1] == 0:
-        return None
-    rng = np.random.default_rng(12345)
-    for _ in range(400):
-        coeffs = fieldla.reduce(field, rng.integers(1, 50, size=null.shape[1])[:, None])
-        v = fieldla.matmul(field, null, coeffs)[:, 0]
-        A2 = v[: n2 * n2].reshape(n2, n2)
-        A3 = v[n2 * n2 :].reshape(n3, n3)
-        if fieldla.rank(field, A2) == n2 and fieldla.rank(field, A3) == n3:
-            return A2, A3
-    return None
+    dim = null.shape[1]
+    if dim == 0:
+        return False, dim
+    if dim > 1:
+        return None, dim
+    v = null[:, 0]
+    A2 = v[: n2 * n2].reshape(n2, n2)
+    A3 = v[n2 * n2 :].reshape(n3, n3)
+    return fieldla.rank(field, A2) == n2 and fieldla.rank(field, A3) == n3, dim
 
 
 # --- proof intermediates -----------------------------------------------------------
@@ -555,13 +562,14 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
     against the two filtration quotients.
 
     The Cauchy maps are evaluated on the nondegenerate source elements
-    only, straight into the coordinates of NS3.  ``check`` runs once per
-    level, so a budget check there binds.
+    only, straight into sparse columns over the coordinates of NS3; the
+    reduced echelon rows of their span (``fieldla.ColumnSpace``) are the
+    basis of the stage.  ``check`` runs once per level, so a budget check
+    there binds.
     Returns (ChainComplex, [(dim M_n, dim sub_n, dim quotient_n)], sub, quot)
     where sub and quot are the normalized complexes of the two filtration
     quotients.
     """
-    field = ring.field
     GK, GL = _one_variable_builds(ring, n_max)
     S3 = apply_pointwise_functor(Sym(3), diagonal_tensor([GK, GL]))
     NS3 = normalize(S3)
@@ -577,25 +585,21 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
         check()
         Nmod = NS3.module(n)
         row_of = {e: p for p, e in enumerate(S3.nondegenerate(n))}
-        cs = fieldla.ColumnSpace(field, Nmod.rank)
+        cs = fieldla.ColumnSpace(ring.field, Nmod.rank)
         for column, src in ((cauchy_det_column, det_src), (cauchy_m21_column, m21_src)):
-            sources = src.nondegenerate(n)
-            M = fieldla.zeros(field, Nmod.rank, len(sources))
-            for c, e in enumerate(sources):
-                for key, sign in column(e).items():
-                    p = row_of.get(key)
-                    if p is not None:
-                        M[p, c] = field.coerce(sign)
-            cs.add_columns(M)
-        basis = np.array(cs.rows).reshape(cs.rank, Nmod.rank).T
+            cs.add_columns(
+                {row_of[key]: sign for key, sign in column(e).items() if key in row_of}
+                for e in src.nondegenerate(n)
+            )
         labs = []
-        for i in range(cs.rank):
-            degs = {Nmod.degrees[r] for r in np.flatnonzero(basis[:, i])}
+        for i, row in enumerate(cs.rows):
+            degs = {Nmod.degrees[r] for r in row}
             if len(degs) != 1:
                 raise RuntimeError("filtration basis vector is not homogeneous")
             labs.append(atom(f"m21_{n}_{i}", degs.pop()))
         modules[n] = LabeledFreeModule(ring, labs)
-        incl[n] = from_field_matrix(modules[n], Nmod, basis)
+        cols = {i: {r: ring.const(row[r]) for r in sorted(row)} for i, row in enumerate(cs.rows)}
+        incl[n] = MapMatrix(modules[n], Nmod, cols)
         pivots[n] = cs.pivots
     dims_check = [
         (modules[n].rank, sub_N.module(n).rank, quot_N.module(n).rank) for n in range(n_max + 1)

@@ -63,3 +63,8 @@ def engines_complex(ring):
     """normalize(GP (x) GP) cut at 4, the complex of perfbench's `engines` workload."""
     GP = gamma(regular_sequence_resolution(ring), 5)
     return truncate(normalize(diagonal_tensor([GP, GP])), 4)
+
+
+def sparse_columns(M):
+    """The columns of a dense field matrix as sparse dicts {row: coeff}."""
+    return [{i: M[i, j] for i in range(M.shape[0]) if M[i, j]} for j in range(M.shape[1])]

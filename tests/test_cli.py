@@ -29,6 +29,18 @@ GOLDEN = {
     "tor-powers-rationals": ["tor-powers", "--rationals"],
 }
 
+# the GOLDEN entries whose pipelines build no dense matrix, and so never load numpy
+NUMPY_FREE = [
+    "gk", "cross2", "cross3", "tor-powers", "check-l31", "check-koszul", "check-ez", "check-gamma"
+]
+# runs dflab.cli.main on each argument list of argv[1] with numpy unimportable
+NO_NUMPY_CHILD = """
+import json, sys
+sys.modules["numpy"] = None
+from dflab.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
 
 def run_cli(*args, **kw):
     return subprocess.run(BASE + list(args), capture_output=True, text=True, **kw)
@@ -55,6 +67,18 @@ def test_reports_are_byte_identical_modulo_timing(tmp_path):
     for stem, args in GOLDEN.items():
         out = tmp_path / f"{stem}.json"
         assert run_cli(*args, "--no-timing", "--out", str(out)).returncode == 0, stem
+        assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes(), stem
+
+
+def test_numpy_free_pipelines_run_without_numpy(tmp_path):
+    outs = {stem: tmp_path / f"{stem}.json" for stem in NUMPY_FREE}
+    runs = [GOLDEN[stem] + ["--no-timing", "--out", str(out)] for stem, out in outs.items()]
+    p = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(runs)], capture_output=True, text=True
+    )
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == [0] * len(runs), p.stderr
+    for stem, out in outs.items():
         assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes(), stem
 
 

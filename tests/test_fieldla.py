@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sparse_columns
 from dflab import fieldla
 from dflab.ring import PrimeField, Rationals
 
@@ -72,9 +73,9 @@ def test_solve_and_membership():
     W = rng.integers(0, 97, (30, 1), dtype=np.int64)
     assert fieldla.solve_columns(F, B, W) is None
     cs = fieldla.ColumnSpace(F, 30)
-    cs.add_columns(B)
+    cs.add_columns(sparse_columns(B))
     assert cs.rank == fieldla.rank(F, B)
-    assert cs.contains(V[:, 0]) and not cs.contains(W[:, 0])
+    assert cs.contains(sparse_columns(V)[0]) and not cs.contains(sparse_columns(W)[0])
 
 
 def test_empty_shapes():
@@ -212,13 +213,12 @@ def _nonzero(field, data):
     return data.draw(st.integers(1, field.p - 1))
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_sparse_rank_matches_the_dense_rank(data):
-    """Empty, zero, sparse, dense, repeated and dependent columns over
-    F_2, F_97 and Q: sparse_rank equals fieldla.rank of the dense matrix."""
-    field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
-    m, n = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 12))
+def _draw_columns(field, data, m=None):
+    """(m, sparse columns, the dense m x n matrix): empty, zero, sparse,
+    dense, repeated and dependent columns."""
+    if m is None:
+        m = data.draw(st.integers(0, 9))
+    n = data.draw(st.integers(0, 12))
     rows = st.sets(st.integers(0, m - 1), max_size=m) if m else st.just(set())
     cols = []
     for _ in range(n):
@@ -246,6 +246,46 @@ def test_sparse_rank_matches_the_dense_rank(data):
     for j, col in enumerate(cols):
         for i, c in col.items():
             M[i, j] = c
+    return m, cols, M
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_sparse_rank_matches_the_dense_rank(data):
+    """Empty, zero, sparse, dense, repeated and dependent columns over
+    F_2, F_97 and Q: sparse_rank equals fieldla.rank of the dense matrix."""
+    field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
+    _, cols, M = _draw_columns(field, data)
     before = [dict(col) for col in cols]
     assert fieldla.sparse_rank(field, iter(cols)) == fieldla.rank(field, M)
     assert cols == before
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_column_space_is_the_reduced_echelon_basis(data):
+    """Over F_2, F_97 and Q the sparse ColumnSpace holds the reduced row
+    echelon form of M's transpose, pivots in the order the columns
+    brought them, and ``contains`` agrees with the dense rank_two."""
+    field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
+    m, cols, M = _draw_columns(field, data)
+    before = [dict(col) for col in cols]
+    cs = fieldla.ColumnSpace(field, m)
+    assert cs.add_columns(iter(cols)) == cs.rank
+    assert cols == before
+    r, pivcols, E = fieldla.echelon(field, M.T)
+    assert cs.rank == r and sorted(cs.pivots) == pivcols
+    # a column that enlarges the space brings the one new pivot of its prefix
+    order, seen = [], set()
+    for j in range(M.shape[1]):
+        order += [p for p in fieldla.echelon(field, M[:, : j + 1].T)[1] if p not in seen]
+        seen.update(order)
+    assert cs.pivots == order
+    assert all(c for row in cs.rows for c in row.values())
+    by_pivot = [row for _, row in sorted(zip(cs.pivots, cs.rows))]
+    assert [[row.get(i, field.zero) for i in range(m)] for row in by_pivot] == E[:r].tolist()
+    _, probes, P = _draw_columns(field, data, m)
+    for j, w in enumerate(probes):
+        r_m, r_mw = fieldla.rank_two(field, M, P[:, j : j + 1])
+        assert cs.contains(w) == (r_m == r_mw)
+    assert all(cs.contains(col) for col in cols)

@@ -1,7 +1,10 @@
 """Scenario smoke tests (full tables are exercised by the acceptance suite)."""
 
+import numpy as np
 import pytest
 
+from dflab import scenarios
+from dflab.ring import PrimeField
 from dflab.scenarios import (
     SCENARIOS,
     BudgetExceeded,
@@ -24,6 +27,41 @@ def test_schur_scenario():
     assert r.computed["cross_ranks"]["schur"] == [0, 2, 2, 0]
     assert r.computed["cross_ranks"]["coschur"] == [0, 2, 2, 0]
     assert r.computed["squares_commute"]
+
+
+@pytest.mark.parametrize(
+    "cfg, commute",
+    [
+        (ScenarioConfig(), True),
+        (ScenarioConfig(rationals=True), True),
+        (ScenarioConfig(prime=3), False),
+    ],
+    ids=["F_97", "QQ", "F_3"],
+)
+def test_schur_squares_are_decided_without_random_draws(cfg, commute, monkeypatch):
+    """The commuting pairs form a line, so one vector decides; at p = 3 it
+    is not invertible, and the Schur and co-Schur squares do not match."""
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("check-schur drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    r = SCENARIOS["check-schur"](cfg)
+    assert r.computed["squares_commute"] is commute
+    assert r.passed is commute and not r.notes
+
+
+def test_schur_squares_undecided_in_a_larger_space(monkeypatch):
+    """Zero maps commute with everything: the pairs fill all 8 dimensions,
+    and the scenario reports no answer instead of a guessed one."""
+    eps_list = [(1, 2), (2, 1)]
+    zero = np.zeros((2, 2), dtype=np.int64)
+    mats = {(s, kind, eps): zero for s in "FG" for kind in ("delta", "plus") for eps in eps_list}
+    assert scenarios._commuting_isos(PrimeField(97), mats, eps_list, 2, 2) == (None, 8)
+    monkeypatch.setattr(scenarios, "_commuting_isos", lambda *args: (None, 8))
+    r = SCENARIOS["check-schur"](ScenarioConfig())
+    assert r.computed["squares_commute"] is None and not r.passed
+    assert r.notes == ["squares_commute not decided: the commuting maps form a space of dimension 8"]
 
 
 def test_gamma_scenario():
