@@ -23,11 +23,12 @@ exit code and per-scenario ``millis`` of ``dflab all`` and the sha256 of
 its report with ``millis`` zeroed (the ``--no-timing`` bytes); the wall
 time, exit code and report sha256 of ``gk --engine both``; the median
 wall time and peak RSS of each one-shot command, with every run's
-values, the peak RSS read from that child's own ``ru_maxrss`` through
-``os.wait4``; the build and ``homology_graded`` wall times, peak RSS
-(``ru_maxrss``), rank vector and error (``MemoryError`` past the cap) of
-the d = 3 point; the git commit of CHECKOUT and whether its tracked files differ from that
-commit, the Python and numpy versions and the CPU count.  Nothing
+values, the peak RSS being the ``ru_maxrss`` of that process alone, read
+by a small launcher through ``os.wait4``; the build and
+``homology_graded`` wall times, peak RSS (``ru_maxrss``), rank vector and
+error (``MemoryError`` past the cap) of the d = 3 point; the git commit
+of CHECKOUT and whether its tracked files differ from that commit, the
+Python and numpy versions and the CPU count.  Nothing
 under ``perfbench/`` is changed; a run takes a few minutes.
 """
 
@@ -114,23 +115,32 @@ ONE_SHOT = {"gk": ("gk", "--no-timing"), "check_l31": ("check", "l31", "--no-tim
 ONE_SHOT_REPEATS = 5
 
 
+# Linux counts the memory a process had before exec in its ru_maxrss, and a
+# child spawned from this script starts with this script's memory (numpy
+# and all), so a small launcher spawns the dflab process and reads its usage
+ONE_SHOT_CHILD = """
+import json, os, sys, time
+t0 = time.monotonic()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dflab.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"wall_s": time.monotonic() - t0, "exit_code": os.waitstatus_to_exitcode(status),
+                  "maxrss_mb": usage.ru_maxrss / 1024}))
+"""
+
+
 def one_shot(root: Path, *args) -> dict:
     """Wall time, exit code and peak RSS of one ``dflab`` process from root's sources.
 
-    The peak RSS is the child's own ``ru_maxrss`` from ``os.wait4``, so it
-    counts neither this script nor earlier children.
+    The peak RSS is that process's own ``ru_maxrss``, read by its launcher
+    through ``os.wait4``.
     """
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        t0 = time.monotonic()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "dflab.cli", *args, "--out", str(Path(tmp) / "report.json")],
-            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_SHOT_CHILD, *args, "--out", str(Path(tmp) / "report.json")],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.monotonic() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": wall, "exit_code": proc.returncode, "maxrss_mb": usage.ru_maxrss / 1024}
+    return json.loads(proc.stdout)
 
 
 def time_one_shots(root: Path) -> dict:
