@@ -25,8 +25,8 @@ time, exit code and report sha256 of ``gk --engine both``; the median
 wall time and peak RSS of each one-shot command, with every run's
 values, the peak RSS being the ``ru_maxrss`` of that process alone, read
 by a small launcher through ``os.wait4``; the build and
-``homology_graded`` wall times, peak RSS (``ru_maxrss``), rank vector and
-error (``MemoryError`` past the cap) of the d = 3 point; the git commit
+``homology_graded`` wall times, peak RSS (read the same way), rank
+vector and error (``MemoryError`` past the cap) of the d = 3 point; the git commit
 of CHECKOUT and whether its tracked files differ from that commit, the
 Python and numpy versions and the CPU count.  Nothing
 under ``perfbench/`` is changed; a run takes a few minutes.
@@ -117,15 +117,25 @@ ONE_SHOT_REPEATS = 5
 
 # Linux counts the memory a process had before exec in its ru_maxrss, and a
 # child spawned from this script starts with this script's memory (numpy
-# and all), so a small launcher spawns the dflab process and reads its usage
-ONE_SHOT_CHILD = """
+# and all), so a small launcher spawns the measured Python process and
+# reads its usage through os.wait4.  The measured process's own output
+# comes first on stdout, the launcher's line last.
+LAUNCHER = """
 import json, os, sys, time
 t0 = time.monotonic()
-pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dflab.cli", *sys.argv[1:]], os.environ)
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
 _, status, usage = os.wait4(pid, 0)
 print(json.dumps({"wall_s": time.monotonic() - t0, "exit_code": os.waitstatus_to_exitcode(status),
                   "maxrss_mb": usage.ru_maxrss / 1024}))
 """
+
+
+def launch(root: Path, *args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` from root's sources under ``LAUNCHER``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *args], cwd=root, env=env, capture_output=True, text=True
+    )
 
 
 def one_shot(root: Path, *args) -> dict:
@@ -134,12 +144,9 @@ def one_shot(root: Path, *args) -> dict:
     The peak RSS is that process's own ``ru_maxrss``, read by its launcher
     through ``os.wait4``.
     """
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run(
-            [sys.executable, "-c", ONE_SHOT_CHILD, *args, "--out", str(Path(tmp) / "report.json")],
-            cwd=root, env=env, capture_output=True, text=True, check=True,
-        )
+        proc = launch(root, "-m", "dflab.cli", *args, "--out", str(Path(tmp) / "report.json"))
+    proc.check_returncode()
     return json.loads(proc.stdout)
 
 
@@ -178,22 +185,24 @@ try:
 except MemoryError:
     error = "MemoryError"
 t2 = time.monotonic()
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"build_s": t1 - t0, "homology_s": t2 - t1, "maxrss_mb": rss,
-                  "ranks": ranks, "error": error}))
+print(json.dumps({"build_s": t1 - t0, "homology_s": t2 - t1, "ranks": ranks, "error": error}))
 """
 
 
 def time_d3(root: Path) -> dict:
-    """The d = 3 point: cross3's complex over F_97[x,y,z], ranked by homology_graded."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", D3_CHILD, *(str(D3[k]) for k in ("n_max", "t_max", "cap_bytes"))],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    """The d = 3 point: cross3's complex over F_97[x,y,z], ranked by homology_graded.
+
+    It runs under ``LAUNCHER``, so its peak RSS is the child's own
+    ``ru_maxrss`` and not bounded below by this script's memory.
+    """
+    proc = launch(root, "-c", D3_CHILD, *(str(D3[k]) for k in ("n_max", "t_max", "cap_bytes")))
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {"error": proc.stderr[-500:]}
-    return dict(D3, exit_code=proc.returncode, **result)
+    if proc.returncode != 0 or not lines:
+        return dict(D3, exit_code=proc.returncode, error=proc.stderr[-500:])
+    usage = json.loads(lines[-1])
+    if usage["exit_code"] != 0 or len(lines) < 2:
+        return dict(D3, exit_code=usage["exit_code"], error=proc.stderr[-500:])
+    return dict(D3, exit_code=0, **json.loads(lines[-2]), maxrss_mb=usage["maxrss_mb"])
 
 
 def git(root: Path, *args) -> str:

@@ -1,185 +1,34 @@
-"""Exact linear algebra over F_p and Q: sparse columns and dense matrices.
+"""Exact linear algebra over F_p and Q on sparse columns.
 
-The sparse routines take columns as dicts {row: coeff} and use the
-field's own arithmetic, one code path for F_p and Q.  ``sparse_rank``
-ranks columns (the graded engine ranks slices and mapping cones with
-it), and ``ColumnSpace`` keeps a column space in reduced echelon form
-(``m21_complex`` builds its filtration basis with it).  Neither needs
-numpy.
+A matrix is a list of columns, each a dict {row: coeff} of field
+elements (ints mod p, or ``Fraction``) with absent rows zero.  Every
+routine uses the field's own arithmetic, one code path for F_p and Q,
+and there are two eliminations:
 
-The dense routines (``zeros``, ``identity``, ``reduce``, ``echelon``,
-``rank``, ``rank_two``, ``nullspace``, ``solve_columns``, ``matmul``,
-``random_matrix``) work on numpy arrays and import numpy when called, so
-a pipeline that never builds a dense matrix never loads it.  Each field
-has one dense backend, and only the backends know how its matrices are
-stored; every dense routine picks the backend of its field once.  There
-is one dense elimination, ``_echelon`` (Gauss-Jordan on a whole matrix),
-written over the backend's ``reduce`` and ``inv``.
-
-F_p matrices are int64 arrays of least non-negative residues.  The
-elimination reduces after every row operation, so each product it forms
-is below p**2.  ``matmul`` sums k products of residues in int64 and
-raises ``OverflowError`` instead of wrapping once k * (p - 1)**2 could
-reach 2**63.  ``MAX_PRIME`` = 2**23 keeps p**2 below 2**46, so every
-product of up to 2**17 terms is exact; the F_p backend refuses a larger
-p.
-
-Q matrices use dtype=object with ``Fraction`` entries; they are only
-used at small sizes.
+- ``sparse_rank`` ranks columns, keeping one pivot column per lowest
+  row; the graded engine ranks its slices and mapping cones with it.
+- ``ColumnSpace`` keeps the span of the columns added so far in reduced
+  echelon form (Gauss-Jordan).  ``m21_complex`` builds its filtration
+  basis with it, a cross-effect's basis is the idempotent's columns it
+  accepts, and ``rank_two`` and ``nullspace`` are read off it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import Rationals
-
-# p**2 < 2**46: int64 products of up to 2**17 residue terms are exact
+# the largest prime modulus a scenario accepts (larger ones exit 2); the
+# eliminations are exact for any p, this is the range the CLI and the
+# tests pin
 MAX_PRIME = 2**23
 
 
-def _echelon(la, A):
-    """Gauss-Jordan elimination of a copy of A; returns (rank, pivcols, E).
+def rank(field, cols) -> int:
+    """Rank of the matrix with the given sparse columns: ``sparse_rank``.
 
-    E is the reduced row echelon form of A: row s is 1 at ``pivcols[s]``
-    and 0 at every other pivot column, and the rows from the rank on are
-    zero.
+    A function of its own, not an alias: perfbench's tracer wraps every
+    binding of a traced function, so an alias would trace the graded
+    engine's ``sparse_rank`` calls as ``rank``.
     """
-    import numpy as np
-
-    E = la.reduce(A)
-    m, n = E.shape
-    r = 0
-    pivcols: list[int] = []
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(E[r:, j])
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        # rows r.. are zero left of column j, so only columns j.. move
-        if i != r:
-            E[[r, i], j:] = E[[i, r], j:]
-        E[r, j:] = la.reduce(E[r, j:] * la.inv(E[r, j]))
-        rows = np.flatnonzero(E[:, j])
-        rows = rows[rows != r]
-        if rows.size:
-            E[rows, j:] = la.reduce(E[rows, j:] - E[rows, j][:, None] * E[r, j:])
-        pivcols.append(j)
-        r += 1
-    return r, pivcols, E
-
-
-class _Fp:
-    """F_p matrices: int64 arrays of least non-negative residues."""
-
-    def __init__(self, p: int):
-        if p > MAX_PRIME:
-            raise ValueError(f"exact elimination over F_p needs p <= {MAX_PRIME}, got {p}")
-        self.p = p
-        self._square = (p - 1) ** 2
-
-    def zeros(self, m: int, n: int):
-        import numpy as np
-
-        return np.zeros((m, n), dtype=np.int64)
-
-    def identity(self, n: int):
-        import numpy as np
-
-        return np.eye(n, dtype=np.int64)
-
-    def reduce(self, M):
-        import numpy as np
-
-        return np.asarray(M, dtype=np.int64) % self.p
-
-    def inv(self, a):
-        return pow(int(a), self.p - 2, self.p)
-
-    def matmul(self, A, B):
-        k = A.shape[1]
-        if k * self._square < 2**63:
-            return (A @ B) % self.p
-        raise OverflowError(f"a {k}-term product over F_{self.p} would overflow int64")
-
-    def random(self, m: int, n: int, rng):
-        import numpy as np
-
-        return rng.integers(0, self.p, size=(m, n), dtype=np.int64)
-
-
-class _QQ:
-    """Q matrices: object arrays of ``Fraction``."""
-
-    def zeros(self, m: int, n: int):
-        import numpy as np
-
-        M = np.empty((m, n), dtype=object)
-        M[:] = Fraction(0)
-        return M
-
-    def identity(self, n: int):
-        import numpy as np
-
-        M = self.zeros(n, n)
-        np.fill_diagonal(M, Fraction(1))
-        return M
-
-    def reduce(self, M):
-        import numpy as np
-
-        return np.array(M, dtype=object)
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def matmul(self, A, B):
-        return A @ B
-
-    def random(self, m: int, n: int, rng):
-        M = self.zeros(m, n)
-        for i in range(m):
-            for j in range(n):
-                M[i, j] = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-        return M
-
-
-def _backend(field):
-    return _QQ() if isinstance(field, Rationals) else _Fp(field.p)
-
-
-def zeros(field, m: int, n: int):
-    return _backend(field).zeros(m, n)
-
-
-def identity(field, n: int):
-    return _backend(field).identity(n)
-
-
-def reduce(field, M):
-    """M in the field's representation: residues mod p, or a Q copy."""
-    return _backend(field).reduce(M)
-
-
-def echelon(field, M):
-    """(rank, pivcols, E) of M, leaving M intact; E is its reduced row
-    echelon form."""
-    return _echelon(_backend(field), M)
-
-
-def matmul(field, A, B):
-    return _backend(field).matmul(A, B)
-
-
-def random_matrix(field, m, n, rng):
-    return _backend(field).random(m, n, rng)
-
-
-def rank(field, M) -> int:
-    r, _, _ = echelon(field, M)
-    return r
+    return sparse_rank(field, cols)
 
 
 def sparse_rank(field, cols) -> int:
@@ -214,48 +63,41 @@ def sparse_rank(field, cols) -> int:
     return len(pivots)
 
 
+def _height(cols) -> int:
+    """One past the largest row of the columns."""
+    return 1 + max((i for col in cols for i in col), default=-1)
+
+
 def rank_two(field, A, B) -> tuple[int, int]:
-    """rank(A) and rank([A | B]) from one elimination.
+    """rank(A) and rank([A | B]) of sparse columns, from one elimination."""
+    A, B = list(A), list(B)
+    space = ColumnSpace(field, _height(A + B))
+    r_a = space.add_columns(A)
+    return r_a, r_a + space.add_columns(B)
 
-    Valid because left-to-right pivoting puts exactly rank(A) pivots in
-    the first block.
+
+def nullspace(field, cols) -> list[dict]:
+    """A basis of the right kernel of the matrix with the given sparse columns.
+
+    One vector {column: coeff} per column j that lies in the span of the
+    columns before it: 1 at j, 0 at every other such column, nonzero only
+    at j and at earlier columns.  This is the basis read off the reduced
+    row echelon form, one vector per free column.
+
+    Column j is tagged with a unit entry at a row below the matrix, the
+    later the column the lower the row, and added to a ``ColumnSpace``.
+    A reduced row whose pivot is a tag is zero on the matrix, so its tag
+    entries are a kernel vector, and its pivot is the tag of the last
+    column it uses.  These rows span the kernel, and each arrives with
+    its free column, in order.
     """
-    import numpy as np
-
-    r_all, pivcols, _ = echelon(field, np.concatenate([A, B], axis=1))
-    r_a = sum(1 for j in pivcols if j < A.shape[1])
-    return r_a, r_all
-
-
-def nullspace(field, M):
-    """Columns form a basis of the right kernel of M."""
-    la = _backend(field)
-    n = M.shape[1]
-    r, pivcols, E = _echelon(la, M)
-    pivset = set(pivcols)
-    free = [j for j in range(n) if j not in pivset]
-    # one kernel vector per free column: 1 there, pivots read off E
-    N = la.zeros(n, len(free))
-    N[free] = la.identity(len(free))
-    N[pivcols] = la.reduce(-E[:r][:, free])
-    return N
-
-
-def solve_columns(field, B, V):
-    """Solve B @ X = V; None if some column of V is outside the span of B.
-
-    Intended for small systems (expressing vectors in a chosen basis).
-    """
-    import numpy as np
-
-    la = _backend(field)
-    nb = B.shape[1]
-    r, pivcols, E = _echelon(la, np.concatenate([B, V], axis=1))
-    if any(j >= nb for j in pivcols):
-        return None
-    X = la.zeros(nb, V.shape[1])
-    X[pivcols] = E[:r, nb:]
-    return X
+    cols = list(cols)
+    top = _height(cols)
+    last = top + len(cols) - 1  # the tag of column 0
+    space = ColumnSpace(field, last + 1)
+    for j, col in enumerate(cols):
+        space.add({**col, last - j: field.one})
+    return [{last - i: c for i, c in row.items()} for row in space.rows if min(row) >= top]
 
 
 def _subtract(field, v: dict, c, row: dict):

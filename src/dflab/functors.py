@@ -24,10 +24,10 @@ from . import fieldla
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
+    constant_columns,
     cosch,
     cr,
     direct_sum_modules,
-    from_field_matrix,
     schur,
     sym,
     tens,
@@ -343,39 +343,39 @@ def _projection_onto(Vsum: LabeledFreeModule, keep: set) -> MapMatrix:
 class CrossEffect:
     module: LabeledFreeModule
     inclusion: MapMatrix  # into F(sum of arguments)
-    ambient: LabeledFreeModule
-    pivot_cols: list
 
 
 def cross_effect(tag: FunctorTag, args) -> CrossEffect:
     """Image of the cross-effect idempotent, basis = pivot columns.
+
+    The pivot columns are the idempotent's columns that ``ColumnSpace.add``
+    accepts, in order: those outside the span of the columns before them.
 
     args: list of LabeledFreeModule over a plain field ring.
     """
     ring = args[0].ring
     if ring.nvars != 0:
         raise ValueError("cross-effects are computed over a plain field ring")
-    field = ring.field
-    FV, total = _idempotent_matrix(tag, direct_sum_modules(args), args, field)
-    r, pivcols, _ = fieldla.echelon(field, total)
-    basis_labels = [cr(FV.labels[j]) for j in pivcols]
-    module = LabeledFreeModule(ring, basis_labels)
-    incl_matrix = total[:, pivcols] if pivcols else fieldla.zeros(field, FV.rank, 0)
-    inclusion = from_field_matrix(module, FV, incl_matrix)
-    return CrossEffect(module, inclusion, FV, list(pivcols))
+    e = _idempotent_matrix(tag, direct_sum_modules(args), args)
+    FV = e.source
+    space = fieldla.ColumnSpace(ring.field, FV.rank)
+    pivcols = [j for j, col in enumerate(constant_columns(e)) if space.add(col)]
+    module = LabeledFreeModule(ring, [cr(FV.labels[j]) for j in pivcols])
+    inclusion = MapMatrix(module, FV, {k: e.col(j) for k, j in enumerate(pivcols)})
+    return CrossEffect(module, inclusion)
 
 
-def _idempotent_matrix(tag, Vsum, k_args, field):
-    FV = _f_module(tag, Vsum)
-    total = fieldla.zeros(field, FV.rank, FV.rank)
+def _idempotent_matrix(tag, Vsum, k_args) -> MapMatrix:
+    """sum_S (-1)^(k-|S|) F(p_S) on F(Vsum), over the subsets S of the k arguments."""
     k = len(k_args)
+    total = None
     for size in range(1, k + 1):
-        sign = (-1) ** (k - size)
         for subset in combinations(range(k), size):
-            pS = _projection_onto(Vsum, set(subset))
-            M = _f_map(tag, pS).materialize().to_field_matrix()
-            total = total + (M if sign > 0 else -M)
-    return FV, fieldla.reduce(field, total)
+            term = _f_map(tag, _projection_onto(Vsum, set(subset)))
+            if (k - size) % 2:
+                term = -term
+            total = term if total is None else total + term
+    return total
 
 
 def delta_map(tag: FunctorTag, eps, args):
@@ -398,8 +398,8 @@ def _repeat_map(tag, eps, args, diagonal: bool):
     Returns (map, source cross-effect, target cross-effect).
     """
     _check_eps(eps)
-    field = args[0].ring.field
-    one = args[0].ring.one()
+    ring = args[0].ring
+    field, one = ring.field, ring.one()
     rep_args = [args[i] for i, e in enumerate(eps) for _ in range(e)]
     flat = [i for i, e in enumerate(eps) for _ in range(e)]
     Asum, Bsum = direct_sum_modules(args), direct_sum_modules(rep_args)
@@ -412,14 +412,20 @@ def _repeat_map(tag, eps, args, diagonal: bool):
         f, src, tgt, tgt_args, tgt_sum = fold.transpose_raw(Asum, Bsum), crA, crB, rep_args, Bsum
     else:
         f, src, tgt, tgt_args, tgt_sum = fold, crB, crA, args, Asum
-    Ff = _f_map(tag, f).materialize().to_field_matrix()
-    _, e = _idempotent_matrix(tag, tgt_sum, tgt_args, field)
-    image = fieldla.matmul(field, e, fieldla.matmul(field, Ff, src.inclusion.to_field_matrix()))
-    X = fieldla.solve_columns(field, tgt.inclusion.to_field_matrix(), image)
-    if X is None:
+    e = _idempotent_matrix(tag, tgt_sum, tgt_args)
+    image = e.compose(_f_map(tag, f).compose(src.inclusion))
+    # the target's basis columns are independent, so the kernel of
+    # [basis | image] has one vector per image column, 1 there and minus
+    # its coordinates on the basis, exactly when every image column lies
+    # in their span
+    basis = constant_columns(tgt.inclusion)
+    kernel = fieldla.nullspace(field, basis + constant_columns(image))
+    if len(kernel) < image.source.rank:
         kind = "diagonal" if diagonal else "plus"
         raise RuntimeError(f"{kind} map does not land in the cross-effect")
-    return from_field_matrix(src.module, tgt.module, X), src, tgt
+    r = len(basis)
+    coords = [{i: ring.const(field.neg(c)) for i, c in v.items() if i < r} for v in kernel]
+    return MapMatrix(src.module, tgt.module, dict(enumerate(coords))), src, tgt
 
 
 def _check_eps(eps):

@@ -13,7 +13,6 @@ multiset sorting, slice ordering).
 
 from __future__ import annotations
 
-from . import fieldla
 from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, monomials_of_degree
 
 # --- labels --------------------------------------------------------------
@@ -331,18 +330,6 @@ class MapMatrix:
                 out._cols.setdefault(i, {})[j] = q
         return out
 
-    def to_field_matrix(self):
-        """Dense coefficient matrix; every entry must be a constant."""
-        ring = self.source.ring
-        const = (0,) * ring.nvars
-        M = fieldla.zeros(ring.field, self.target.rank, self.source.rank)
-        for j in range(self.source.rank):
-            for i, q in self.col(j).items():
-                if q.degree() > 0:
-                    raise ValueError("to_field_matrix needs constant entries")
-                M[i, j] = q.terms.get(const, ring.field.zero)
-        return M
-
 
 def identity_map(module: LabeledFreeModule) -> MapMatrix:
     one = module.ring.one()
@@ -353,22 +340,16 @@ def zero_map(source, target) -> MapMatrix:
     return MapMatrix(source, target, {})
 
 
-def from_field_matrix(source, target, M) -> MapMatrix:
-    """Constant map with the target.rank x source.rank field matrix M.
-
-    Reads only the nonzero cells of each column (int64 residues over F_p,
-    ``Fraction`` objects over Q).
-    """
-    import numpy as np
-
-    ring = source.ring
-    cols: dict = {}
-    for j in range(source.rank):
-        column = M[:, j]
-        rows = np.flatnonzero(column)
-        if len(rows):
-            cols[j] = {int(i): ring.const(column[i]) for i in rows}
-    return MapMatrix(source, target, cols)
+def constant_columns(f: MapMatrix) -> list[dict]:
+    """The columns {row: coefficient} of a map whose entries are constants."""
+    const = (0,) * f.source.ring.nvars
+    cols = []
+    for j in range(f.source.rank):
+        col = f.col(j)
+        if any(q.degree() > 0 for q in col.values()):
+            raise ValueError("constant_columns needs constant entries")
+        cols.append({i: q.terms[const] for i, q in col.items()})
+    return cols
 
 
 def compose(g: MapMatrix, f: MapMatrix) -> MapMatrix:
@@ -473,25 +454,20 @@ def slice_columns(f: MapMatrix, src_basis, tgt_positions):
 
 
 def graded_slice(f: MapMatrix, t: int, src_basis=None, tgt_basis=None):
-    """Field matrix of f restricted to internal degree t.
+    """f restricted to internal degree t.
 
-    Returns (matrix, tgt_basis, src_basis): the columns of
-    ``slice_columns`` scattered into a dense matrix.
+    Returns (columns, tgt_basis, src_basis): the list of
+    ``slice_columns``, sparse columns over the target slice's positions.
     """
-    field = f.source.ring.field
     if src_basis is None:
         src_basis = slice_basis(f.source, t)
     if tgt_basis is None:
         tgt_basis = slice_basis(f.target, t)
-    M = fieldla.zeros(field, len(tgt_basis), len(src_basis))
-    for cpos, col in enumerate(slice_columns(f, src_basis, slice_positions(tgt_basis))):
-        for rpos, coeff in col.items():
-            M[rpos, cpos] = coeff
-    return M, tgt_basis, src_basis
+    return list(slice_columns(f, src_basis, slice_positions(tgt_basis))), tgt_basis, src_basis
 
 
 def multiplication_slice(module: LabeledFreeModule, poly: Poly, t: int, src_basis=None, tgt_basis=None):
-    """Matrix of multiplication by a homogeneous poly from slice t to t+deg.
+    """Sparse columns of multiplication by a homogeneous poly from slice t to t+deg.
 
     The ``graded_slice`` of the diagonal map with every entry ``poly``; a
     non-homogeneous poly raises ``slice_columns``' ``ValueError``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from itertools import product
 from math import comb
 from typing import Callable
 
@@ -52,7 +53,7 @@ from .koszul import (
     regular_sequence_resolution,
     two_term_complex,
 )
-from .linear import LabeledFreeModule, MapMatrix, atom, identity_map
+from .linear import LabeledFreeModule, MapMatrix, atom, constant_columns, identity_map
 from .ring import ring_descriptor
 from .simplicial import (
     apply_pointwise_functor,
@@ -86,7 +87,7 @@ class ScenarioConfig:
     def ring(self, plain: bool = False):
         """The configured ring, or with ``plain`` its coefficient field alone."""
         if not self.rationals and self.prime > fieldla.MAX_PRIME:
-            raise ConfigError(f"--prime must be at most {fieldla.MAX_PRIME} for exact elimination")
+            raise ConfigError(f"--prime must be at most {fieldla.MAX_PRIME}")
         try:
             return ring_descriptor(
                 prime=self.prime,
@@ -436,8 +437,8 @@ def _schur(ctx: Context) -> bool:
         for eps in eps_list:
             dm, _, _ = delta_map(tag, eps, args2)
             pm, _, _ = plus_map(tag, eps, args2)
-            mats[(label, "delta", eps)] = dm.to_field_matrix()
-            mats[(label, "plus", eps)] = pm.to_field_matrix()
+            mats[(label, "delta", eps)] = constant_columns(dm)
+            mats[(label, "plus", eps)] = constant_columns(pm)
     found, dim = _commuting_isos(plain.field, mats, eps_list, 2, 2)
     res.computed["squares_commute"] = found
     if found is None:
@@ -454,31 +455,46 @@ def _commuting_isos(field, mats, eps_list, n2, n3):
     """Whether invertible alpha2 (n2 x n2), alpha3 (n3 x n3) exist with
     alpha3 @ deltaF = deltaG @ alpha2 and alpha2 @ plusF = plusG @ alpha3.
 
-    Returns (answer, dimension of the space of commuting pairs).  In a
-    space of dimension at most 1 every pair is c * v for one v, so v
-    decides; in a larger one the answer is None (not decided).
+    ``mats`` holds the maps as lists of sparse columns.  Returns (answer,
+    dimension of the space of commuting pairs).  In a space of dimension
+    at most 1 every pair is c * v for one v, so v decides; in a larger
+    one the answer is None (not decided).
     """
-    import numpy as np
 
-    # unknowns: row-major vec(alpha2) then vec(alpha3); with row-major vec,
-    # vec(A @ X @ B) = kron(A, B.T) @ vec(X)
-    I2, I3 = fieldla.identity(field, n2), fieldla.identity(field, n3)
-    blocks = []
-    for eps in eps_list:
-        dF, dG = mats[("F", "delta", eps)], mats[("G", "delta", eps)]
-        pF, pG = mats[("F", "plus", eps)], mats[("G", "plus", eps)]
-        blocks.append(np.hstack([-np.kron(dG, I2), np.kron(I3, dF.T)]))
-        blocks.append(np.hstack([np.kron(I2, pF.T), -np.kron(pG, I3)]))
-    null = fieldla.nullspace(field, np.vstack(blocks))
-    dim = null.shape[1]
-    if dim == 0:
-        return False, dim
-    if dim > 1:
-        return None, dim
-    v = null[:, 0]
-    A2 = v[: n2 * n2].reshape(n2, n2)
-    A3 = v[n2 * n2 :].reshape(n3, n3)
-    return fieldla.rank(field, A2) == n2 and fieldla.rank(field, A3) == n3, dim
+    def left(a, b, M):  # E_ab @ M: row a is M's row b
+        return {(a, j): col[b] for j, col in enumerate(M) if b in col}
+
+    def right(a, b, M):  # -M @ E_ab: column b is minus M's column a
+        return {(i, b): field.neg(c) for i, c in M[a].items()}
+
+    # unknowns: the entries alpha2[a, b], then alpha3[a, b], row-major; the
+    # column of one is what the unit matrix E_ab in its place makes of the
+    # residuals alpha3 deltaF - deltaG alpha2 and alpha2 plusF - plusG alpha3
+    n = max(n2, n3)
+    system = []
+    for size, block in ((n2, 2), (n3, 3)):
+        for a, b in product(range(size), repeat=2):
+            col = {}
+            for e, eps in enumerate(eps_list):
+                dF, dG, pF, pG = (mats[(s, kind, eps)] for kind in ("delta", "plus") for s in "FG")
+                if block == 2:
+                    residuals = right(a, b, dG), left(a, b, pF)
+                else:
+                    residuals = left(a, b, dF), right(a, b, pG)
+                for r, residual in enumerate(residuals):
+                    col.update({((2 * e + r) * n + i) * n + j: c for (i, j), c in residual.items()})
+            system.append(col)
+    null = fieldla.nullspace(field, system)
+    dim = len(null)
+    if dim != 1:
+        return (False if dim == 0 else None), dim
+    v = null[0]
+
+    def invertible(start, size):  # alpha = v[start:start + size**2], row-major
+        cols = [{a: v.get(start + a * size + b, 0) for a in range(size)} for b in range(size)]
+        return fieldla.sparse_rank(field, cols) == size
+
+    return invertible(0, n2) and invertible(n2 * n2, n3), dim
 
 
 # --- proof intermediates -----------------------------------------------------------
@@ -739,9 +755,8 @@ def _cauchy(ctx: Context) -> bool:
     for np_, nq in ((2, 2), (3, 3), (2, 3), (4, 3)):
         ctx.budget.check()
         P, Q = kmod("p", np_), kmod("q", nq)
-        det = cauchy_det_map(P, Q).materialize()
-        m21 = cauchy_m21_map(P, Q).materialize()
-        Md, Mm = det.to_field_matrix(), m21.to_field_matrix()
+        det = cauchy_det_map(P, Q)
+        Md, Mm = constant_columns(det), constant_columns(cauchy_m21_map(P, Q))
         r_det, r_union = fieldla.rank_two(field, Md, Mm)
         lam3 = comb(np_, 3) * comb(nq, 3)
         l31 = (np_**3 - np_) // 3 * ((nq**3 - nq) // 3)
@@ -753,14 +768,13 @@ def _cauchy(ctx: Context) -> bool:
             and total - r_union == sym3
             and total == lam3 + l31 + sym3
         )
-        # membership: the first stage sits inside the second
-        r_m21_only = fieldla.rank(field, Mm)
-        stage_ok = r_union >= r_m21_only
+        # membership: the first stage sits inside the second, im(det) in im(m21)
+        stage_ok = r_union == fieldla.sparse_rank(field, Mm)
         res.per_degree[f"{np_}{nq}"] = {
             "stage_dims": [lam3, l31, sym3],
             "total": total,
-            "det_rank": int(r_det),
-            "union_rank": int(r_union),
+            "det_rank": r_det,
+            "union_rank": r_union,
         }
         if np_ >= 3:
             split_ok = split_ok and r_det == det.source.rank  # injectivity

@@ -1,11 +1,14 @@
 """Shared fixtures for the test suite."""
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
-from dflab.ring import ring_descriptor
+from dflab.ring import Rationals, ring_descriptor
 from dflab import linear as ln
 from dflab.complexes import total_complex, truncate
 from dflab.koszul import cyclic_two_term, regular_sequence_resolution
@@ -66,5 +69,53 @@ def engines_complex(ring):
 
 
 def sparse_columns(M):
-    """The columns of a dense field matrix as sparse dicts {row: coeff}."""
-    return [{i: M[i, j] for i in range(M.shape[0]) if M[i, j]} for j in range(M.shape[1])]
+    """The columns of a dense numpy matrix as sparse dicts {row: coeff} of
+    Python ints (or the ``Fraction`` objects of an object array)."""
+    return [{i: c for i, c in enumerate(M[:, j].tolist()) if c} for j in range(M.shape[1])]
+
+
+# --- sympy's DomainMatrix over GF(p) and QQ: the oracle for fieldla ----------
+
+
+def sympy_matrix(field, cols, m):
+    """The m-row matrix with the given sparse columns, as a sympy
+    ``DomainMatrix`` over GF(p) or QQ."""
+    if isinstance(field, Rationals):
+        K = QQ
+
+        def elem(c):
+            return QQ(c.numerator, c.denominator)
+
+    else:
+        K = GF(field.p)
+
+        def elem(c):
+            return K(int(c))
+
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            c = field.coerce(c)
+            if c:
+                rows.setdefault(i, {})[j] = elem(c)
+    return DomainMatrix(rows, (m, len(cols)), K)
+
+
+def sympy_columns(field, M):
+    """The columns of a sympy ``DomainMatrix`` as sparse dicts of field elements."""
+    if isinstance(field, Rationals):
+
+        def elem(v):
+            return Fraction(int(v.numerator), int(v.denominator))
+
+    else:
+
+        def elem(v):
+            return int(v) % field.p
+
+    cols = [{} for _ in range(M.shape[1])]
+    for i, row in M.to_dod().items():
+        for j, v in row.items():
+            if v:
+                cols[j][i] = elem(v)
+    return cols

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -29,10 +30,8 @@ GOLDEN = {
     "tor-powers-rationals": ["tor-powers", "--rationals"],
 }
 
-# the GOLDEN entries whose pipelines build no dense matrix, and so never load numpy
-NUMPY_FREE = [
-    "gk", "cross2", "cross3", "tor-powers", "check-l31", "check-koszul", "check-ez", "check-gamma"
-]
+# sha256 of the `dflab all --no-timing` report
+ALL_SHA256 = "49c900e1a3221b57008dfbe5ffe077542d3b618a10f9b80d24d070152a80b66e"
 # runs dflab.cli.main on each argument list of argv[1] with numpy unimportable
 NO_NUMPY_CHILD = """
 import json, sys
@@ -71,8 +70,11 @@ def test_reports_are_byte_identical_modulo_timing(tmp_path):
 
 
 def test_numpy_free_pipelines_run_without_numpy(tmp_path):
-    outs = {stem: tmp_path / f"{stem}.json" for stem in NUMPY_FREE}
+    """Every golden report, and `dflab all`, comes out byte for byte with
+    numpy unimportable: no dflab module needs it."""
+    outs = {stem: tmp_path / f"{stem}.json" for stem in GOLDEN}
     runs = [GOLDEN[stem] + ["--no-timing", "--out", str(out)] for stem, out in outs.items()]
+    runs.append(["all", "--no-timing", "--out", str(tmp_path / "all.json")])
     p = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(runs)], capture_output=True, text=True
     )
@@ -80,6 +82,7 @@ def test_numpy_free_pipelines_run_without_numpy(tmp_path):
     assert json.loads(p.stdout) == [0] * len(runs), p.stderr
     for stem, out in outs.items():
         assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes(), stem
+    assert hashlib.sha256((tmp_path / "all.json").read_bytes()).hexdigest() == ALL_SHA256
 
 
 def test_config_error_exit_code(tmp_path):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import engines_complex, sparse_columns, two_term
+from conftest import engines_complex, sympy_columns, sympy_matrix, two_term
 from dflab import complexes, fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
@@ -130,28 +130,30 @@ def test_quasi_iso_needs_a_bijection_on_every_slice(resolution):
     assert not is_quasi_iso(zero, 6)
 
 
-# --- the dense oracle for the certificates --------------------------------------
+# --- the dense oracle for the certificates: sympy's DomainMatrix --------------------
 
 
 def dense_space(field, C, k, t, basis):
-    """ColumnSpace of the boundaries B_k(t), on a dense slice."""
+    """ColumnSpace of the boundaries B_k(t)."""
     space = fieldla.ColumnSpace(field, len(basis))
-    space.add_columns(sparse_columns(ln.graded_slice(C.diff(k + 1), t, tgt_basis=basis)[0]))
+    space.add_columns(ln.graded_slice(C.diff(k + 1), t, tgt_basis=basis)[0])
     return space
 
 
 def dense_cycles(field, C, k, t, basis):
-    """Columns spanning the cycles Z_k(t): the nullspace of d_k's dense slice."""
-    return fieldla.nullspace(field, ln.graded_slice(C.diff(k), t, src_basis=basis)[0])
+    """The cycles Z_k(t): sympy's nullspace of d_k's slice, one column each."""
+    cols, tb, _ = ln.graded_slice(C.diff(k), t, src_basis=basis)
+    return sympy_matrix(field, cols, len(tb)).nullspace().transpose()
 
 
 def dense_kills(C, f, k, t):
     """f * Z_k(t) lies in B_k(t + deg f)."""
     field, fdeg = C.ring.field, f.degree()
     sb, tb = ln.slice_basis(C.module(k), t), ln.slice_basis(C.module(k), t + fdeg)
-    fZ = ln.multiplication_slice(C.module(k), f, t, sb, tb) @ dense_cycles(field, C, k, t, sb)
+    mult = sympy_matrix(field, ln.multiplication_slice(C.module(k), f, t, sb, tb), len(tb))
+    fZ = mult * dense_cycles(field, C, k, t, sb)
     space = dense_space(field, C, k, t + fdeg, tb)
-    return all(space.contains(col) for col in sparse_columns(fZ))
+    return all(space.contains(col) for col in sympy_columns(field, fZ))
 
 
 def dense_quasi_iso(cm, t_max, k_max):
@@ -164,9 +166,10 @@ def dense_quasi_iso(cm, t_max, k_max):
     for k in ks:
         for t, dim_h in hs.get(k, {}).items():
             sb, tb = ln.slice_basis(cm.source.module(k), t), ln.slice_basis(cm.target.module(k), t)
-            g = ln.graded_slice(cm.map_at(k), t, sb, tb)[0]
-            gZ = g @ dense_cycles(field, cm.source, k, t, sb)
-            if dense_space(field, cm.target, k, t, tb).add_columns(sparse_columns(gZ)) != dim_h:
+            g = sympy_matrix(field, ln.graded_slice(cm.map_at(k), t, sb, tb)[0], len(tb))
+            gZ = g * dense_cycles(field, cm.source, k, t, sb)
+            space = dense_space(field, cm.target, k, t, tb)
+            if space.add_columns(sympy_columns(field, gZ)) != dim_h:
                 return False
     return True
 
@@ -293,7 +296,7 @@ def test_truncate(resolution):
 
 
 def unreduced_dims(C, t_max):
-    """Per-(k, t) homology dims ranked from the unreduced graded slices."""
+    """Per-(k, t) homology dims from sympy's ranks of the unreduced graded slices."""
     field = C.ring.field
     ks = list(C.support())
     out = {}
@@ -303,7 +306,8 @@ def unreduced_dims(C, t_max):
         for k in ks:
             rank[k] = 0
             if dim[k] and dim.get(k - 1, 0):
-                rank[k] = fieldla.rank(field, ln.graded_slice(C.diff(k), t)[0])
+                cols, tb, _ = ln.graded_slice(C.diff(k), t)
+                rank[k] = sympy_matrix(field, cols, len(tb)).rank()
         for k in ks:
             h = dim[k] - rank[k] - rank.get(k + 1, 0)
             if h:
@@ -334,7 +338,7 @@ def test_reduced_dims_match_unreduced_slices(ring_name, request):
 
 def test_sparse_slice_ranks_match_the_dense_ranks(ring97):
     """For every (k, t), the rank homology_graded takes from the sparse
-    slice columns equals fieldla.rank of the dense graded_slice."""
+    slice columns equals sympy's rank of the graded_slice."""
     GP = gamma(regular_sequence_resolution(ring97), 7)
     N = engines_complex(ring97)
     complexes_ = {
@@ -349,9 +353,9 @@ def test_sparse_slice_ranks_match_the_dense_ranks(ring97):
         for t in range(13):
             for k in list(M.support())[1:]:
                 src, tgt = ln.slice_basis(M.module(k), t), ln.slice_basis(M.module(k - 1), t)
-                cols = ln.slice_columns(M.diff(k), src, ln.slice_positions(tgt))
-                dense = fieldla.rank(field, ln.graded_slice(M.diff(k), t)[0])
-                assert fieldla.sparse_rank(field, cols) == dense, (name, k, t)
+                cols = list(ln.slice_columns(M.diff(k), src, ln.slice_positions(tgt)))
+                dense = sympy_matrix(field, cols, len(tgt)).rank()
+                assert fieldla.sparse_rank(field, iter(cols)) == dense, (name, k, t)
                 nonzero += dense > 0
         assert nonzero, name
         assert graded_dims(homology_graded(M, 12)) == unreduced_dims(M, 12), name

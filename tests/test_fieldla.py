@@ -1,4 +1,5 @@
-"""Exact linear algebra kernel against a naive elimination oracle."""
+"""Exact linear algebra on sparse columns against a naive elimination and
+sympy's ``DomainMatrix`` over GF(p) and QQ."""
 
 from fractions import Fraction
 
@@ -6,11 +7,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sparse_columns
+from conftest import sparse_columns, sympy_columns, sympy_matrix
 from dflab import fieldla
 from dflab.ring import PrimeField, Rationals
+from dflab.scenarios import ConfigError, ScenarioConfig
 
 F = PrimeField(97)
+
+
+def sympy_nullspace(field, cols, m):
+    """sympy's kernel basis of the m-row matrix, scaled to 1 at each vector's
+    last entry (its free column), as sparse columns."""
+    kernel = sympy_matrix(field, cols, m).nullspace(divide_last=True)
+    return sympy_columns(field, kernel.transpose())
+
+
+def dense(cols, m):
+    """The m x len(cols) int64 array of sparse columns over F_p."""
+    A = np.zeros((m, len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            A[i, j] = c
+    return A
 
 
 def naive_rank(M, p=97):
@@ -44,12 +62,14 @@ def test_rank_and_nullspace_random(seed):
             rng.integers(0, 97, (m, k), dtype=np.int64)
             @ rng.integers(0, 97, (k, n), dtype=np.int64)
         ) % 97
-        r = fieldla.rank(F, M)
+        cols = sparse_columns(M)
+        r = fieldla.rank(F, cols)
         assert r == naive_rank(M)
-        N = fieldla.nullspace(F, M)
-        assert (M @ N % 97 == 0).all()
-        assert N.shape[1] == n - r
-        assert fieldla.rank(F, N) == N.shape[1]
+        N = fieldla.nullspace(F, cols)
+        assert (M @ dense(N, n) % 97 == 0).all()
+        assert len(N) == n - r
+        assert fieldla.rank(F, N) == len(N)
+        assert N == sympy_nullspace(F, cols, m)
 
 
 def test_panel_boundaries():
@@ -59,41 +79,60 @@ def test_panel_boundaries():
             rng.integers(0, 97, (m, k), dtype=np.int64)
             @ rng.integers(0, 97, (k, n), dtype=np.int64)
         ) % 97
-        assert fieldla.rank(F, M) == k
+        assert fieldla.rank(F, sparse_columns(M)) == k
 
 
 def test_solve_and_membership():
     rng = np.random.default_rng(5)
-    B = rng.integers(0, 97, (30, 8), dtype=np.int64)
-    V = (B @ rng.integers(0, 97, (8, 3), dtype=np.int64)) % 97
+    B = sparse_columns(rng.integers(0, 97, (30, 8), dtype=np.int64))
+    X = sympy_matrix(F, sparse_columns(rng.integers(0, 97, (8, 3))), 8)
+    V = sympy_columns(F, sympy_matrix(F, B, 30) * X)
     ra, rab = fieldla.rank_two(F, B, V)
     assert ra == rab
-    X = fieldla.solve_columns(F, B, V)
-    assert (B @ X % 97 == V % 97).all()
-    W = rng.integers(0, 97, (30, 1), dtype=np.int64)
-    assert fieldla.solve_columns(F, B, W) is None
+    # B's columns are independent, so the kernel of [B | V] has one vector
+    # per column of V: 1 there, and minus its coordinates X on B, B @ X = V
+    kernel = fieldla.nullspace(F, B + V)
+    assert sympy_matrix(F, B, 30).lu_solve(sympy_matrix(F, V, 30)) == X
+    assert [{i - 8: c for i, c in v.items() if i >= 8} for v in kernel] == [{0: 1}, {1: 1}, {2: 1}]
+    assert [{i: F.neg(c) for i, c in v.items() if i < 8} for v in kernel] == sympy_columns(F, X)
+    W = sparse_columns(rng.integers(0, 97, (30, 1), dtype=np.int64))
+    assert fieldla.nullspace(F, B + W) == []
     cs = fieldla.ColumnSpace(F, 30)
-    cs.add_columns(sparse_columns(B))
-    assert cs.rank == fieldla.rank(F, B)
-    assert cs.contains(sparse_columns(V)[0]) and not cs.contains(sparse_columns(W)[0])
+    cs.add_columns(B)
+    assert cs.rank == fieldla.rank(F, B) == sympy_matrix(F, B, 30).rank()
+    assert cs.contains(V[0]) and not cs.contains(W[0])
 
 
 def test_empty_shapes():
-    assert fieldla.rank(F, np.zeros((0, 5), dtype=np.int64)) == 0
-    assert fieldla.rank(F, np.zeros((5, 0), dtype=np.int64)) == 0
-    N = fieldla.nullspace(F, np.zeros((0, 4), dtype=np.int64))
-    assert N.shape == (4, 4)
+    assert fieldla.rank(F, [{}] * 5) == 0  # 0 x 5
+    assert fieldla.rank(F, []) == 0  # 5 x 0
+    N = fieldla.nullspace(F, [{}] * 4)
+    assert N == [{j: 1} for j in range(4)]
+
+
+def _random(field, m, n, rng):
+    """A random m x n sympy matrix: residues mod p, or small fractions over Q."""
+    if isinstance(field, Rationals):
+
+        def draw():
+            return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+
+    else:
+
+        def draw():
+            return int(rng.integers(0, field.p))
+
+    return sympy_matrix(field, [{i: draw() for i in range(m)} for _ in range(n)], m)
 
 
 def test_rationals_backend():
     FQ = Rationals()
     rng = np.random.default_rng(7)
-    M = fieldla.random_matrix(FQ, 6, 9, rng)
-    N = fieldla.nullspace(FQ, M)
-    prod = M @ N
-    assert all(prod[i, j] == 0 for i in range(6) for j in range(N.shape[1]))
-    r = fieldla.rank(FQ, M)
-    assert r + N.shape[1] == 9
+    M = _random(FQ, 6, 9, rng)
+    N = fieldla.nullspace(FQ, sympy_columns(FQ, M))
+    assert (M * sympy_matrix(FQ, N, 9)).is_zero_matrix
+    r = fieldla.rank(FQ, sympy_columns(FQ, M))
+    assert r + len(N) == 9
 
 
 BIG = 8388593  # the largest prime <= fieldla.MAX_PRIME = 2**23
@@ -105,58 +144,37 @@ def test_largest_prime_against_naive_rank():
     # ranks above 128, with residues up to BIG - 1 in every product
     for m, n, k in [(150, 260, 145), (260, 150, 140)]:
         M = (rng.integers(0, BIG, (m, k)) @ rng.integers(0, BIG, (k, n))) % BIG
-        r = fieldla.rank(FB, M)
+        cols = sparse_columns(M)
+        r = fieldla.rank(FB, cols)
         assert r == naive_rank(M, BIG) == k
-        N = fieldla.nullspace(FB, M)
-        assert N.shape[1] == n - r
-        assert (M @ N % BIG == 0).all()
-        assert fieldla.rank(FB, N) == N.shape[1]
+        N = fieldla.nullspace(FB, cols)
+        assert len(N) == n - r
+        assert (M @ dense(N, n) % BIG == 0).all()
+        assert fieldla.rank(FB, N) == len(N)
 
 
 def test_largest_prime_against_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    K = sympy.GF(BIG)
+    FB = PrimeField(BIG)
     rng = np.random.default_rng(4)
     M = (rng.integers(0, BIG, (30, 20)) @ rng.integers(0, BIG, (20, 40))) % BIG
-    dm = DomainMatrix([[K(int(v)) for v in row] for row in M.tolist()], M.shape, K)
-    FB = PrimeField(BIG)
-    assert fieldla.rank(FB, M) == dm.rank() == 20
-    ref = np.array([[int(v) % BIG for v in row] for row in dm.nullspace().to_list()])
-    N = fieldla.nullspace(FB, M)
-    # the same kernel: each basis lies in the span of the other
-    assert N.shape[1] == ref.shape[0] == 20
-    assert fieldla.rank(FB, np.concatenate([N, ref.T], axis=1)) == 20
-
-
-def _sympy_rref(field, M):
-    """(pivots, rows) of M's reduced row echelon form computed by sympy."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    if isinstance(field, Rationals):
-        K = sympy.QQ
-        rows = [[K(v.numerator, v.denominator) for v in row] for row in M.tolist()]
-
-        def back(v):
-            return Fraction(int(v.numerator), int(v.denominator))
-
-    else:
-        K = sympy.GF(field.p)
-        rows = [[K(int(v)) for v in row] for row in M.tolist()]
-
-        def back(v):
-            return int(v) % field.p
-
-    R, pivots = DomainMatrix(rows, M.shape, K).rref()
-    return list(pivots), [[back(v) for v in row] for row in R.to_list()]
+    cols = sparse_columns(M)
+    dm = sympy_matrix(FB, cols, 30)
+    assert fieldla.rank(FB, cols) == dm.rank() == 20
+    ref = sympy_nullspace(FB, cols, 30)
+    N = fieldla.nullspace(FB, cols)
+    # the same kernel, and the same basis: one vector per free column
+    assert len(N) == len(ref) == 20
+    assert fieldla.rank(FB, N + ref) == 20
+    assert N == ref
 
 
 def _low_rank(field, m, n, k, rng):
-    A = fieldla.random_matrix(field, m, k, rng)
-    B = fieldla.random_matrix(field, k, n, rng)
-    return fieldla.reduce(field, A @ B) if k else fieldla.zeros(field, m, n)
+    """A random m x n sympy matrix of rank at most k (the F_p product in int64)."""
+    if isinstance(field, Rationals):
+        return _random(field, m, k, rng) * _random(field, k, n, rng)
+    p = field.p
+    M = (rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))) % p
+    return sympy_matrix(field, sparse_columns(M), m)
 
 
 @pytest.mark.parametrize(
@@ -169,39 +187,28 @@ def _low_rank(field, m, n, k, rng):
     ids=["GF(97)", "GF(8388593)", "QQ"],
 )
 def test_echelon_is_the_reduced_row_echelon_form(field, shapes):
+    """A ColumnSpace fed the rows of M holds M's reduced row echelon form."""
     rng = np.random.default_rng(13)
     for m, n, k in shapes:
         M = _low_rank(field, m, n, k, rng)
-        before = M.copy()
-        r, pivcols, E = fieldla.echelon(field, M)
-        pivots, rows = _sympy_rref(field, M)
-        assert (r, pivcols) == (len(pivots), pivots), (m, n, k)
-        assert E.tolist() == rows, (m, n, k)
-        assert (M == before).all()
-
-
-def test_solve_columns_over_rationals():
-    FQ = Rationals()
-    rng = np.random.default_rng(9)
-    B = fieldla.random_matrix(FQ, 10, 4, rng)
-    # a dependent column leaves a free variable, which the solution sets to 0
-    for basis in (B, np.concatenate([B, B[:, :1] + B[:, 1:2]], axis=1)):
-        V = B @ fieldla.random_matrix(FQ, 4, 3, rng)
-        X = fieldla.solve_columns(FQ, basis, V)
-        assert (basis @ X == V).all()
-        assert fieldla.solve_columns(FQ, basis, fieldla.random_matrix(FQ, 10, 1, rng)) is None
+        rows = sympy_columns(field, M.transpose())
+        before = [dict(row) for row in rows]
+        cs = fieldla.ColumnSpace(field, n)
+        r = cs.add_columns(rows)
+        R, pivots = M.rref()
+        assert (r, sorted(cs.pivots)) == (len(pivots), list(pivots)), (m, n, k)
+        echelon = [row for _, row in sorted(zip(cs.pivots, cs.rows))] + [{}] * (m - r)
+        assert echelon == sympy_columns(field, R.transpose()), (m, n, k)
+        assert rows == before
 
 
 def test_primes_above_the_bound_are_refused():
     assert fieldla.MAX_PRIME == 2**23
-    with pytest.raises(ValueError):
-        fieldla.rank(PrimeField(67108859), np.eye(3, dtype=np.int64))
-    k = 2**63 // (BIG - 1) ** 2 + 1  # k terms of (BIG - 1)**2 would wrap int64
-    with pytest.raises(OverflowError):
-        fieldla.matmul(PrimeField(BIG), np.ones((1, k), np.int64), np.ones((k, 1), np.int64))
+    with pytest.raises(ConfigError):
+        ScenarioConfig(prime=67108859).ring()
 
 
-# --- sparse rank against the dense elimination ---------------------------------
+# --- sparse rank and column space against sympy ----------------------------------
 
 SPARSE_FIELDS = {"F_2": PrimeField(2), "F_97": F, "QQ": Rationals()}
 
@@ -214,8 +221,8 @@ def _nonzero(field, data):
 
 
 def _draw_columns(field, data, m=None):
-    """(m, sparse columns, the dense m x n matrix): empty, zero, sparse,
-    dense, repeated and dependent columns."""
+    """(m, sparse columns of an m-row matrix): empty, zero, sparse, dense,
+    repeated and dependent columns."""
     if m is None:
         m = data.draw(st.integers(0, 9))
     n = data.draw(st.integers(0, 12))
@@ -242,50 +249,48 @@ def _draw_columns(field, data, m=None):
         else:
             col = {}
         cols.append(col)
-    M = fieldla.zeros(field, m, n)
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            M[i, j] = c
-    return m, cols, M
+    return m, cols
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_sparse_rank_matches_the_dense_rank(data):
     """Empty, zero, sparse, dense, repeated and dependent columns over
-    F_2, F_97 and Q: sparse_rank equals fieldla.rank of the dense matrix."""
+    F_2, F_97 and Q: sparse_rank equals sympy's rank of the matrix."""
     field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
-    _, cols, M = _draw_columns(field, data)
+    m, cols = _draw_columns(field, data)
     before = [dict(col) for col in cols]
-    assert fieldla.sparse_rank(field, iter(cols)) == fieldla.rank(field, M)
+    assert fieldla.sparse_rank(field, iter(cols)) == sympy_matrix(field, cols, m).rank()
     assert cols == before
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_column_space_is_the_reduced_echelon_basis(data):
-    """Over F_2, F_97 and Q the sparse ColumnSpace holds the reduced row
-    echelon form of M's transpose, pivots in the order the columns
-    brought them, and ``contains`` agrees with the dense rank_two."""
+    """Over F_2, F_97 and Q the sparse ColumnSpace holds sympy's reduced
+    row echelon form of M's transpose, pivots in the order the columns
+    brought them, and ``contains`` agrees with sympy's ranks."""
     field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
-    m, cols, M = _draw_columns(field, data)
+    m, cols = _draw_columns(field, data)
     before = [dict(col) for col in cols]
     cs = fieldla.ColumnSpace(field, m)
     assert cs.add_columns(iter(cols)) == cs.rank
     assert cols == before
-    r, pivcols, E = fieldla.echelon(field, M.T)
-    assert cs.rank == r and sorted(cs.pivots) == pivcols
+    E, pivcols = sympy_matrix(field, cols, m).transpose().rref()
+    r = len(pivcols)
+    assert cs.rank == r and sorted(cs.pivots) == list(pivcols)
     # a column that enlarges the space brings the one new pivot of its prefix
     order, seen = [], set()
-    for j in range(M.shape[1]):
-        order += [p for p in fieldla.echelon(field, M[:, : j + 1].T)[1] if p not in seen]
+    for j in range(len(cols)):
+        prefix = sympy_matrix(field, cols[: j + 1], m).transpose()
+        order += [p for p in prefix.rref()[1] if p not in seen]
         seen.update(order)
     assert cs.pivots == order
     assert all(c for row in cs.rows for c in row.values())
     by_pivot = [row for _, row in sorted(zip(cs.pivots, cs.rows))]
-    assert [[row.get(i, field.zero) for i in range(m)] for row in by_pivot] == E[:r].tolist()
-    _, probes, P = _draw_columns(field, data, m)
-    for j, w in enumerate(probes):
-        r_m, r_mw = fieldla.rank_two(field, M, P[:, j : j + 1])
-        assert cs.contains(w) == (r_m == r_mw)
+    assert by_pivot == sympy_columns(field, E.transpose())[:r]
+    _, probes = _draw_columns(field, data, m)
+    rank_m = sympy_matrix(field, cols, m).rank()
+    for w in probes:
+        assert cs.contains(w) == (sympy_matrix(field, cols + [w], m).rank() == rank_m)
     assert all(cs.contains(col) for col in cols)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dflab import scenarios
+from dflab import fieldla, scenarios
+from dflab.linear import MapMatrix, constant_columns
 from dflab.ring import PrimeField
 from dflab.scenarios import (
     SCENARIOS,
@@ -19,6 +20,28 @@ def test_cauchy_scenario():
     assert r.passed and not r.partial
     assert r.computed["22"] == [0, 4, 16]
     assert r.computed["33"] == [1, 64, 100]
+
+
+def test_cauchy_stage_check_fails_when_det_leaves_the_m21_image(monkeypatch):
+    """m21 replaced by the columns of its own that complete im(det) to
+    im(m21): every split_ok rank count still holds, but im(det) no longer
+    lies in the second stage, so the stage check fails."""
+    cauchy_m21_map = scenarios.cauchy_m21_map
+
+    def complement(P, Q):
+        field = P.ring.field
+        det, m21 = scenarios.cauchy_det_map(P, Q), cauchy_m21_map(P, Q)
+        space = fieldla.ColumnSpace(field, det.target.rank)
+        space.add_columns(constant_columns(det))
+        keep = [j for j, col in enumerate(constant_columns(m21)) if space.add(col)]
+        return MapMatrix(m21.source, m21.target, {j: m21.col(j) for j in keep})
+
+    want = SCENARIOS["check-cauchy"](ScenarioConfig()).per_degree
+    monkeypatch.setattr(scenarios, "cauchy_m21_map", complement)
+    r = SCENARIOS["check-cauchy"](ScenarioConfig())
+    assert r.per_degree == want  # the det and union ranks of the real m21
+    assert r.computed["22"] == [0, 4, 16] and r.computed["33"] == [1, 64, 100]
+    assert not r.passed
 
 
 def test_schur_scenario():
@@ -55,7 +78,7 @@ def test_schur_squares_undecided_in_a_larger_space(monkeypatch):
     """Zero maps commute with everything: the pairs fill all 8 dimensions,
     and the scenario reports no answer instead of a guessed one."""
     eps_list = [(1, 2), (2, 1)]
-    zero = np.zeros((2, 2), dtype=np.int64)
+    zero = [{}, {}]  # 2 x 2, as sparse columns
     mats = {(s, kind, eps): zero for s in "FG" for kind in ("delta", "plus") for eps in eps_list}
     assert scenarios._commuting_isos(PrimeField(97), mats, eps_list, 2, 2) == (None, 8)
     monkeypatch.setattr(scenarios, "_commuting_isos", lambda *args: (None, 8))

@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import two_term
+from conftest import sparse_columns, sympy_columns, sympy_matrix, two_term
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab import complexes, scenarios, simplicial
@@ -148,35 +148,31 @@ def test_normalize_rejects_twisted_degeneracies_over_a_field(field_ring):
     C = ChainComplex(field_ring, {0: M0, 1: M1}, {1: d})
     A = gamma(C, 3)
     # conjugate every level by an invertible change of basis
-    from dflab import fieldla
+    field = field_ring.field
+
+    def sym(f):
+        return sympy_matrix(field, ln.constant_columns(f), f.target.rank)
+
+    def constant_map(src, tgt, M):
+        cols = [{i: field_ring.const(c) for i, c in col.items()} for col in sympy_columns(field, M)]
+        return ln.MapMatrix(src, tgt, dict(enumerate(cols)))
 
     changes = {}
     for n in range(4):
         r = A.level(n).rank
         while True:
-            M = rng.integers(0, 97, (r, r), dtype=np.int64)
-            if fieldla.rank(field_ring.field, M) == r:
+            M = sympy_matrix(field, sparse_columns(rng.integers(0, 97, (r, r), dtype=np.int64)), r)
+            if M.rank() == r:
                 changes[n] = M
                 break
-    inv = {
-        n: np.array(
-            fieldla.solve_columns(field_ring.field, changes[n], np.eye(len(changes[n]), dtype=np.int64))
-        )
-        for n in changes
-    }
+    inv = {n: changes[n].inv() for n in changes}
     levels = {n: A.level(n) for n in range(4)}
     faces = {}
     degens = {}
     for (n, i), f in A.faces.items():
-        raw = f.materialize().to_field_matrix()
-        faces[(n, i)] = ln.from_field_matrix(
-            levels[n], levels[n - 1], (inv[n - 1] @ raw @ changes[n]) % 97
-        )
+        faces[(n, i)] = constant_map(levels[n], levels[n - 1], inv[n - 1] * sym(f) * changes[n])
     for (n, j), s in A.degeneracies.items():
-        raw = s.materialize().to_field_matrix()
-        degens[(n, j)] = ln.from_field_matrix(
-            levels[n], levels[n + 1], (inv[n + 1] @ raw @ changes[n]) % 97
-        )
+        degens[(n, j)] = constant_map(levels[n], levels[n + 1], inv[n + 1] * sym(s) * changes[n])
     twisted = SimplicialModule(field_ring, 3, levels, faces, degens)
     with pytest.raises(DegeneracyShapeError):
         from dflab.simplicial import degenerate_indices
@@ -338,8 +334,8 @@ def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
             assert src.level(n).labels == gen.source.labels, n
             position = {e: j for j, e in enumerate(src.elements(n))}
             keep = [position[e] for e in src.nondegenerate(n)]
-            M = proj.compose(gen).to_field_matrix()
-            nonzero = [j for j in range(M.shape[1]) if M[:, j].any()]
+            M = ln.constant_columns(proj.compose(gen))
+            nonzero = [j for j, col in enumerate(M) if col]
             assert nonzero == keep, n
 
 
