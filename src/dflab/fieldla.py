@@ -70,8 +70,7 @@ def _height(cols) -> int:
 
 def rank_two(field, A, B) -> tuple[int, int]:
     """rank(A) and rank([A | B]) of sparse columns, from one elimination."""
-    A, B = list(A), list(B)
-    space = ColumnSpace(field, _height(A + B))
+    space = ColumnSpace(field)
     r_a = space.add_columns(A)
     return r_a, r_a + space.add_columns(B)
 
@@ -94,7 +93,7 @@ def nullspace(field, cols) -> list[dict]:
     cols = list(cols)
     top = _height(cols)
     last = top + len(cols) - 1  # the tag of column 0
-    space = ColumnSpace(field, last + 1)
+    space = ColumnSpace(field)
     for j, col in enumerate(cols):
         space.add({**col, last - j: field.one})
     return [{last - i: c for i, c in row.items()} for row in space.rows if min(row) >= top]
@@ -123,9 +122,8 @@ class ColumnSpace:
     only on the vectors added, in their order.
     """
 
-    def __init__(self, field, dim: int):
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
         self.pivots: list[int] = []
         self.rows: list[dict] = []
         self._row_at: dict = {}  # pivot -> its row

@@ -29,6 +29,7 @@ from .linear import (
     cr,
     direct_sum_modules,
     schur,
+    smd,
     sym,
     tens,
     tensor_column,
@@ -146,14 +147,6 @@ def ext_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
 
 def div_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
     return _module("div", l, V)
-
-
-def schur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    return _module("schur", 3, V)
-
-
-def coschur_module(V: LabeledFreeModule) -> LabeledFreeModule:
-    return _module("coschur", 3, V)
 
 
 # --- maps ------------------------------------------------------------------
@@ -312,15 +305,8 @@ class ProductFunctor:
     def __init__(self, tags):
         self.tags = list(tags)
 
-    def module(self, V):
-        return tensor_modules([functor_module(t, V) for t in self.tags])
-
     def on_map(self, f):
         return tensor_maps([functor_on_map(t, f) for t in self.tags])
-
-
-def _f_module(F, V):
-    return functor_module(F, V) if isinstance(F, FunctorTag) else F.module(V)
 
 
 def _f_map(F, f):
@@ -358,7 +344,7 @@ def cross_effect(tag: FunctorTag, args) -> CrossEffect:
         raise ValueError("cross-effects are computed over a plain field ring")
     e = _idempotent_matrix(tag, direct_sum_modules(args), args)
     FV = e.source
-    space = fieldla.ColumnSpace(ring.field, FV.rank)
+    space = fieldla.ColumnSpace(ring.field)
     pivcols = [j for j, col in enumerate(constant_columns(e)) if space.add(col)]
     module = LabeledFreeModule(ring, [cr(FV.labels[j]) for j in pivcols])
     inclusion = MapMatrix(module, FV, {k: e.col(j) for k, j in enumerate(pivcols)})
@@ -404,7 +390,7 @@ def _repeat_map(tag, eps, args, diagonal: bool):
     flat = [i for i, e in enumerate(eps) for _ in range(e)]
     Asum, Bsum = direct_sum_modules(args), direct_sum_modules(rep_args)
     fold_cols = {
-        j: {Asum.index((lab[0], flat[lab[1]], lab[2])): one} for j, lab in enumerate(Bsum.labels)
+        j: {Asum.index(smd(flat[lab[1]], lab[2])): one} for j, lab in enumerate(Bsum.labels)
     }
     fold = MapMatrix(Bsum, Asum, fold_cols)
     crA, crB = cross_effect(tag, args), cross_effect(tag, rep_args)

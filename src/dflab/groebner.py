@@ -2,8 +2,8 @@
 
 Elements of a free module R^r are flat sparse dicts
 ``{(position, monomial): coeff}``.  The module order is
-position-over-term: lower position dominates, ties broken by the
-ring's monomial order.  By default Buchberger runs with cofactor
+position-over-term: lower position dominates, ties broken by
+degrevlex.  By default Buchberger runs with cofactor
 shadows in terms of the *input* generators, so zero reductions of
 S-vectors hand back kernel elements (Schreyer) with no extra machinery.
 
@@ -39,7 +39,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import count
-from operator import add, le, neg, sub
+from operator import add, le, sub
 
 from .ring import (
     RingDescriptor,
@@ -51,14 +51,10 @@ from .ring import (
 )
 
 
-def pot_key(ring: RingDescriptor):
+def pot_key(pm):
     """Sort key on (position, monomial); max = leading term."""
-
-    def key(pm):
-        pos, mono = pm
-        return (-pos, monomial_key(mono, ring.order))
-
-    return key
+    pos, mono = pm
+    return (-pos, monomial_key(mono))
 
 
 def elem_is_zero(v: dict) -> bool:
@@ -71,10 +67,9 @@ def elem_scale(field, v: dict, c) -> dict:
     return {k: field.mul(cv, c) for k, cv in v.items()}
 
 
-def elem_lt(ring, v: dict):
+def elem_lt(v: dict):
     """((position, monomial), coeff) of the leading term."""
-    key = pot_key(ring)
-    pm = max(v, key=key)
+    pm = max(v, key=pot_key)
     return pm, v[pm]
 
 
@@ -106,16 +101,13 @@ class ModuleGB:
     @cached_property
     def lts(self) -> list:
         """elem_lt of each generator, computed once per basis."""
-        return [elem_lt(self.ring, g) for g in self.generators]
+        return [elem_lt(g) for g in self.generators]
 
     @cached_property
     def by_position(self) -> dict:
         """The leading terms bucketed by position (see _by_position)."""
         field = self.ring.field
         return _by_position(self.lts, [field.inv(c) for _, c in self.lts])
-
-    def leading_terms(self):
-        return [pm for pm, _ in self.lts]
 
 
 def _by_position(lts, invs) -> dict:
@@ -128,14 +120,10 @@ def _by_position(lts, invs) -> dict:
     return out
 
 
-def _heap_key(order: str):
-    """(position, monomial) -> a key whose minimum is the leading term
+def _heap_key(pos, m):
+    """A key on (position, monomial) whose minimum is the leading term
     (position over term: lowest position, then largest monomial)."""
-    if order == "degrevlex":
-        return lambda pos, m: (pos, -sum(m), *m[::-1])
-    if order == "lex":
-        return lambda pos, m: (pos, *map(neg, m))
-    raise ValueError(f"unknown monomial order {order!r}")
+    return (pos, -sum(m), *m[::-1])
 
 
 def _reduce_full(ring, v, basis, by_pos, shadows=None, vshadow=None):
@@ -153,8 +141,7 @@ def _reduce_full(ring, v, basis, by_pos, shadows=None, vshadow=None):
     """
     field = ring.field
     zero, fsub, fmul = field.zero, field.sub, field.mul
-    hkey = _heap_key(ring.order)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappush, hkey = heapq.heappop, heapq.heappush, _heap_key
     work = dict(v)
     sh = dict(vshadow) if shadows is not None else None
     heap = [(hkey(*pm), pm) for pm in work]
@@ -236,7 +223,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
                 syzygies.append({(i, (0,) * ring.nvars): field.one})
         else:
             basis.append(dict(g))
-            lts.append(elem_lt(ring, g))
+            lts.append(elem_lt(g))
             invs.append(field.inv(lts[-1][1]))
             if not basis_only:
                 shadows.append({(i, (0,) * ring.nvars): field.one})
@@ -248,7 +235,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
 
     def add_pair(i, j):  # i < j, in the same position
         lcm = monomial_lcm(lts[i][0][1], lts[j][0][1])
-        cost = (monomial_degree(lcm), monomial_key(lcm, ring.order))
+        cost = (monomial_degree(lcm), monomial_key(lcm))
         heapq.heappush(pairs, (cost, next(created), i, j, lcm))
         pending.add((i, j))
 
@@ -291,7 +278,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
                 syzygies.append(sh)
         else:
             basis.append(rem)
-            lts.append(elem_lt(ring, rem))
+            lts.append(elem_lt(rem))
             invs.append(field.inv(lts[-1][1]))
             if not basis_only:
                 shadows.append(sh)
@@ -323,11 +310,10 @@ def _interreduce(ring, basis, lts, invs, shadows):
     the results stay in the sorted order and are scaled by invs.
     """
     field = ring.field
-    key = pot_key(ring)
     tracked = shadows is not None
     if not tracked:
         shadows = [None] * len(basis)
-    items = sorted(zip(basis, lts, invs, shadows), key=lambda item: key(item[1][0]))
+    items = sorted(zip(basis, lts, invs, shadows), key=lambda item: pot_key(item[1][0]))
     min_basis, min_lts, min_invs, min_shadows = [], [], [], []
     for g, lt, inv, sh in items:
         (pos, mono), _ = lt

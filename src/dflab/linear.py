@@ -6,9 +6,14 @@ degrees on its labels; with a homogeneous regular sequence this makes
 every differential in the pipelines homogeneous of internal degree 0,
 which is what validates the graded homology engine.
 
-The label order is the structural recursive order of ``label_key``; it
-is fixed once and used for all tie-breaking (wedge normalization,
-multiset sorting, slice ordering).
+The label invariant: a label's last slot is its internal degree, and
+Python's tuple order on labels is the basis order, used for all
+tie-breaking (wedge normalization, multiset sorting, slice ordering).
+A label starts with its kind, and labels of one kind have the same
+slots, so any two labels compare.  Except in an ``atom``, whose degree is
+given, the degree slot is a function of the slots before it, so it never
+decides between distinct labels.  A ``gam`` label stores ``len(J)``
+before its jump set J, so smaller jump sets come first.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, mono
 
 ATOM, GAM, TENS, SYM, WEDGE, DIV, SCHUR, COSCH, DUAL, SMD, CR = range(11)
 
-_degree_cache: dict = {}
-_key_cache: dict = {}
+
+def _degree(parts) -> int:
+    return sum(p[-1] for p in parts)
 
 
 def atom(name: str, degree: int = 0):
@@ -29,21 +35,24 @@ def atom(name: str, degree: int = 0):
 
 def gam(jumps: tuple, inner):
     """Basis copy label inside a Dold-Puppe level, indexed by jump set."""
-    return (GAM, tuple(jumps), inner)
+    jumps = tuple(jumps)
+    return (GAM, len(jumps), jumps, inner, inner[-1])
 
 
 def tens(parts: tuple):
-    return (TENS, tuple(parts))
+    parts = tuple(parts)
+    return (TENS, parts, _degree(parts))
 
 
 def sym(parts) -> tuple:
-    return (SYM, tuple(sorted(parts, key=label_key)))
+    parts = tuple(sorted(parts))
+    return (SYM, parts, _degree(parts))
 
 
 def wedge(parts):
     """Strictly increasing wedge label, or (sign, label); None if degenerate."""
     parts = tuple(parts)
-    order = sorted(range(len(parts)), key=lambda i: label_key(parts[i]))
+    order = sorted(range(len(parts)), key=parts.__getitem__)
     sorted_parts = tuple(parts[i] for i in order)
     for a, b in zip(sorted_parts, sorted_parts[1:]):
         if a == b:
@@ -52,81 +61,34 @@ def wedge(parts):
         1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
     )
     sign = -1 if inversions % 2 else 1
-    return sign, (WEDGE, sorted_parts)
+    return sign, (WEDGE, sorted_parts, _degree(sorted_parts))
 
 
 def div(parts) -> tuple:
-    return (DIV, tuple(sorted(parts, key=label_key)))
+    parts = tuple(sorted(parts))
+    return (DIV, parts, _degree(parts))
 
 
 def schur(a, b, c):
-    return (SCHUR, a, b, c)
+    return (SCHUR, a, b, c, _degree((a, b, c)))
 
 
 def cosch(a, b, c):
-    return (COSCH, a, b, c)
+    return (COSCH, a, b, c, _degree((a, b, c)))
 
 
 def dual(label):
     if label[0] == DUAL:
         return label[1]
-    return (DUAL, label)
+    return (DUAL, label, -label[-1])
 
 
 def smd(i: int, label):
-    return (SMD, i, label)
+    return (SMD, i, label, label[-1])
 
 
 def cr(label):
-    return (CR, label)
-
-
-def label_key(label):
-    k = _key_cache.get(label)
-    if k is not None:
-        return k
-    kind = label[0]
-    if kind == ATOM:
-        k = (ATOM, label[1], label[2])
-    elif kind == GAM:
-        k = (GAM, len(label[1]), label[1], label_key(label[2]))
-    elif kind in (TENS, SYM, WEDGE, DIV):
-        k = (kind, tuple(label_key(x) for x in label[1]))
-    elif kind in (SCHUR, COSCH):
-        k = (kind, label_key(label[1]), label_key(label[2]), label_key(label[3]))
-    elif kind == DUAL:
-        k = (DUAL, label_key(label[1]))
-    elif kind == SMD:
-        k = (SMD, label[1], label_key(label[2]))
-    elif kind == CR:
-        k = (CR, label_key(label[1]))
-    else:
-        raise ValueError(f"unknown label {label!r}")
-    _key_cache[label] = k
-    return k
-
-
-def label_degree(label) -> int:
-    d = _degree_cache.get(label)
-    if d is not None:
-        return d
-    kind = label[0]
-    if kind == ATOM:
-        d = label[2]
-    elif kind == GAM:
-        d = label_degree(label[2])
-    elif kind in (TENS, SYM, WEDGE, DIV):
-        d = sum(label_degree(x) for x in label[1])
-    elif kind in (SCHUR, COSCH):
-        d = label_degree(label[1]) + label_degree(label[2]) + label_degree(label[3])
-    elif kind == DUAL:
-        d = -label_degree(label[1])
-    elif kind in (SMD, CR):
-        d = label_degree(label[2] if kind == SMD else label[1])
-    else:
-        raise ValueError(f"unknown label {label!r}")
-    _degree_cache[label] = d
-    return d
+    return (CR, label, label[-1])
 
 
 # --- modules -------------------------------------------------------------
@@ -143,7 +105,7 @@ class LabeledFreeModule:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        self.degrees = tuple(label_degree(lab) for lab in self.labels)
+        self.degrees = tuple(lab[-1] for lab in self.labels)
 
     @property
     def rank(self) -> int:
@@ -352,10 +314,6 @@ def constant_columns(f: MapMatrix) -> list[dict]:
     return cols
 
 
-def compose(g: MapMatrix, f: MapMatrix) -> MapMatrix:
-    return g.compose(f)
-
-
 def tensor_column(cols, parts) -> dict:
     """Column of a Kronecker product at the index tuple ``parts``.
 
@@ -400,10 +358,6 @@ def tensor_maps(maps, source=None, target=None) -> MapMatrix:
     return MapMatrix(src, tgt, provider=provider)
 
 
-def tensor(f: MapMatrix, g: MapMatrix) -> MapMatrix:
-    return tensor_maps([f, g])
-
-
 def dual_module(module: LabeledFreeModule) -> LabeledFreeModule:
     return LabeledFreeModule(module.ring, [dual(lab) for lab in module.labels])
 
@@ -421,7 +375,7 @@ def slice_basis(module: LabeledFreeModule, t: int):
     then decreasing monomial order."""
     ring = module.ring
     monos = {  # label degree -> the monomials that complete it to t, sorted once
-        d: sorted(monomials_of_degree(ring.nvars, t - d), key=lambda m: monomial_key(m, ring.order))
+        d: sorted(monomials_of_degree(ring.nvars, t - d), key=monomial_key)
         for d in set(module.degrees)
     }
     return [(i, m) for i, d in enumerate(module.degrees) for m in reversed(monos[d])]

@@ -2,7 +2,8 @@
 
 Coefficients live in a prime field F_p (stored as least non-negative
 residues) or in the rationals (stored as ``fractions.Fraction``).
-Monomials are exponent tuples, one slot per ring variable; polynomials
+Monomials are exponent tuples, one slot per ring variable, ordered by
+degrevlex (``monomial_key``); polynomials
 are sparse ``{monomial: coefficient}`` maps with no zero entries.
 """
 
@@ -135,21 +136,9 @@ def monomial_degree(m) -> int:
     return sum(m)
 
 
-def monomial_key(m, order: str):
-    """Sort key: bigger key = bigger monomial in the given order."""
-    if order == "degrevlex":
-        return (sum(m),) + tuple(-e for e in reversed(m))
-    if order == "lex":
-        return tuple(m)
-    raise ValueError(f"unknown monomial order {order!r}")
-
-
-def monomial_compare(m1, m2, order: str) -> int:
-    """-1, 0, or 1 as m1 <, =, > m2."""
-    if len(m1) != len(m2):
-        raise DescriptorError("monomials over different variable counts")
-    k1, k2 = monomial_key(m1, order), monomial_key(m2, order)
-    return (k1 > k2) - (k1 < k2)
+def monomial_key(m):
+    """Sort key: bigger key = bigger monomial in degrevlex."""
+    return (sum(m),) + tuple(-e for e in reversed(m))
 
 
 def monomial_mul(m1, m2):
@@ -191,14 +180,11 @@ class RingDescriptor:
     variables can be attached; its entries must be nonzero non-units.
     """
 
-    __slots__ = ("field", "variables", "order", "regular_sequence", "_cache")
+    __slots__ = ("field", "variables", "regular_sequence", "_cache")
 
-    def __init__(self, field, variables=(), order="degrevlex"):
-        if order not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown monomial order {order!r}")
+    def __init__(self, field, variables=()):
         self.field = field
         self.variables = tuple(variables)
-        self.order = order
         self.regular_sequence = None
         self._cache = {}
 
@@ -207,11 +193,7 @@ class RingDescriptor:
         return len(self.variables)
 
     def compatible(self, other: "RingDescriptor") -> bool:
-        return (
-            self.field == other.field
-            and self.variables == other.variables
-            and self.order == other.order
-        )
+        return self.field == other.field and self.variables == other.variables
 
     def check_compatible(self, other: "RingDescriptor"):
         if not self.compatible(other):
@@ -235,12 +217,6 @@ class RingDescriptor:
         i = self.variables.index(name)
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Poly(self, {mono: self.field.one})
-
-    def monomial(self, mono, coeff=1) -> "Poly":
-        c = self.field.coerce(coeff)
-        if c == self.field.zero:
-            return self.zero()
-        return Poly(self, {tuple(mono): c})
 
     def _cached(self, key, make):
         v = self._cache.get(key)
@@ -362,16 +338,14 @@ class Poly:
     # normal forms -------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in decreasing monomial order of the ring."""
-        order = self.ring.order
-        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0], order), reverse=True)
+        """Terms in decreasing monomial order."""
+        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     def leading(self):
         """(monomial, coeff) of the leading term; None for zero."""
         if not self.terms:
             return None
-        order = self.ring.order
-        m = max(self.terms, key=lambda t: monomial_key(t, order))
+        m = max(self.terms, key=monomial_key)
         return m, self.terms[m]
 
     def __eq__(self, other):
@@ -405,18 +379,6 @@ class Poly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch add/sub/mul with descriptor checking."""
-    a.ring.check_compatible(b.ring)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # --- tiny expression parser for CLI / config polynomials ----------------
@@ -518,7 +480,7 @@ def _tokenize(text: str):
     return out
 
 
-def ring_descriptor(prime=97, rationals=False, variables=("x", "y"), order="degrevlex", sequence=None):
+def ring_descriptor(prime=97, rationals=False, variables=("x", "y"), sequence=None):
     """Build a descriptor and attach a regular sequence given as strings.
 
     ``sequence=None`` defaults to the first two variables (so (x, y) over
@@ -526,7 +488,7 @@ def ring_descriptor(prime=97, rationals=False, variables=("x", "y"), order="degr
     ``sequence=()`` for a bare ring with no configured ideal.
     """
     field = Rationals() if rationals else PrimeField(prime)
-    ring = RingDescriptor(field, tuple(variables), order)
+    ring = RingDescriptor(field, tuple(variables))
     if sequence is None:
         sequence = ring.variables[:2]
     seq_polys = [parse_poly(ring, s) if isinstance(s, str) else s for s in sequence]

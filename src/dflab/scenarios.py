@@ -601,7 +601,7 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
         check()
         Nmod = NS3.module(n)
         row_of = {e: p for p, e in enumerate(S3.nondegenerate(n))}
-        cs = fieldla.ColumnSpace(ring.field, Nmod.rank)
+        cs = fieldla.ColumnSpace(ring.field)
         for column, src in ((cauchy_det_column, det_src), (cauchy_m21_column, m21_src)):
             cs.add_columns(
                 {row_of[key]: sign for key, sign in column(e).items() if key in row_of}
@@ -707,7 +707,7 @@ def _str_dims(d: dict) -> dict:
 def _ez(ctx: Context) -> bool:
     cfg, res = ctx.cfg, ctx.res
     n_max = min(cfg.n_max, 5)
-    t_max = min(cfg.t_max, 8)
+    t_max = cfg.t_max
 
     def comparison_maps_ok(sh, aw):
         """(shuffle and front-face maps are chain maps, aw after sh is the identity)"""

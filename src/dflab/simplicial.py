@@ -59,7 +59,6 @@ from .linear import (
     MapMatrix,
     gam,
     identity_map,
-    label_key,
     tens,
     tensor_column,
     zero_map,
@@ -215,9 +214,9 @@ def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
                 continue
             for J in combinations(range(n), k):
                 labels.extend(gam(J, v) for v in C.module(k).labels)
-        labels.sort(key=label_key)
+        labels.sort()
         levels[n] = LabeledFreeModule(ring, labels)
-        masks[n] = [sum(1 << t for t in lab[1]) for lab in labels]
+        masks[n] = [sum(1 << t for t in lab[2]) for lab in labels]
 
     def structure_map(n: int, alpha_values) -> MapMatrix:
         """Matrix of the operator with the given composite values [m] -> [n]."""
@@ -225,7 +224,7 @@ def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
         src, tgt = levels[n], levels[m]
         cols = {}
         for cidx, lab in enumerate(src.labels):
-            J, v = lab[1], lab[2]
+            J, v = lab[2], lab[3]
             k = len(J)
             sigma = [0] * (n + 1)
             for t in range(1, n + 1):

@@ -135,7 +135,7 @@ def test_quasi_iso_needs_a_bijection_on_every_slice(resolution):
 
 def dense_space(field, C, k, t, basis):
     """ColumnSpace of the boundaries B_k(t)."""
-    space = fieldla.ColumnSpace(field, len(basis))
+    space = fieldla.ColumnSpace(field)
     space.add_columns(ln.graded_slice(C.diff(k + 1), t, tgt_basis=basis)[0])
     return space
 
@@ -420,7 +420,8 @@ def test_ri_rank_counts_free_generators_over_the_quotient(resolution):
 # complex, the ranks and the sha256 of ``_reduced_digest``: every label,
 # degree and entry (with its terms) of ``reduce_complex``'s output.  It was
 # written before the pivots moved from a full min-scan to a heap, so any
-# change to the pivot order shows up here.
+# change to the pivot order shows up here.  Labels are hashed by ``repr``,
+# so a change of label format rewrites these digests.
 
 REDUCED = pathlib.Path(__file__).parent / "data" / "reduced-complexes.json"
 

@@ -97,7 +97,7 @@ def test_solve_and_membership():
     assert [{i: F.neg(c) for i, c in v.items() if i < 8} for v in kernel] == sympy_columns(F, X)
     W = sparse_columns(rng.integers(0, 97, (30, 1), dtype=np.int64))
     assert fieldla.nullspace(F, B + W) == []
-    cs = fieldla.ColumnSpace(F, 30)
+    cs = fieldla.ColumnSpace(F)
     cs.add_columns(B)
     assert cs.rank == fieldla.rank(F, B) == sympy_matrix(F, B, 30).rank()
     assert cs.contains(V[0]) and not cs.contains(W[0])
@@ -193,7 +193,7 @@ def test_echelon_is_the_reduced_row_echelon_form(field, shapes):
         M = _low_rank(field, m, n, k, rng)
         rows = sympy_columns(field, M.transpose())
         before = [dict(row) for row in rows]
-        cs = fieldla.ColumnSpace(field, n)
+        cs = fieldla.ColumnSpace(field)
         r = cs.add_columns(rows)
         R, pivots = M.rref()
         assert (r, sorted(cs.pivots)) == (len(pivots), list(pivots)), (m, n, k)
@@ -273,7 +273,7 @@ def test_column_space_is_the_reduced_echelon_basis(data):
     field = SPARSE_FIELDS[data.draw(st.sampled_from(sorted(SPARSE_FIELDS)))]
     m, cols = _draw_columns(field, data)
     before = [dict(col) for col in cols]
-    cs = fieldla.ColumnSpace(field, m)
+    cs = fieldla.ColumnSpace(field)
     assert cs.add_columns(iter(cols)) == cs.rank
     assert cols == before
     E, pivcols = sympy_matrix(field, cols, m).transpose().rref()

@@ -68,8 +68,8 @@ def test_schur_dimensions_against_map_oracle():
         return sympy_matrix(F, ln.constant_columns(ln.MapMatrix(src, tgt, cols)), tgt.rank).rank()
 
     for n, d in [(1, 0), (2, 2), (3, 8), (4, 20)]:
-        assert fu.schur_module(km("v", n)).rank == d
-        assert fu.coschur_module(km("v", n)).rank == d
+        assert fu.functor_module(fu.SchurL31, km("v", n)).rank == d
+        assert fu.functor_module(fu.CoSchurL31, km("v", n)).rank == d
         assert oracle(n) == d
 
 

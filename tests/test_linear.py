@@ -36,10 +36,10 @@ def test_homogeneity_tagging():
 
 
 def test_tensor_basics():
-    t = ln.tensor(mx, my)
+    t = ln.tensor_maps([mx, my])
     assert t.source.rank == t.target.rank == 1
     assert t.col(0)[0] == X * Y
-    idt = ln.tensor(ln.identity_map(M1), ln.identity_map(M2))
+    idt = ln.tensor_maps([ln.identity_map(M1), ln.identity_map(M2)])
     assert idt.materialize().equals(ln.identity_map(idt.source))
     A = ln.LabeledFreeModule(R, [ln.atom("a", 0), ln.atom("b", 0)])
     B = ln.LabeledFreeModule(R, [ln.atom("c", 0), ln.atom("d", 0), ln.atom("e2", 0)])
@@ -47,8 +47,8 @@ def test_tensor_basics():
 
 
 def test_tensor_functoriality():
-    lhs = ln.tensor(mx.compose(my), mx.compose(my)).materialize()
-    rhs = ln.tensor(mx, mx).compose(ln.tensor(my, my))
+    lhs = ln.tensor_maps([mx.compose(my), mx.compose(my)]).materialize()
+    rhs = ln.tensor_maps([mx, mx]).compose(ln.tensor_maps([my, my]))
     assert lhs.equals(rhs)
 
 
@@ -192,18 +192,54 @@ def test_wedge_label_normalization():
     assert ln.wedge([a, a]) is None
 
 
+def _structural_key(lab):
+    """The recursive label order without degree slots: kind, then the
+    children's keys, with a jump set's size before the jump set."""
+    kind = lab[0]
+    if kind == ln.ATOM:
+        return lab
+    if kind == ln.GAM:
+        return (kind, len(lab[2]), lab[2], _structural_key(lab[3]))
+    if kind in (ln.TENS, ln.SYM, ln.WEDGE, ln.DIV):
+        return (kind, tuple(map(_structural_key, lab[1])))
+    if kind in (ln.SCHUR, ln.COSCH):
+        return (kind, *map(_structural_key, lab[1:4]))
+    if kind == ln.SMD:
+        return (kind, lab[1], _structural_key(lab[2]))
+    return (kind, _structural_key(lab[1]))  # DUAL, CR
+
+
 def test_label_order_total():
-    labs = [
-        ln.atom("a", 0),
-        ln.gam((0, 1), ln.atom("a", 0)),
-        ln.sym((ln.atom("a", 0), ln.atom("b", 1))),
-        ln.tens((ln.atom("a", 0), ln.atom("b", 1))),
-        ln.div((ln.atom("a", 0),)),
-        ln.smd(1, ln.atom("a", 0)),
-    ]
-    keys = [ln.label_key(l) for l in labs]
-    assert len(set(keys)) == len(keys)
-    sorted(labs, key=ln.label_key)
+    """Labels of mixed kinds sort by plain tuple order, in the structural
+    order, and each label's last slot is its internal degree."""
+    a, b = ln.atom("a", 0), ln.atom("b", 1)
+    labs = {
+        a: 0,
+        b: 1,
+        ln.gam((0, 1), b): 1,
+        ln.gam((1,), a): 0,
+        ln.gam((0, 1), a): 0,
+        ln.sym((b, a)): 1,
+        ln.tens((a, b)): 1,
+        ln.tens((b, a)): 1,
+        ln.wedge([b, a])[1]: 1,
+        ln.div((b, b)): 2,
+        ln.schur(b, a, b): 2,
+        ln.cosch(a, b, a): 1,
+        ln.dual(b): -1,
+        ln.dual(ln.tens((b, b))): -2,
+        ln.smd(1, a): 0,
+        ln.smd(0, b): 1,
+        ln.cr(ln.sym((a, b))): 1,
+    }
+    assert all(lab[-1] == d for lab, d in labs.items())
+    assert len(set(labs)) == len(labs)
+    ordered = sorted(labs)
+    assert ordered == sorted(labs, key=_structural_key)
+    # smaller jump sets first, then the jump set, then the inner label
+    assert ordered.index(ln.gam((1,), a)) < ordered.index(ln.gam((0, 1), a))
+    assert ordered.index(ln.gam((0, 1), a)) < ordered.index(ln.gam((0, 1), b))
+    assert ln.sym((b, a)) == ln.sym((a, b)) and ln.dual(ln.dual(b)) == b
 
 
 def test_duplicate_labels_rejected():

@@ -1,5 +1,7 @@
 """Scenario smoke tests (full tables are exercised by the acceptance suite)."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_cauchy_stage_check_fails_when_det_leaves_the_m21_image(monkeypatch):
     def complement(P, Q):
         field = P.ring.field
         det, m21 = scenarios.cauchy_det_map(P, Q), cauchy_m21_map(P, Q)
-        space = fieldla.ColumnSpace(field, det.target.rank)
+        space = fieldla.ColumnSpace(field)
         space.add_columns(constant_columns(det))
         keep = [j for j, col in enumerate(constant_columns(m21)) if space.add(col)]
         return MapMatrix(m21.source, m21.target, {j: m21.col(j) for j in keep})
@@ -69,6 +71,11 @@ def test_schur_squares_are_decided_without_random_draws(cfg, commute, monkeypatc
         raise AssertionError("check-schur drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+    # every draw of Python's random goes through random() or getrandbits()
+    # of a Random instance; the module-level functions are bound to one
+    for owner in (random, random.Random, random.SystemRandom):
+        for name in ("random", "getrandbits"):
+            monkeypatch.setattr(owner, name, no_draws)
     r = SCENARIOS["check-schur"](cfg)
     assert r.computed["squares_commute"] is commute
     assert r.passed is commute and not r.notes
@@ -85,6 +92,14 @@ def test_schur_squares_undecided_in_a_larger_space(monkeypatch):
     r = SCENARIOS["check-schur"](ScenarioConfig())
     assert r.computed["squares_commute"] is None and not r.passed
     assert r.notes == ["squares_commute not decided: the commuting maps form a space of dimension 8"]
+
+
+def test_ez_triple_stabilizes_over_a_quadratic_sequence():
+    """Over (x^2, y) the triple's H_4 has not stabilized by internal
+    degree 8, so check-ez needs the configured t_max to certify it."""
+    r = SCENARIOS["check-ez"](ScenarioConfig(sequence=("x^2", "y")))
+    assert r.computed["triple"]["ranks"] == [1, 4, 6, 4, 1]
+    assert r.passed
 
 
 def test_gamma_scenario():
