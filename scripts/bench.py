@@ -28,8 +28,8 @@ by a small launcher through ``os.wait4``; the build and
 ``homology_graded`` wall times, peak RSS (read the same way), rank
 vector and error (``MemoryError`` past the cap) of the d = 3 point; the git commit
 of CHECKOUT and whether its tracked files differ from that commit, the
-Python and numpy versions and the CPU count.  Nothing
-under ``perfbench/`` is changed; a run takes a few minutes.
+Python version and the CPU count.  Nothing under ``perfbench/`` is
+changed; a run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-import numpy
 
 SEED = 0
 SIZE_COUNTERS = ("simplicial.level_rank", "simplicial.normalized_rank", "simplicial.nondeg_ratio")
@@ -116,10 +114,10 @@ ONE_SHOT_REPEATS = 5
 
 
 # Linux counts the memory a process had before exec in its ru_maxrss, and a
-# child spawned from this script starts with this script's memory (numpy
-# and all), so a small launcher spawns the measured Python process and
-# reads its usage through os.wait4.  The measured process's own output
-# comes first on stdout, the launcher's line last.
+# child spawned from this script starts with this script's memory, so a
+# small launcher spawns the measured Python process and reads its usage
+# through os.wait4.  The measured process's own output comes first on
+# stdout, the launcher's line last.
 LAUNCHER = """
 import json, os, sys, time
 t0 = time.monotonic()
@@ -222,7 +220,6 @@ def main(argv=None) -> int:
         "git_commit": git(root, "rev-parse", "HEAD") or None,
         "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "seed": SEED,
         "run_seconds": bench["run_seconds"],

@@ -34,12 +34,10 @@ from . import groebner as gb_mod
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
-    identity_map,
     slice_basis,
     slice_columns,
     slice_positions,
-    tensor_maps,
-    tensor_modules,
+    tens,
     zero_map,
 )
 
@@ -111,65 +109,50 @@ def shift(C: ChainComplex, s: int) -> ChainComplex:
 
 
 def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Tot(C (x) D) with the Koszul sign (-1)^p on the second differential."""
+    """Tot(C (x) D), built from its differential.
+
+    Degree n is the direct sum of the blocks C_p (x) D_q with p + q = n,
+    in order of p, each with labels tens((a, b)), b fastest.  The column
+    of a (x) b in C_p (x) D_q is d_C(a) (x) b + (-1)^p a (x) d_D(b).
+    """
     ring = C.ring
     blocks: dict[int, list] = {}
     for p in C.support():
-        if C.module(p).rank == 0:
-            continue
         for q in D.support():
-            if D.module(q).rank == 0:
-                continue
-            blocks.setdefault(p + q, []).append((p, q))
+            if C.module(p).rank and D.module(q).rank:
+                blocks.setdefault(p + q, []).append((p, q))
     modules = {}
-    offsets = {}
-    block = {}  # (p, q) -> C_p (x) D_q
+    start = {}  # (p, q) -> offset of C_p (x) D_q in Tot_{p+q}
     for n, pq in blocks.items():
         labels = []
-        offs = {}
-        for (p, q) in pq:
-            offs[(p, q)] = len(labels)
-            block[(p, q)] = tensor_modules([C.module(p), D.module(q)])
-            labels.extend(block[(p, q)].labels)
+        for p, q in pq:
+            start[p, q] = len(labels)
+            labels.extend(tens((a, b)) for a in C.module(p).labels for b in D.module(q).labels)
         modules[n] = LabeledFreeModule(ring, labels)
-        offsets[n] = offs
     diffs = {}
     for n in sorted(blocks):
         if n - 1 not in blocks:
             continue
-        src, tgt = modules[n], modules[n - 1]
-        cols: dict = {}
-        for (p, q) in blocks[n]:
-            base = offsets[n][(p, q)]
-            pieces = []
-            if (p - 1, q) in offsets[n - 1]:
-                m1 = tensor_maps(
-                    [C.diff(p), identity_map(D.module(q))], block[(p, q)], block[(p - 1, q)]
-                )
-                pieces.append((offsets[n - 1][(p - 1, q)], m1))
-            if (p, q - 1) in offsets[n - 1]:
-                m2 = tensor_maps(
-                    [identity_map(C.module(p)), D.diff(q)], block[(p, q)], block[(p, q - 1)]
-                )
-                if p % 2:
-                    m2 = m2.scale(-1)
-                pieces.append((offsets[n - 1][(p, q - 1)], m2))
-            rank_pq = C.module(p).rank * D.module(q).rank
-            for j in range(rank_pq):
-                col = cols.setdefault(base + j, {})
-                for toff, mat in pieces:
-                    for i, poly in mat.col(j).items():
-                        col[toff + i] = poly
-        cols = {j: {i: q for i, q in col.items() if not q.is_zero()} for j, col in cols.items()}
-        diffs[n] = MapMatrix(src, tgt, {j: c for j, c in cols.items() if c})
+        cols = {}
+        for p, q in blocks[n]:
+            dc, dd = C.diff(p), D.diff(q)
+            rank_d, rank_d1 = D.module(q).rank, D.module(q - 1).rank
+            left = start.get((p - 1, q))  # d_C(a) (x) b: row left + i * rank D_q + b
+            right = start.get((p, q - 1))  # a (x) d_D(b): row right + a * rank D_{q-1} + i
+            for a in range(C.module(p).rank):
+                for b in range(rank_d):
+                    col = {}
+                    if left is not None:
+                        for i, e in dc.col(a).items():
+                            col[left + i * rank_d + b] = e
+                    if right is not None:
+                        for i, e in dd.col(b).items():
+                            col[right + a * rank_d1 + i] = e.scale(-1) if p % 2 else e
+                    col = {i: e for i, e in col.items() if not e.is_zero()}
+                    if col:
+                        cols[start[p, q] + a * rank_d + b] = col
+        diffs[n] = MapMatrix(modules[n], modules[n - 1], cols)
     return ChainComplex(ring, modules, diffs)
-
-
-def total_complex_many(Cs) -> ChainComplex:
-    out = Cs[0]
-    for C in Cs[1:]:
-        out = total_complex(out, C)
-    return out
 
 
 def truncate(C: ChainComplex, top: int) -> ChainComplex:
@@ -362,7 +345,6 @@ class HomologyReport:
     t_max: int
     degrees: dict = dc_field(default_factory=dict)  # k -> GradedDegree
     euler_ok: bool = True
-    presentations: dict = dc_field(default_factory=dict)  # k -> Presentation (groebner)
 
     def rank_vector(self, ks) -> list:
         """Ranks over R/I; None where a degree's rank is not certified."""
@@ -573,7 +555,6 @@ def homology_groebner_report(C: ChainComplex, t_max: int, annihilators=None) -> 
     report = HomologyReport(engine="groebner", t_max=t_max)
     for k in C.support():
         pres = homology_groebner(C, k)
-        report.presentations[k] = pres
         deg = GradedDegree()
         dims = gb_mod.hilbert_dims(pres, t_max)
         deg.dims = {t: d for t, d in enumerate(dims) if d}
@@ -596,8 +577,8 @@ def engines_agree(C: ChainComplex, t_max: int) -> bool:
         b = go.degrees.get(k, GradedDegree()).dims
         if {t: v for t, v in a.items() if v} != {t: v for t, v in b.items() if v}:
             return False
-        pa = go.presentations[k]
-        if pa.finite and pa.dim != gr.degrees[k].total:
+        g = go.degrees[k]
+        if g.stabilized and g.total != gr.degrees[k].total:
             return False
     return True
 

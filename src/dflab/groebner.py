@@ -84,7 +84,7 @@ def from_map_column(col: dict) -> dict:
 
 @dataclass
 class ModuleGB:
-    """A (reduced, unless flagged otherwise) Groebner basis of a submodule.
+    """A reduced Groebner basis of a submodule.
 
     A basis built with ``buchberger(..., basis_only=True)`` holds
     ``input_syzygies = None`` and ``cofactors = None``.
@@ -93,9 +93,7 @@ class ModuleGB:
     ambient_rank: int
     ring: RingDescriptor
     generators: list
-    reduced: bool = True
     input_syzygies: list | None = dc_field(default_factory=list)
-    input_count: int = 0
     cofactors: list | None = dc_field(default_factory=list)
 
     @cached_property
@@ -211,7 +209,6 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
     skips pairs, and the result has no syzygies and no cofactors.
     """
     field = ring.field
-    m = len(gens)
     basis = []
     lts = []  # elem_lt of each basis element; elements never change
     invs = []  # 1/(leading coefficient) of each basis element
@@ -294,9 +291,7 @@ def buchberger(gens, ambient_rank: int, ring: RingDescriptor, *, basis_only=Fals
         ambient_rank=ambient_rank,
         ring=ring,
         generators=reduced,
-        reduced=True,
         input_syzygies=syzygies,
-        input_count=m,
         cofactors=cofactors,
     )
 

@@ -5,10 +5,11 @@ contraction differential
 
   p_1^...^p_{k+1} (x) s  |->  sum_i (-1)^(k+1-i) p_1^..^p_i-hat^..^p_{k+1} (x) f(p_i)s.
 
-The co-Koszul complex is the dual of Kos^n(f*), reindexed as a chain
-complex whose degree-j part is Lambda^{n-j} Q (x) D^j P (so its top
-nonzero degree is n); on rank-one modules this reproduces the shifted
-two-term complex the Sym/Lambda comparison expects.
+The co-Koszul complex has degree-j part Lambda^{n-j} Q (x) D^j P (so its
+top nonzero degree is n) and is written down by its formula (see
+``cokoszul_complex``), the transpose of Kos^n(f^T)'s differential; on
+rank-one modules it is the shifted two-term complex the Sym/Lambda
+comparison expects.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 
-from .complexes import ChainComplex, total_complex_many
+from .complexes import ChainComplex, total_complex
 from .functors import div_module, ext_module, sym_module
 from .linear import (
     LabeledFreeModule,
     MapMatrix,
     atom,
     div as div_label,
-    dual_map,
     sym,
     tens,
     tensor_modules,
@@ -71,45 +71,42 @@ def koszul_complex(f: MapMatrix, n: int) -> ChainComplex:
 
 
 def cokoszul_complex(f: MapMatrix, n: int) -> ChainComplex:
-    """Dual of Kos^n(f*): degree j holds Lambda^{n-j} Q (x) D^j P."""
+    """Degree j holds Lambda^{n-j} Q (x) D^j P; the differential is
+
+      w (x) p^(alpha)  |->  sum_{q not in w} sum_{distinct p in alpha}
+                            (-1)^(k-i) f[q, p] (w ^ q) (x) p^(alpha - p),
+
+    with k = |w| and i the 0-based position of q in w ^ q: the transpose
+    of the differential of Kos^n(f^T: Q -> P).
+    """
     P, Q = f.source, f.target
-    ring = P.ring
-    M = koszul_complex(dual_map(f), n)
-    # dual basis of Lambda^k Q* (x) Sym^{n-k} P*  ~  Lambda^k Q (x) D^{n-k} P
     modules = {}
-    relabel = {}
-    for k in range(n + 1):
-        W = ext_module(Q, k)
-        D = div_module(P, n - k)
-        if W.rank == 0 or D.rank == 0:
-            continue
-        j = n - k
-        mod = tensor_modules([W, D])
-        modules[j] = mod
-        src = M.module(k)
-        mapping = []
-        for lab in src.labels:
-            wl, sl = lab[1]
-            qs = tuple(q[1] for q in wl[1])  # unwrap dual labels
-            ps = tuple(p[1] for p in sl[1])
-            primal = tens((wedge(qs)[1], div_label(ps)))
-            mapping.append(mod.index(primal))
-        relabel[k] = mapping
+    for j in range(n + 1):
+        W, D = ext_module(Q, n - j), div_module(P, j)
+        if W.rank and D.rank:
+            modules[j] = tensor_modules([W, D])
     diffs = {}
     for j in range(1, n + 1):
         if j not in modules or j - 1 not in modules:
             continue
-        k = n - j  # M-degree paired with co-degree j
-        D = M.diff(k + 1)  # M_{k+1} -> M_k
         src, tgt = modules[j], modules[j - 1]
-        cols: dict = {}
-        map_src = relabel[k]      # rows of D -> labels of modules[j]
-        map_tgt = relabel[k + 1]  # cols of D -> labels of modules[j-1]
-        for c in range(D.source.rank):
-            for r, poly in D.col(c).items():
-                cols.setdefault(map_src[r], {})[map_tgt[c]] = poly
+        cols = {}
+        for c, lab in enumerate(src.labels):
+            (_, w, _), (_, alpha, _) = lab[1]
+            col = {}
+            for p in dict.fromkeys(alpha):
+                rest = list(alpha)
+                rest.remove(p)
+                rest = div_label(rest)
+                for qidx, poly in f.col(P.index(p)).items():
+                    wq = wedge(w + (Q.labels[qidx],))  # sign (-1)^(k-i); None if q is in w
+                    if wq is not None:
+                        col[tgt.index(tens((wq[1], rest)))] = poly.scale(wq[0])
+            col = {i: e for i, e in sorted(col.items()) if not e.is_zero()}
+            if col:
+                cols[c] = col
         diffs[j] = MapMatrix(src, tgt, cols)
-    return ChainComplex(ring, modules, diffs)
+    return ChainComplex(P.ring, modules, diffs)
 
 
 def two_term_complex(f: MapMatrix) -> ChainComplex:
@@ -139,7 +136,7 @@ def regular_sequence_resolution(ring: RingDescriptor) -> ChainComplex:
     pieces = [
         cyclic_two_term(ring, chr(ord("k") + i), f) for i, f in enumerate(ring.regular_sequence)
     ]
-    T = total_complex_many(pieces)
+    T = reduce(total_complex, pieces)
     _check_koszul_match(ring, pieces, T)
     return T
 

@@ -6,6 +6,13 @@ degrees on its labels; with a homogeneous regular sequence this makes
 every differential in the pipelines homogeneous of internal degree 0,
 which is what validates the graded homology engine.
 
+There are ten label kinds: ``atom`` (a named generator), ``gam`` (a
+basis copy in a Dold-Puppe level), ``tens``, ``sym``, ``wedge`` and
+``div`` (words and multisets of labels), ``schur`` and ``cosch``
+(tableaux of the shape (2,1) Schur functor and its dual), ``smd`` (an
+element of one summand of a direct sum) and ``cr`` (a cross-effect
+basis element).
+
 The label invariant: a label's last slot is its internal degree, and
 Python's tuple order on labels is the basis order, used for all
 tie-breaking (wedge normalization, multiset sorting, slice ordering).
@@ -22,7 +29,7 @@ from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, mono
 
 # --- labels --------------------------------------------------------------
 
-ATOM, GAM, TENS, SYM, WEDGE, DIV, SCHUR, COSCH, DUAL, SMD, CR = range(11)
+ATOM, GAM, TENS, SYM, WEDGE, DIV, SCHUR, COSCH, SMD, CR = range(10)
 
 
 def _degree(parts) -> int:
@@ -75,12 +82,6 @@ def schur(a, b, c):
 
 def cosch(a, b, c):
     return (COSCH, a, b, c, _degree((a, b, c)))
-
-
-def dual(label):
-    if label[0] == DUAL:
-        return label[1]
-    return (DUAL, label, -label[-1])
 
 
 def smd(i: int, label):
@@ -331,15 +332,10 @@ def tensor_column(cols, parts) -> dict:
     return out
 
 
-def tensor_maps(maps, source=None, target=None) -> MapMatrix:
-    """Kronecker product over a flat list of maps, labels tens() words.
-
-    ``source`` and ``target``, when given, must be the tensor_modules of
-    the maps' sources and targets; callers that already hold them pass
-    them so the label words are not built again.
-    """
-    src = tensor_modules([f.source for f in maps]) if source is None else source
-    tgt = tensor_modules([f.target for f in maps]) if target is None else target
+def tensor_maps(maps) -> MapMatrix:
+    """Kronecker product over a flat list of maps, labels tens() words."""
+    src = tensor_modules([f.source for f in maps])
+    tgt = tensor_modules([f.target for f in maps])
     cols = [f.col for f in maps]
 
     def provider(j):
@@ -356,15 +352,6 @@ def tensor_maps(maps, source=None, target=None) -> MapMatrix:
         return out
 
     return MapMatrix(src, tgt, provider=provider)
-
-
-def dual_module(module: LabeledFreeModule) -> LabeledFreeModule:
-    return LabeledFreeModule(module.ring, [dual(lab) for lab in module.labels])
-
-
-def dual_map(f: MapMatrix) -> MapMatrix:
-    """Transpose onto dual labels; dual(dual(f)) == f on the nose."""
-    return f.transpose_raw(dual_module(f.target), dual_module(f.source))
 
 
 # --- graded slices -------------------------------------------------------

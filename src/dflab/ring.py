@@ -406,9 +406,6 @@ def parse_poly(ring: RingDescriptor, text: str) -> Poly:
             e = expr()
             eat(")")
             return e
-        if t == "-":
-            eat("-")
-            return -atom()
         if isinstance(t, int):
             eat()
             return ring.const(t)
@@ -417,7 +414,10 @@ def parse_poly(ring: RingDescriptor, text: str) -> Poly:
             return ring.var(t)
         raise ValueError(f"bad polynomial {text!r} (at token {t!r})")
 
-    def power():
+    def factor():  # factor := '-' factor | atom ('^' int)*
+        if peek() == "-":
+            eat("-")
+            return -factor()
         base = atom()
         while peek() == "^":
             eat("^")
@@ -429,13 +429,13 @@ def parse_poly(ring: RingDescriptor, text: str) -> Poly:
         return base
 
     def term():
-        p = power()
+        p = factor()
         while peek() == "*" or isinstance(peek(), (int,)) or (
             isinstance(peek(), str) and peek() in ring.variables
         ) or peek() == "(":
             if peek() == "*":
                 eat("*")
-            p = p * power()
+            p = p * factor()
         return p
 
     def expr():

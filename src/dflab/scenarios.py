@@ -26,7 +26,6 @@ from .complexes import (
     homology_groebner_report,
     is_quasi_iso,
     total_complex,
-    total_complex_many,
     truncate,
 )
 from .expected import EXPECTED, prediction_tables
@@ -326,7 +325,7 @@ def _cross3(ctx: Context) -> bool:
     ranks = res.computed["ranks"] = ctx.graded(N, ks, "diagonal", certify=True)
     ctx.budget.check()
     # cross-check through the total complex of the triple power
-    T = total_complex_many([P, P, P])
+    T = total_complex(total_complex(P, P), P)
     res.computed["total_complex_ranks"] = ctx.graded(T, ks, "total_complex")
     want = res.expected["ranks"]
     return ranks == want == [comb(4, k) for k in ks] and res.computed["total_complex_ranks"] == want
@@ -676,8 +675,8 @@ def _koszul(ctx: Context) -> bool:
                 "ext": (cokoszul_complex(fmap, n), ext_n),
             }
             for side, (A, B) in pairs.items():
-                da = _dims_table(A, min(cfg.t_max, 8))
-                db = _dims_table(B, min(cfg.t_max, 8))
+                da = _dims_table(A, cfg.t_max)
+                db = _dims_table(B, cfg.t_max)
                 key = f"{label}/n={n}/{side}"
                 res.per_degree[key] = {"koszul": _str_dims(da), "derived": _str_dims(db)}
                 if da != db:

@@ -31,7 +31,7 @@ GOLDEN = {
 }
 
 # sha256 of the `dflab all --no-timing` report
-ALL_SHA256 = "49c900e1a3221b57008dfbe5ffe077542d3b618a10f9b80d24d070152a80b66e"
+ALL_SHA256 = "39e3db6802c47e6d832cde4688a047aeebb993efb6e368e88e427ec7ad16fdbc"
 # runs dflab.cli.main on each argument list of argv[1] with numpy unimportable
 NO_NUMPY_CHILD = """
 import json, sys

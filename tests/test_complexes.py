@@ -55,6 +55,47 @@ def test_total_complex_ranks_and_d_squared(resolution):
         )
 
 
+def _block_starts(C, D, n):
+    """(p, q) -> offset of C_p (x) D_q in Tot_n, blocks in order of p."""
+    starts, offset = {}, 0
+    for p in C.support():
+        rank = C.module(p).rank * D.module(n - p).rank
+        if rank:
+            starts[p, n - p] = offset
+            offset += rank
+    return starts
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F_97", "QQ"])
+def test_total_complex_blocks_are_kronecker_products(rationals):
+    """d_n of Tot(C (x) D) has d_C (x) 1 at block (p-1, q) and
+    (-1)^p 1 (x) d_D at block (p, q-1), and nothing else."""
+    ring = ring_descriptor(rationals=rationals)
+    P = regular_sequence_resolution(ring)
+    N = normalize(gamma(P, 3))
+    for C, D in ((P, P), (total_complex(P, P), P), (N, P)):
+        T = total_complex(C, D)
+        for n in T.support():
+            src = _block_starts(C, D, n)
+            blocks = [ln.tensor_modules([C.module(p), D.module(q)]) for p, q in src]
+            assert T.module(n).labels == tuple(lab for M in blocks for lab in M.labels)
+            tgt = _block_starts(C, D, n - 1)
+            want = {}
+            for (p, q), start in src.items():
+                pieces = []
+                if (p - 1, q) in tgt:
+                    m = ln.tensor_maps([C.diff(p), ln.identity_map(D.module(q))])
+                    pieces.append((tgt[p - 1, q], m))
+                if (p, q - 1) in tgt:
+                    m = ln.tensor_maps([ln.identity_map(C.module(p)), D.diff(q)])
+                    pieces.append((tgt[p, q - 1], m.scale(-1) if p % 2 else m))
+                for row, m in pieces:
+                    for i, j, e in m.entries():
+                        want.setdefault(start + j, {})[row + i] = e
+            d = T.diff(n)
+            assert {j: d.col(j) for j in range(d.source.rank) if d.col(j)} == want, n
+
+
 def test_total_with_point(resolution, ring97):
     pt = ChainComplex(ring97, {0: ln.LabeledFreeModule(ring97, [ln.atom("pt", 0)])}, {})
     T = total_complex(resolution, pt)

@@ -28,6 +28,12 @@ def mkmap(ring, src_gens, tgt_gens, entries):
 
 FX = mkmap(R, [("p", 1)], [("q", 0)], {0: {0: X}})
 FXY = mkmap(R, [("p1", 1), ("p2", 1)], [("q", 0)], {0: {0: X}, 1: {0: Y}})
+F23 = mkmap(  # a 2 x 3 map
+    R,
+    [("p1", 1), ("p2", 1), ("p3", 1)],
+    [("q1", 0), ("q2", 0)],
+    {0: {0: X, 1: Y}, 1: {1: X + Y.scale(2)}, 2: {0: Y.scale(-1), 1: X}},
+)
 
 
 def test_koszul_square_is_resolution():
@@ -58,6 +64,31 @@ def test_cokoszul_degree_one_equals_koszul():
     b = cokoszul_complex(FX, 1)
     assert a.ranks() == b.ranks() == {0: 1, 1: 1}
     assert a.diff(1).col(0)[0] == b.diff(1).col(0)[0] == X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("fmap", [FX, FXY, F23], ids=["x", "xy", "2x3"])
+def test_cokoszul_is_the_transpose_of_koszul_of_the_transpose(fmap, n):
+    """cokoszul(f, n).diff(j) is the transpose of Kos^n(f^T).diff(n-j+1),
+    with tens((w, div(alpha))) matched to tens((w, sym(alpha)))."""
+    P, Q = fmap.source, fmap.target
+    co = cokoszul_complex(fmap, n)
+    kos = koszul_complex(fmap.transpose_raw(Q, P), n)
+
+    def match(lab):
+        w, d = lab[1]
+        return ln.tens((w, ln.sym(d[1])))
+
+    entries = 0
+    for j in range(n + 1):
+        assert sorted(map(match, co.module(j).labels)) == sorted(kos.module(n - j).labels)
+    for j in range(1, n + 1):
+        d, k = co.diff(j), kos.diff(n - j + 1)
+        got = {(match(d.source.labels[c]), match(d.target.labels[r])): e for r, c, e in d.entries()}
+        want = {(k.target.labels[r], k.source.labels[c]): e for r, c, e in k.entries()}
+        assert got == want, j
+        entries += len(got)
+    assert entries
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -99,6 +99,22 @@ def test_parse_poly_roundtrip(R):
         parse_poly(R, "x +")
 
 
+def test_parse_poly_unary_minus_binds_below_power(R):
+    x, y = R.var("x"), R.var("y")
+    assert parse_poly(R, "-x^2") == -(x * x)
+    assert parse_poly(R, "-x^2+y^2") == y * y - x * x
+    assert parse_poly(R, "x+-y^2") == x - y * y
+    assert parse_poly(R, "x*-y") == -(x * y)
+    assert parse_poly(R, "(-x)^2") == parse_poly(R, "--x^2") == x * x
+    # juxtaposition and repeated powers are unchanged
+    assert parse_poly(R, "2x") == x.scale(2) and parse_poly(R, "x y") == x * y
+    assert parse_poly(R, "2(x+y)") == (x + y).scale(2)
+    assert parse_poly(R, "x^2^2") == x * x * x * x
+    for bad in ("-", "x^-2", "x-", "x^y", "-^2"):
+        with pytest.raises(ValueError):
+            parse_poly(R, bad)
+
+
 def test_regular_sequence_validation():
     with pytest.raises(ValueError):
         ring_descriptor(sequence=("x", "y", "x"))  # longer than the variable count

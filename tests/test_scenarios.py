@@ -120,6 +120,17 @@ def test_koszul_scenario():
     assert r.passed and r.computed["all_tables_match"]
 
 
+def test_koszul_scenario_compares_up_to_t_max():
+    r = SCENARIOS["check-koszul"](ScenarioConfig(sequence=("x^2", "y"), t_max=12))
+    assert r.passed
+    # R/(x^2) is infinite: each table of the first entry's map runs to t = 12
+    for key in (k for k in r.per_degree if k.startswith("single/")):
+        for side in r.per_degree[key].values():
+            assert max(int(t) for dims in side.values() for t in dims) == 12, key
+    # H_3 of the n = 3 co-Koszul complex of (x^2, y) starts at t = 9
+    assert r.per_degree["pair/n=3/ext"]["koszul"]["3"] == {"9": 1, "10": 2, "11": 3, "12": 4}
+
+
 def test_koszul_scenario_compares_the_whole_sequence():
     # (x, y, z) as one map R^3 -> R: Kos^n of it against the derived Sym^n and Lambda^n
     xyz = ("x", "y", "z")

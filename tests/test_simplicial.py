@@ -9,7 +9,7 @@ from conftest import sparse_columns, sympy_columns, sympy_matrix, two_term
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab import complexes, scenarios, simplicial
-from dflab.complexes import is_quasi_iso, total_complex, total_complex_many, truncate
+from dflab.complexes import is_quasi_iso, total_complex, truncate
 from dflab.ring import ring_descriptor
 from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
 from dflab.simplicial import (
@@ -225,7 +225,8 @@ def test_ez_triple(resolution):
     comp = aw.compose(sh)
     for n in range(4):
         assert comp.map_at(n).equals(ln.identity_map(sh.source.module(n)))
-    tot = truncate(total_complex_many([normalize(GP)] * 3), 3)
+    NGP = normalize(GP)
+    tot = truncate(total_complex(total_complex(NGP, NGP), NGP), 3)
     nd = normalize(diagonal_tensor([GP] * 3))
     for n in range(4):
         assert sh.source.module(n).labels == tot.module(n).labels, n
