@@ -596,6 +596,7 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
     ]))
 
     modules, incl, pivots = {}, {}, {}
+    consts: dict = {}  # coefficient -> its constant Poly, shared: Polys are never mutated
     for n in range(n_max + 1):
         check()
         Nmod = NS3.module(n)
@@ -613,7 +614,11 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
                 raise RuntimeError("filtration basis vector is not homogeneous")
             labs.append(atom(f"m21_{n}_{i}", degs.pop()))
         modules[n] = LabeledFreeModule(ring, labs)
-        cols = {i: {r: ring.const(row[r]) for r in sorted(row)} for i, row in enumerate(cs.rows)}
+        for row in cs.rows:
+            for c in row.values():
+                if c not in consts:
+                    consts[c] = ring.const(c)
+        cols = {i: {r: consts[row[r]] for r in sorted(row)} for i, row in enumerate(cs.rows)}
         incl[n] = MapMatrix(modules[n], Nmod, cols)
         pivots[n] = cs.pivots
     dims_check = [

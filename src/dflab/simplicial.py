@@ -27,22 +27,26 @@ Topology, 22; Goerss-Jardine, Simplicial Homotopy Theory, III.2).
 ``gamma`` records each label's jump set as a bitmask; the mask of a
 composite element is the union of its parts' masks.
 
-What is built, and when.  ``gamma`` builds its levels, faces and
-degeneracies at once; they are small.  ``diagonal_tensor`` and
-``apply_pointwise_functor`` build nothing but the level ranks: a basis
-element of a composite level is the tuple of its parts over the
-factors' level bases, in label order, and its mask, label and face or
-degeneracy columns are computed from the factors' on demand.
-``normalize`` enumerates only the tuples whose masks cover [n], builds
-labels for those alone and evaluates the faces on them; it never
-evaluates a degeneracy.  The full level modules, faces and
-degeneracies of a composite are built on first access, for
-``validate``, the Eilenberg-Zilber maps and the matrix path.  A module
-without masks (one built directly, or one whose degeneracy maps were
-replaced after construction) takes that matrix path:
-``degenerate_indices`` evaluates every degeneracy column and checks
-that it is a signed basis injection.  The test suite checks the masks
-against that path.
+What is built, and when.  ``gamma`` builds its levels and faces at
+once; they are small.  Its degeneracies, and everything of a
+``diagonal_tensor`` or ``apply_pointwise_functor`` beyond the level
+ranks, are built on demand.  A basis element of a composite level is the
+tuple of its parts over the factors' level bases, in label order, and
+its mask and label are computed from the factors' and kept.  Face and
+degeneracy columns are built per (level, face) and never kept:
+``face_table(n, i, els)`` gives the columns of face i at level n for a
+list of elements in one pass, from one table per factor for the parts
+those elements use.  ``normalize`` enumerates only the tuples whose
+masks cover [n], builds labels for those alone and builds the
+differential face by face from these tables, so at most one face table
+is alive at a time; it never evaluates a degeneracy.  The full level
+modules, faces and degeneracies of a composite are built on first
+access, for ``validate``, the Eilenberg-Zilber maps and the matrix
+path.  A module without masks (one built directly, or one whose
+degeneracy maps were replaced after construction) takes that matrix
+path: ``degenerate_indices`` evaluates every degeneracy column and
+checks that it is a signed basis injection.  The test suite checks the
+masks against that path.
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ class SimplicialModule:
     """Degreewise free modules with faces and degeneracies up to n_max.
 
     The basis of level n is ``elements(n)``, in label order; here the
-    elements are the level positions, and ``face_col``, ``degeneracy_col``,
-    ``label`` and ``mask`` read the level modules and matrices.
+    elements are the level positions, and ``face_table``,
+    ``degeneracy_table``, ``label`` and ``mask`` read the level modules
+    and matrices.
     ``masks``, given only by ``gamma``, holds for every level one int per
     label: its jump set as a bitmask over the gaps 0..n-1.  It describes
     the degeneracies given with it, so it is used only while none of them
@@ -144,11 +149,15 @@ class SimplicialModule:
     def mask(self, n: int, e) -> int:
         return self._masks[n][e]
 
-    def face_col(self, n: int, i: int, e) -> dict:
-        return self.faces[(n, i)].col(e)
+    def face_table(self, n: int, i: int, els) -> dict:
+        """{e: column of the face d_i of level n at e} for e in ``els``."""
+        face = self.faces[(n, i)]
+        return {e: face.col(e) for e in els}
 
-    def degeneracy_col(self, n: int, j: int, e) -> dict:
-        return self.degeneracies[(n, j)].col(e)
+    def degeneracy_table(self, n: int, j: int, els) -> dict:
+        """{e: column of the degeneracy s_j of level n at e} for e in ``els``."""
+        s = self.degeneracies[(n, j)]
+        return {e: s.col(e) for e in els}
 
     def nondegenerate(self, n: int) -> list:
         """The elements of level n whose mask is full, in order."""
@@ -245,16 +254,17 @@ def gamma(C: ChainComplex, n_max: int) -> SimplicialModule:
                 cols[cidx] = col
         return MapMatrix(src, tgt, cols)
 
+    def degeneracy(n: int, j: int) -> MapMatrix:
+        if not 0 <= j <= n < n_max:
+            raise KeyError((n, j))
+        return structure_map(n, list(range(j + 1)) + list(range(j, n + 1)))
+
     faces = {}
-    degeneracies = {}
     for n in range(1, n_max + 1):
         for i in range(n + 1):
             vals = [t for t in range(n + 1) if t != i]
             faces[(n, i)] = structure_map(n, vals)
-    for n in range(0, n_max):
-        for j in range(n + 1):
-            vals = list(range(j + 1)) + list(range(j, n + 1))
-            degeneracies[(n, j)] = structure_map(n, vals)
+    degeneracies = _Maps(build=degeneracy)
     return SimplicialModule(ring, n_max, levels, faces, degeneracies, masks)
 
 
@@ -296,12 +306,14 @@ def normalize(A: SimplicialModule) -> ChainComplex:
     degeneracy is evaluated.  A face row outside them is dropped once its
     mask shows it degenerate.  Otherwise the degenerate coordinates are
     read off the degeneracy matrices, and DegeneracyShapeError is raised
-    when those are not signed basis injections.
+    when those are not signed basis injections.  Either way d_n is summed
+    one face at a time, i ascending, from a table of that face's columns
+    on the kept elements; the table is dropped before the next is built.
     """
     masked = A.has_masks()
     if masked:
         keep = {n: A.nondegenerate(n) for n in range(A.n_max + 1)}
-        label, column = A.label, A.face_col
+        label, table = A.label, A.face_table
     else:
         keep = {}
         for n in range(A.n_max + 1):
@@ -311,8 +323,9 @@ def normalize(A: SimplicialModule) -> ChainComplex:
         def label(n, i):
             return A.level(n).labels[i]
 
-        def column(n, i, c):
-            return A.face(n, i).col(c)
+        def table(n, i, els):
+            face = A.face(n, i)
+            return {c: face.col(c) for c in els}
 
     ring = A.ring
     modules = {n: LabeledFreeModule(ring, [label(n, e) for e in kept]) for n, kept in keep.items()}
@@ -322,11 +335,11 @@ def normalize(A: SimplicialModule) -> ChainComplex:
             continue
         pos_of = {e: p for p, e in enumerate(keep[n - 1])}
         full = (1 << (n - 1)) - 1
-        cols = {}
-        for cpos, e in enumerate(keep[n]):
-            acc: dict = {}
-            for i in range(n + 1):
-                for row, poly in column(n, i, e).items():
+        accs = [{} for _ in keep[n]]
+        for i in range(n + 1):
+            face = table(n, i, keep[n])
+            for e, acc in zip(keep[n], accs):
+                for row, poly in face[e].items():
                     p = pos_of.get(row)
                     if p is None:
                         if masked and A.mask(n - 1, row) == full:
@@ -335,6 +348,9 @@ def normalize(A: SimplicialModule) -> ChainComplex:
                     term = poly if i % 2 == 0 else -poly
                     cur = acc.get(p)
                     acc[p] = term if cur is None else cur + term
+            del face
+        cols = {}
+        for cpos, acc in enumerate(accs):
             acc = {p: q for p, q in acc.items() if not q.is_zero()}
             if acc:
                 cols[cpos] = acc
@@ -352,11 +368,13 @@ class _Composite(SimplicialModule):
     A basis element of level n is the tuple of its parts: one element of
     each factor's level n for the diagonal, the parts of a basis element
     of F (see ``functor_parts``) over the factor's level n for a functor.
-    Tuples compare in label order.  Columns, labels and masks are built
-    from the factors', element by element: a face or degeneracy acts
-    factorwise, or through the functor's column kernel, and a mask is the
-    union of its parts' masks.  The full level modules, faces and
-    degeneracies are built only on first access.
+    Tuples compare in label order.  Labels and masks are built from the
+    factors', element by element, and kept; a mask is the union of its
+    parts' masks.  Face and degeneracy columns are built per (level, face)
+    as tables over a list of elements and never kept: each factor gives
+    one table for the parts those elements use, and the operator acts
+    factorwise on them, or through the functor's column kernel.  The full
+    level modules, faces and degeneracies are built only on first access.
     """
 
     def __init__(self, factors, tag: FunctorTag | None = None):
@@ -364,13 +382,13 @@ class _Composite(SimplicialModule):
         self.factors, self.tag = factors, tag
         self._one = A.ring.one()
         self._slots = factors if tag is None else [A] * tag.arity  # the factor of each part
-        self._cache: dict = {}  # (what, n[, i]) -> {element: value}
+        self._cache: dict = {}  # ("elements" | "label" | "mask", n) -> list or {element: value}
         levels = {
             n: LazyModule(A.ring, self._rank(n), partial(self._labels, n))
             for n in range(A.n_max + 1)
         }
-        faces = _Maps(build=partial(self._full_map, "face_col", -1))
-        degeneracies = _Maps(build=partial(self._full_map, "degeneracy_col", 1))
+        faces = _Maps(build=partial(self._full_map, "face_table", -1))
+        degeneracies = _Maps(build=partial(self._full_map, "degeneracy_table", 1))
         super().__init__(A.ring, A.n_max, levels, faces, degeneracies)
 
     def has_masks(self) -> bool:
@@ -441,23 +459,23 @@ class _Composite(SimplicialModule):
                 out.append(tuple(pool[i][0] for pool, i in zip(slots, idx)))
         return out
 
-    def _column(self, op: str, n: int, i: int, e) -> dict:
-        memo = self._cache.setdefault((op, n, i), {})
-        col = memo.get(e)
-        if col is None:
-            cols = [partial(getattr(F, op), n, i) for F in self.factors]
-            if self.tag is None:
-                col = tensor_column(cols, e)
-            else:
-                col = functor_column(self.tag, cols[0], e, self._one)
-            memo[e] = col
-        return col
+    def face_table(self, n: int, i: int, els) -> dict:
+        return self._table("face_table", n, i, els)
 
-    def face_col(self, n: int, i: int, e) -> dict:
-        return self._column("face_col", n, i, e)
+    def degeneracy_table(self, n: int, j: int, els) -> dict:
+        return self._table("degeneracy_table", n, j, els)
 
-    def degeneracy_col(self, n: int, j: int, e) -> dict:
-        return self._column("degeneracy_col", n, j, e)
+    def _table(self, op: str, n: int, i: int, els) -> dict:
+        """{e: column of the operator ``op`` (i, level n) at e} for e in
+        ``els``, from one table per factor over the parts they use."""
+        if self.tag is None:
+            cols = [
+                getattr(F, op)(n, i, {e[k] for e in els}).__getitem__
+                for k, F in enumerate(self.factors)
+            ]
+            return {e: tensor_column(cols, e) for e in els}
+        col = getattr(self.factors[0], op)(n, i, {x for e in els for x in e}).__getitem__
+        return {e: functor_column(self.tag, col, e, self._one) for e in els}
 
     def _full_map(self, op: str, step: int, n: int, i: int) -> MapMatrix:
         """The face (step -1) or degeneracy (step +1) ``i`` on level n, on
@@ -469,7 +487,8 @@ class _Composite(SimplicialModule):
         row_of = {e: p for p, e in enumerate(self.elements(m))}
 
         def provider(c):
-            return {row_of[e]: q for e, q in self._column(op, n, i, els[c]).items()}
+            e = els[c]
+            return {row_of[r]: q for r, q in self._table(op, n, i, [e])[e].items()}
 
         return MapMatrix(self.levels[n], self.levels[m], provider=provider)
 
