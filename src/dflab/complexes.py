@@ -40,6 +40,7 @@ from .linear import (
     tens,
     zero_map,
 )
+from .ring import entry_pool
 
 
 class NonHomogeneousComplex(ValueError):
@@ -113,9 +114,11 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
 
     Degree n is the direct sum of the blocks C_p (x) D_q with p + q = n,
     in order of p, each with labels tens((a, b)), b fastest.  The column
-    of a (x) b in C_p (x) D_q is d_C(a) (x) b + (-1)^p a (x) d_D(b).
+    of a (x) b in C_p (x) D_q is d_C(a) (x) b + (-1)^p a (x) d_D(b); the
+    negated entries are shared (``entry_pool``).
     """
     ring = C.ring
+    share = entry_pool()
     blocks: dict[int, list] = {}
     for p in C.support():
         for q in D.support():
@@ -147,7 +150,7 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
                             col[left + i * rank_d + b] = e
                     if right is not None:
                         for i, e in dd.col(b).items():
-                            col[right + a * rank_d1 + i] = e.scale(-1) if p % 2 else e
+                            col[right + a * rank_d1 + i] = share(e.scale(-1)) if p % 2 else e
                     col = {i: e for i, e in col.items() if not e.is_zero()}
                     if col:
                         cols[start[p, q] + a * rank_d + b] = col
@@ -244,8 +247,10 @@ def reduce_complex(C: ChainComplex) -> ChainComplex:
 
 def _reduce_complex(C: ChainComplex, pivots) -> ChainComplex:
     """reduce_complex; ``pivots(rows, cols)`` makes each degree's candidate
-    queue (``push``, ``discard``, ``shrunk``, ``pop`` as in ``_PivotHeap``)."""
+    queue (``push``, ``discard``, ``shrunk``, ``pop`` as in ``_PivotHeap``).
+    The entries it makes are shared (``entry_pool``)."""
     field = C.ring.field
+    share = entry_pool()
     cols = {
         n: {j: dict(d.col(j)) for j in range(d.source.rank) if d.col(j)}
         for n, d in C.diffs.items()
@@ -290,7 +295,7 @@ def _reduce_complex(C: ChainComplex, pivots) -> ChainComplex:
                         rn[r].discard(b)
                         cand.discard(r, b)
                         continue
-                    cb[r] = q
+                    cb[r] = share(q)
                     rn.setdefault(r, set()).add(b)
                     if is_pivot(r, b, q):
                         cand.push(r, b)

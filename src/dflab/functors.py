@@ -38,6 +38,7 @@ from .linear import (
     wedge,
 )
 from .linear import div as div_label
+from .ring import entry_pool
 
 
 @dataclass(frozen=True)
@@ -276,13 +277,14 @@ _KERNELS = {
 }
 
 
-def functor_column(tag: FunctorTag, col, parts, one) -> dict:
-    """Column of F(f) at the basis element with the given parts (see above)."""
+def functor_column(tag: FunctorTag, col, parts, one, share) -> dict:
+    """Column of F(f) at the basis element with the given parts (see
+    above); its nonzero entries go through ``share``, an ``entry_pool``."""
     if tag.kind == "tensor":
         column = tensor_column([col] * tag.arity, parts)
     else:
         column = _KERNELS[tag.kind](col, parts, one)
-    return {key: q for key, q in column.items() if not q.is_zero()}
+    return {key: share(q) for key, q in column.items() if not q.is_zero()}
 
 
 def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
@@ -290,9 +292,10 @@ def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
     idx_parts = functor_parts(tag, range(f.source.rank))
     row_of = {parts: i for i, parts in enumerate(functor_parts(tag, range(f.target.rank)))}
     one = f.source.ring.one()
+    share = entry_pool()
 
     def provider(j):
-        column = functor_column(tag, f.col, idx_parts[j], one)
+        column = functor_column(tag, f.col, idx_parts[j], one, share)
         return {row_of[key]: q for key, q in column.items()}
 
     src, tgt = functor_module(tag, f.source), functor_module(tag, f.target)

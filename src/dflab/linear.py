@@ -25,7 +25,15 @@ before its jump set J, so smaller jump sets come first.
 
 from __future__ import annotations
 
-from .ring import Poly, RingDescriptor, addmul, monomial_key, monomial_mul, monomials_of_degree
+from .ring import (
+    Poly,
+    RingDescriptor,
+    addmul,
+    entry_pool,
+    monomial_key,
+    monomial_mul,
+    monomials_of_degree,
+)
 
 # --- labels --------------------------------------------------------------
 
@@ -236,13 +244,15 @@ class MapMatrix:
         """self ∘ f (apply f first).
 
         Each output column accumulates raw term dicts with ``addmul`` and
-        makes one Poly per nonzero entry.  Every entry's ring is checked
+        makes one Poly per nonzero entry, shared with the equal entries
+        made before it (``entry_pool``).  Every entry's ring is checked
         against this map's (identity first, then ``check_compatible``).
         """
         if f.target.labels != self.source.labels:
             raise ValueError("shape mismatch in compose")
         ring = self.source.ring
         field = ring.field
+        share = entry_pool()
         cols = {}
         for j in range(f.source.rank):
             acc: dict = {}
@@ -253,7 +263,7 @@ class MapMatrix:
                     if r.ring is not ring:
                         ring.check_compatible(r.ring)
                     addmul(acc.setdefault(k, {}), r.terms, q.terms, field)
-            col = {k: Poly(ring, terms) for k, terms in acc.items() if terms}
+            col = {k: share(Poly(ring, terms)) for k, terms in acc.items() if terms}
             if col:
                 cols[j] = col
         return MapMatrix(f.source, self.target, cols)

@@ -268,8 +268,31 @@ def addmul(acc: dict, a: dict, b: dict, field) -> dict:
     return acc
 
 
+def entry_pool():
+    """A pool for one build: ``share(q)`` returns the first Poly it was
+    given with the same terms, in the same order, and q when there is none.
+
+    A builder passes every entry it keeps through one pool that lives
+    only as long as the build, so equal entries are one object.  Equal
+    terms in another insertion order are not shared, which costs memory
+    but never changes a value.  Sharing relies on Polys never being
+    mutated in place.
+    """
+    pool: dict = {}
+
+    def share(q: "Poly") -> "Poly":
+        return pool.setdefault(tuple(q.terms.items()), q)
+
+    return share
+
+
 class Poly:
-    """Sparse polynomial: dict of exponent tuple -> nonzero coefficient."""
+    """Sparse polynomial: dict of exponent tuple -> nonzero coefficient.
+
+    A Poly is immutable: no operation changes its terms once it is made,
+    so one Poly can stand for many equal matrix entries, and the builders
+    of matrices share equal entries through an ``entry_pool``.
+    """
 
     __slots__ = ("ring", "terms")
 

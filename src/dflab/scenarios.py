@@ -53,7 +53,7 @@ from .koszul import (
     two_term_complex,
 )
 from .linear import LabeledFreeModule, MapMatrix, atom, constant_columns, identity_map
-from .ring import ring_descriptor
+from .ring import entry_pool, ring_descriptor
 from .simplicial import (
     apply_pointwise_functor,
     diagonal_tensor,
@@ -596,7 +596,7 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
     ]))
 
     modules, incl, pivots = {}, {}, {}
-    consts: dict = {}  # coefficient -> its constant Poly, shared: Polys are never mutated
+    share = entry_pool()
     for n in range(n_max + 1):
         check()
         Nmod = NS3.module(n)
@@ -614,11 +614,9 @@ def m21_complex(ring, n_max: int, check: Callable[[], None] = lambda: None):
                 raise RuntimeError("filtration basis vector is not homogeneous")
             labs.append(atom(f"m21_{n}_{i}", degs.pop()))
         modules[n] = LabeledFreeModule(ring, labs)
-        for row in cs.rows:
-            for c in row.values():
-                if c not in consts:
-                    consts[c] = ring.const(c)
-        cols = {i: {r: consts[row[r]] for r in sorted(row)} for i, row in enumerate(cs.rows)}
+        cols = {
+            i: {r: share(ring.const(row[r])) for r in sorted(row)} for i, row in enumerate(cs.rows)
+        }
         incl[n] = MapMatrix(modules[n], Nmod, cols)
         pivots[n] = cs.pivots
     dims_check = [

@@ -67,6 +67,7 @@ from .linear import (
     tensor_column,
     zero_map,
 )
+from .ring import entry_pool
 
 
 class _Maps(dict):
@@ -309,6 +310,7 @@ def normalize(A: SimplicialModule) -> ChainComplex:
     when those are not signed basis injections.  Either way d_n is summed
     one face at a time, i ascending, from a table of that face's columns
     on the kept elements; the table is dropped before the next is built.
+    Every entry is shared (``entry_pool``) as it enters a column's sum.
     """
     masked = A.has_masks()
     if masked:
@@ -328,6 +330,7 @@ def normalize(A: SimplicialModule) -> ChainComplex:
             return {c: face.col(c) for c in els}
 
     ring = A.ring
+    share = entry_pool()
     modules = {n: LabeledFreeModule(ring, [label(n, e) for e in kept]) for n, kept in keep.items()}
     diffs = {}
     for n in range(1, A.n_max + 1):
@@ -347,7 +350,7 @@ def normalize(A: SimplicialModule) -> ChainComplex:
                         continue
                     term = poly if i % 2 == 0 else -poly
                     cur = acc.get(p)
-                    acc[p] = term if cur is None else cur + term
+                    acc[p] = share(term if cur is None else cur + term)
             del face
         cols = {}
         for cpos, acc in enumerate(accs):
@@ -373,8 +376,10 @@ class _Composite(SimplicialModule):
     parts' masks.  Face and degeneracy columns are built per (level, face)
     as tables over a list of elements and never kept: each factor gives
     one table for the parts those elements use, and the operator acts
-    factorwise on them, or through the functor's column kernel.  The full
-    level modules, faces and degeneracies are built only on first access.
+    factorwise on them, or through the functor's column kernel.  Equal
+    entries of one table, or of one full map, are one Poly
+    (``entry_pool``).  The full level modules, faces and degeneracies are
+    built only on first access.
     """
 
     def __init__(self, factors, tag: FunctorTag | None = None):
@@ -467,15 +472,17 @@ class _Composite(SimplicialModule):
 
     def _table(self, op: str, n: int, i: int, els) -> dict:
         """{e: column of the operator ``op`` (i, level n) at e} for e in
-        ``els``, from one table per factor over the parts they use."""
+        ``els``, from one table per factor over the parts they use; its
+        equal entries are one Poly."""
+        share = entry_pool()
         if self.tag is None:
             cols = [
                 getattr(F, op)(n, i, {e[k] for e in els}).__getitem__
                 for k, F in enumerate(self.factors)
             ]
-            return {e: tensor_column(cols, e) for e in els}
+            return {e: {r: share(q) for r, q in tensor_column(cols, e).items()} for e in els}
         col = getattr(self.factors[0], op)(n, i, {x for e in els for x in e}).__getitem__
-        return {e: functor_column(self.tag, col, e, self._one) for e in els}
+        return {e: functor_column(self.tag, col, e, self._one, share) for e in els}
 
     def _full_map(self, op: str, step: int, n: int, i: int) -> MapMatrix:
         """The face (step -1) or degeneracy (step +1) ``i`` on level n, on
@@ -485,10 +492,11 @@ class _Composite(SimplicialModule):
             raise KeyError((n, i))
         els = self.elements(n)
         row_of = {e: p for p, e in enumerate(self.elements(m))}
+        share = entry_pool()
 
         def provider(c):
             e = els[c]
-            return {row_of[r]: q for r, q in self._table(op, n, i, [e])[e].items()}
+            return {row_of[r]: share(q) for r, q in self._table(op, n, i, [e])[e].items()}
 
         return MapMatrix(self.levels[n], self.levels[m], provider=provider)
 
@@ -509,7 +517,14 @@ def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialM
 
 
 def _nondeg_positions(A: SimplicialModule, NA: ChainComplex, n: int) -> dict:
-    """level-label index -> coordinate in NA_n (quotient model)."""
+    """level index -> coordinate in NA_n, for NA = normalize(A).
+
+    With masks NA_n's basis is ``A.nondegenerate(n)`` in order, so each
+    level index is a position in ``A.elements(n)`` and no label of the
+    level is built."""
+    if A.has_masks():
+        index = {e: i for i, e in enumerate(A.elements(n))}
+        return {index[e]: p for p, e in enumerate(A.nondegenerate(n))}
     lv = A.level(n)
     return {lv.index(lab): p for p, lab in enumerate(NA.module(n).labels)}
 
@@ -572,6 +587,7 @@ def _ez_pair(A, NA, B, NB, D):
     na_pos = {p: _nondeg_positions(A, NA, p) for p in range(top + 1)}
     nb_pos = {q: _nondeg_positions(B, NB, q) for q in range(top + 1)}
     nd_pos = {n: _nondeg_positions(D, ND, n) for n in range(top + 1)}
+    nd_index = {n: {p: i for i, p in pos.items()} for n, pos in nd_pos.items()}
     # label of NA_p or NB_q -> (p or q, index in the level)
     a_at = {NA.module(p).labels[c]: (p, i) for p, pos in na_pos.items() for i, c in pos.items()}
     b_at = {NB.module(q).labels[c]: (q, i) for q, pos in nb_pos.items() for i, c in pos.items()}
@@ -593,7 +609,7 @@ def _ez_pair(A, NA, B, NB, D):
         return col
 
     def aw_column(n, lab, tgt_pos):
-        a_idx, b_idx = divmod(D.level(n).index(lab), B.level(n).rank)
+        a_idx, b_idx = divmod(nd_index[n][ND.module(n).index(lab)], B.level(n).rank)
         col: dict = {}
         for p in range(n + 1):
             q = n - p

@@ -11,7 +11,15 @@ from conftest import sparse_columns, sympy_columns, sympy_matrix, two_term
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab import complexes, scenarios, simplicial
-from dflab.complexes import is_quasi_iso, total_complex, truncate
+from dflab.complexes import (
+    engines_agree,
+    homology_graded,
+    is_quasi_iso,
+    reduce_complex,
+    total_complex,
+    truncate,
+)
+from dflab.koszul import regular_sequence_resolution
 from dflab.ring import ring_descriptor
 from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
 from dflab.simplicial import (
@@ -310,6 +318,53 @@ def test_masks_give_the_degenerate_labels(rationals):
         assert_normalizations_agree(A, name)
 
 
+def assert_equal_entries_shared(C, name):
+    """Equal entries of C's differentials are one Poly object."""
+    seen = {}
+    for n, d in C.diffs.items():
+        for j in range(d.source.rank):
+            for q in d.col(j).values():
+                assert seen.setdefault(q, q) is q, (name, n, j, q)
+
+
+FIELDS = [{"prime": 2}, {"prime": 97}, {"rationals": True}]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_normalize_shares_equal_entries(field):
+    """normalize shares equal entries on the mask path and on the matrix
+    path, and both give the same complex: every mask oracle module up to
+    level 4, and the normalized cube of GK (x) GL that check l31 filters,
+    up to level 5."""
+    ring = ring_descriptor(**field)
+    for name, A in mask_oracle_modules(ring, n_max=4).items():
+        assert_normalizations_agree(A, name)
+        assert_equal_entries_shared(normalize(A), name)
+        assert_equal_entries_shared(normalize(without_masks(A)), name)
+    GK, GL = _one_variable_builds(ring, 5)
+    S3 = apply_pointwise_functor(fu.Sym(3), diagonal_tensor([GK, GL]))
+    assert_normalizations_agree(S3, "NS3")
+    assert_equal_entries_shared(normalize(S3), "NS3")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_shared_entries_are_never_mutated(field):
+    """Equal entries are one object, so an operation that changed a Poly
+    in place would change many entries at once.  The terms of every
+    entry of gk's normalized cube are unchanged after the graded engine,
+    the reduction, composition and the engine comparison run on it."""
+    ring = ring_descriptor(**field)
+    N = normalize(apply_pointwise_functor(fu.Sym(3), gamma(regular_sequence_resolution(ring), 4)))
+    entries = [q for d in N.diffs.values() for j in range(d.source.rank) for q in d.col(j).values()]
+    before = [list(q.terms.items()) for q in entries]
+    homology_graded(N, 6)
+    reduce_complex(N)
+    for n in range(2, 5):
+        assert N.diff(n - 1).compose(N.diff(n)).is_zero()
+    assert engines_agree(truncate(N, 3), 6)
+    assert [list(q.terms.items()) for q in entries] == before
+
+
 def face_table_modules(ring, n_max):
     """The mask oracle's modules, and two over the Koszul complex of
     (x^2 + y^2, xy), whose face entries have several terms."""
@@ -332,7 +387,7 @@ def oracle_map(A, op, n, i):
     return ln.tensor_maps(maps) if A.tag is None else fu.functor_on_map(A.tag, maps[0])
 
 
-@pytest.mark.parametrize("field", [{"prime": 2}, {"prime": 97}, {"rationals": True}])
+@pytest.mark.parametrize("field", FIELDS)
 def test_face_tables_match_functor_and_tensor_maps(field):
     """face_table and degeneracy_table over a whole level equal the
     columns of the maps built by functor_on_map and tensor_maps."""
@@ -420,10 +475,11 @@ def test_check_l31_builds_few_labels(monkeypatch):
 
 
 def test_check_l31_traced_peak():
-    """One check-l31 run peaks at most 12 MB of traced memory.  On
+    """One check-l31 run peaks at most 6 MB of traced memory.  On
     Python 3.11.7 it peaked at 17.0 MB while composite modules memoized
-    every face column they built, and at 9.2 MB with face columns built
-    per (level, face) and never kept."""
+    every face column they built, at 9.2 MB with face columns built per
+    (level, face) and never kept, and at 3.55 MB with equal entries of
+    each built matrix shared (``ring.entry_pool``)."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -431,7 +487,44 @@ def test_check_l31_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 6e6, peak
+
+
+def test_d3_cube_normalize_traced_peak():
+    """normalize of the diagonal of GP^3 over F_97[x,y,z], with GP the
+    Koszul resolution of (x, y, z) at n_max 3, peaks at most 12 MB of
+    traced memory.  On Python 3.11.7 it peaked at 13.6 MB while every
+    entry was its own Poly, and at 6.2 MB with equal entries shared
+    (``ring.entry_pool``)."""
+    ring = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
+    GP = gamma(regular_sequence_resolution(ring), 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        N = normalize(diagonal_tensor([GP, GP, GP]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N.ranks() == {0: 1, 1: 63, 2: 873, 3: 5191}
     assert peak <= 12e6, peak
+
+
+def test_check_ez_builds_few_labels(monkeypatch):
+    """check-ez builds labels only for the normalized bases and the small
+    gamma levels, at most 3,000 of them: 16,516 when the Eilenberg-Zilber
+    maps looked every basis element up by its label in the full levels
+    of GP^3 (2,251 without)."""
+    built = []
+    init = ln.LabeledFreeModule.__init__
+
+    def counted(self, ring, labels):
+        labels = tuple(labels)
+        built.append(len(labels))
+        init(self, ring, labels)
+
+    monkeypatch.setattr(ln.LabeledFreeModule, "__init__", counted)
+    assert SCENARIOS["check-ez"](ScenarioConfig()).passed
+    assert 0 < sum(built) <= 3_000, sum(built)
 
 
 def test_check_ez_build_counts(monkeypatch):
