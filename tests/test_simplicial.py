@@ -289,14 +289,26 @@ def without_masks(A):
     return SimplicialModule(A.ring, A.n_max, A.levels, A.faces, A.degeneracies)
 
 
+def assert_equal_entries_shared(C, name):
+    """Equal entries of C's differentials are one Poly object."""
+    seen = {}
+    for n, d in C.diffs.items():
+        for j in range(d.source.rank):
+            for q in d.col(j).values():
+                assert seen.setdefault(q, q) is q, (name, n, j, q)
+
+
 def assert_normalizations_agree(A, name):
-    """normalize(A) from the masks equals normalize from the matrix path."""
+    """normalize(A) from the masks equals normalize from the matrix path,
+    and on both paths equal entries are one Poly."""
     N, M = normalize(A), normalize(without_masks(A))
     assert N.ranks() == M.ranks(), name
     for n in range(A.n_max + 1):
         assert N.module(n).labels == M.module(n).labels, (name, n)
         if n:
             assert N.diff(n).equals(M.diff(n)), (name, n)
+    assert_equal_entries_shared(N, name)
+    assert_equal_entries_shared(M, name)
 
 
 @pytest.mark.parametrize("rationals", [False, True])
@@ -318,15 +330,6 @@ def test_masks_give_the_degenerate_labels(rationals):
         assert_normalizations_agree(A, name)
 
 
-def assert_equal_entries_shared(C, name):
-    """Equal entries of C's differentials are one Poly object."""
-    seen = {}
-    for n, d in C.diffs.items():
-        for j in range(d.source.rank):
-            for q in d.col(j).values():
-                assert seen.setdefault(q, q) is q, (name, n, j, q)
-
-
 FIELDS = [{"prime": 2}, {"prime": 97}, {"rationals": True}]
 
 
@@ -339,12 +342,10 @@ def test_normalize_shares_equal_entries(field):
     ring = ring_descriptor(**field)
     for name, A in mask_oracle_modules(ring, n_max=4).items():
         assert_normalizations_agree(A, name)
-        assert_equal_entries_shared(normalize(A), name)
-        assert_equal_entries_shared(normalize(without_masks(A)), name)
     GK, GL = _one_variable_builds(ring, 5)
-    S3 = apply_pointwise_functor(fu.Sym(3), diagonal_tensor([GK, GL]))
-    assert_normalizations_agree(S3, "NS3")
-    assert_equal_entries_shared(normalize(S3), "NS3")
+    assert_normalizations_agree(
+        apply_pointwise_functor(fu.Sym(3), diagonal_tensor([GK, GL])), "NS3"
+    )
 
 
 @pytest.mark.parametrize("field", FIELDS)
