@@ -99,13 +99,14 @@ def _run_named(name: str, cfg_kwargs: dict, kwargs: dict) -> dict:
 
 def _run_all(cfg_kwargs: dict, jobs: int) -> list:
     """Every scenario in registry order; predict reuses the gk, cross2 and
-    cross3 results instead of computing them again."""
+    cross3 results instead of computing them again.  At most one worker
+    per scenario is started."""
     if jobs <= 1:
         done = {}  # predict's inputs come before it in ALL_ORDER
         for n in ALL_ORDER:
             done[n] = _run_named(n, cfg_kwargs, _predict_kwargs(done) if n == "predict" else {})
         return list(done.values())
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(ALL_ORDER))) as pool:
         futs = {n: pool.submit(_run_named, n, cfg_kwargs, {}) for n in ALL_ORDER if n != "predict"}
         inputs = {n: futs[n].result() for n, _ in G_TABLES.values()}
         futs["predict"] = pool.submit(_run_named, "predict", cfg_kwargs, _predict_kwargs(inputs))
@@ -171,6 +172,8 @@ def main(argv=None) -> int:
         # config file values go right after the subcommand, so explicit
         # flags, which argparse reads later, win
         args = build_parser().parse_args(argv[:1] + _config_flags(argv) + argv[1:])
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = _config_from_args(args)
         ring_echo = cfg.ring().describe()
         cfg_kwargs = dict(cfg.__dict__)

@@ -39,13 +39,14 @@ list of elements in one pass, from one table per factor for the parts
 those elements use.  ``normalize`` enumerates only the tuples whose
 masks cover [n], builds labels for those alone and builds the
 differential face by face from these tables, so at most one face table
-is alive at a time; it never evaluates a degeneracy.  The full level
-modules, faces and degeneracies of a composite are built on first
-access, for ``validate``, the Eilenberg-Zilber maps and the matrix
-path.  A module without masks (one built directly, or one whose
-degeneracy maps were replaced after construction) takes that matrix
-path: ``degenerate_indices`` evaluates every degeneracy column and
-checks that it is a signed basis injection.  The test suite checks the
+is alive at a time; it never evaluates a degeneracy.  The
+Eilenberg-Zilber maps, too, apply these tables to basis elements.  The
+full level modules, faces and degeneracies of a composite are built on
+first access, for ``validate`` and the matrix path only.  A module
+without masks (one built directly, or one whose degeneracy maps were
+replaced after construction) takes that matrix path:
+``degenerate_indices`` evaluates every degeneracy column and checks
+that it is a signed basis injection.  The test suite checks the
 masks against that path.
 """
 
@@ -276,27 +277,24 @@ class DegeneracyShapeError(ValueError):
     """A degeneracy column is not a signed basis injection."""
 
 
-def _signed_image(A: SimplicialModule, n: int, j: int, idx: int):
-    """(row, sign) with s_j(e_idx) = sign * e_row for the degeneracy s_j
-    of level n; DegeneracyShapeError unless the column is a single +-1."""
-    col = A.degeneracy(n, j).col(idx)
-    if len(col) != 1:
-        raise DegeneracyShapeError(f"degeneracy s_{j} at level {n} is not monomial")
-    (row, poly), = col.items()
-    c = poly.terms.get((0,) * A.ring.nvars) if len(poly.terms) == 1 else None
-    fld = A.ring.field
-    if c == fld.one:
-        return row, 1
-    if c == fld.neg(fld.one):
-        return row, -1
-    raise DegeneracyShapeError("degeneracy entry is not +-1")
-
-
 def degenerate_indices(A: SimplicialModule, n: int) -> set:
-    """Rows of level n hit by some degeneracy; validates signed-monomial shape."""
-    return {
-        _signed_image(A, n - 1, j, c)[0] for j in range(n) for c in range(A.level(n - 1).rank)
-    }
+    """Rows of level n hit by some degeneracy; DegeneracyShapeError unless
+    every degeneracy column into level n is a single entry +-1."""
+    rows = set()
+    fld = A.ring.field
+    units = (fld.one, fld.neg(fld.one))
+    for j in range(n):
+        s = A.degeneracy(n - 1, j)
+        for idx in range(A.level(n - 1).rank):
+            col = s.col(idx)
+            if len(col) != 1:
+                raise DegeneracyShapeError(f"degeneracy s_{j} at level {n - 1} is not monomial")
+            (row, poly), = col.items()
+            c = poly.terms.get((0,) * A.ring.nvars) if len(poly.terms) == 1 else None
+            if c not in units:
+                raise DegeneracyShapeError("degeneracy entry is not +-1")
+            rows.add(row)
+    return rows
 
 
 def normalize(A: SimplicialModule) -> ChainComplex:
@@ -516,178 +514,150 @@ def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialM
 # --- Eilenberg-Zilber comparison maps ----------------------------------------
 
 
-def _nondeg_positions(A: SimplicialModule, NA: ChainComplex, n: int) -> dict:
-    """level index -> coordinate in NA_n, for NA = normalize(A).
-
-    With masks NA_n's basis is ``A.nondegenerate(n)`` in order, so each
-    level index is a position in ``A.elements(n)`` and no label of the
-    level is built."""
-    if A.has_masks():
-        index = {e: i for i, e in enumerate(A.elements(n))}
-        return {index[e]: p for p, e in enumerate(A.nondegenerate(n))}
-    lv = A.level(n)
-    return {lv.index(lab): p for p, lab in enumerate(NA.module(n).labels)}
-
-
-def _apply_degeneracies_label(A: SimplicialModule, level: int, idx: int, positions):
-    """Apply degeneracies at ascending absolute positions to a basis label."""
-    coeff = 1
-    for lv, pos in enumerate(sorted(positions), start=level):
-        idx, sign = _signed_image(A, lv, pos, idx)
-        coeff *= sign
-    return idx, coeff
-
-
-def _shuffle_sign(a_positions, b_positions) -> int:
-    inv = sum(1 for s in b_positions for t in a_positions if s < t)
-    return -1 if inv % 2 else 1
-
-
-def _apply_face_vec(A: SimplicialModule, level: int, i: int, vec: dict) -> dict:
+def _apply_table(A: SimplicialModule, op: str, n: int, i: int, vec: dict) -> dict:
+    """The face or degeneracy ``op`` ("face_table" or "degeneracy_table")
+    i of level n applied to a vector {element: poly}; zeros are dropped."""
+    table = getattr(A, op)(n, i, list(vec))
     out: dict = {}
-    face = A.face(level, i)
-    for idx, poly in vec.items():
-        for row, q in face.col(idx).items():
-            term = q * poly
-            cur = out.get(row)
-            out[row] = term if cur is None else cur + term
+    for e, c in vec.items():
+        for row, q in table[e].items():
+            term = q * c
+            out[row] = term if row not in out else out[row] + term
     return {r: q for r, q in out.items() if not q.is_zero()}
 
 
-def _degreewise_map(S: ChainComplex, T: ChainComplex, top: int, column) -> ChainMap:
-    """Chain map S -> T in degrees 0..top.
+def _shuffles(sizes):
+    """(w, sign) for every word w with sizes[i] letters i: the blocks
+    {t : w[t] = i} are an ordered partition of {0, ..., len(w) - 1}, and
+    ``sign`` is the sign of the permutation listing them one by one."""
+    if not any(sizes):
+        yield (), 1
+        return
+    for i, k in enumerate(sizes):
+        if k:
+            rest = list(sizes)
+            rest[i] -= 1
+            for w, sign in _shuffles(rest):
+                yield (i, *w), -sign if sum(sizes[:i]) % 2 else sign
 
-    ``column(n, label, tgt_pos)`` gives the image of a basis label of S_n
-    as {row: poly}, where ``tgt_pos`` sends each label of T_n to its row.
-    """
+
+def _degreewise_map(S: ChainComplex, T: ChainComplex, top: int, column) -> ChainMap:
+    """Chain map S -> T in degrees 0..top; ``column(n, c)`` is the image
+    of the basis element c of S_n as {row of T_n: poly}."""
     maps = {}
     for n in range(top + 1):
         src, tgt = S.module(n), T.module(n)
         if src.rank == 0 or tgt.rank == 0:
             maps[n] = zero_map(src, tgt)
             continue
-        tgt_pos = {lab: p for p, lab in enumerate(tgt.labels)}
         cols = {}
-        for cidx, lab in enumerate(src.labels):
-            col = {i: q for i, q in column(n, lab, tgt_pos).items() if not q.is_zero()}
+        for c in range(src.rank):
+            col = {i: q for i, q in column(n, c).items() if not q.is_zero()}
             if col:
-                cols[cidx] = col
+                cols[c] = col
         maps[n] = MapMatrix(src, tgt, cols)
     return ChainMap(S, T, maps)
 
 
-def _ez_pair(A, NA, B, NB, D):
-    """Shuffle and front/back-face maps between Tot(NA (x) NB), truncated
-    at n_max, and N(D), where D is the diagonal of A (x) B with the label
-    (a, b) of level n at index a * rank B_n + b."""
-    ring = A.ring
-    ND = normalize(D)
-    tot = truncate(total_complex(NA, NB), A.n_max)
-    top = min(tot.hi, A.n_max)
-    na_pos = {p: _nondeg_positions(A, NA, p) for p in range(top + 1)}
-    nb_pos = {q: _nondeg_positions(B, NB, q) for q in range(top + 1)}
-    nd_pos = {n: _nondeg_positions(D, ND, n) for n in range(top + 1)}
-    nd_index = {n: {p: i for i, p in pos.items()} for n, pos in nd_pos.items()}
-    # label of NA_p or NB_q -> (p or q, index in the level)
-    a_at = {NA.module(p).labels[c]: (p, i) for p, pos in na_pos.items() for i, c in pos.items()}
-    b_at = {NB.module(q).labels[c]: (q, i) for q, pos in nb_pos.items() for i, c in pos.items()}
-
-    def shuffle_column(n, lab, _):
-        (p, a_idx), (q, b_idx) = a_at[lab[1][0]], b_at[lab[1][1]]
-        rank_b = B.level(n).rank
-        col: dict = {}
-        for b_pos in combinations(range(n), q):
-            a_pos = tuple(t for t in range(n) if t not in b_pos)
-            ia, ca = _apply_degeneracies_label(A, p, a_idx, b_pos)
-            ib, cb = _apply_degeneracies_label(B, q, b_idx, a_pos)
-            row = nd_pos[n].get(ia * rank_b + ib)
-            if row is None:
-                continue
-            coeff = ring.one().scale(_shuffle_sign(a_pos, b_pos) * ca * cb)
-            cur = col.get(row)
-            col[row] = coeff if cur is None else cur + coeff
-        return col
-
-    def aw_column(n, lab, tgt_pos):
-        a_idx, b_idx = divmod(nd_index[n][ND.module(n).index(lab)], B.level(n).rank)
-        col: dict = {}
-        for p in range(n + 1):
-            q = n - p
-            va = {a_idx: ring.one()}
-            for lv in range(n, p, -1):
-                va = _apply_face_vec(A, lv, lv, va)
-            vb = {b_idx: ring.one()}
-            for lv in range(n, q, -1):
-                vb = _apply_face_vec(B, lv, 0, vb)
-            for ra, qa in va.items():
-                pa = na_pos[p].get(ra)
-                if pa is None:
-                    continue
-                for rb, qb in vb.items():
-                    pb = nb_pos[q].get(rb)
-                    if pb is None:
-                        continue
-                    pair = tens((NA.module(p).labels[pa], NB.module(q).labels[pb]))
-                    tpos = tgt_pos.get(pair)
-                    if tpos is None:
-                        continue
-                    term = qa * qb
-                    cur = col.get(tpos)
-                    col[tpos] = term if cur is None else cur + term
-        return col
-
-    return _degreewise_map(tot, ND, top, shuffle_column), _degreewise_map(ND, tot, top, aw_column)
-
-
-def _tot_map_left(f: ChainMap, src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    """Tot(f (x) id_Z) from src = Tot(f.source (x) Z) to tgt = Tot(f.target (x) Z)."""
-    at = {
-        lab: (p, i) for p in f.source.support() for i, lab in enumerate(f.source.module(p).labels)
-    }
-    maps = {}
-    for n in range(src.lo, src.hi + 1):
-        S, T = src.module(n), tgt.module(n)
-        if S.rank == 0 or T.rank == 0:
-            maps[n] = zero_map(S, T)
-            continue
-        cols = {}
-        for cidx, lab in enumerate(S.labels):
-            xl, zl = lab[1]
-            p, xi = at[xl]
-            ylabs = f.target.module(p).labels
-            col = {T.index(tens((ylabs[y], zl))): poly for y, poly in f.map_at(p).col(xi).items()}
-            if col:
-                cols[cidx] = col
-        maps[n] = MapMatrix(S, T, cols)
-    return ChainMap(src, tgt, maps)
-
-
 def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
-    """Shuffle and front/back-face (Alexander-Whitney) maps of two or more factors.
+    """Shuffle and front/back-face (Alexander-Whitney) maps of the factors.
 
     ``shuffle`` goes from the left-associated Tot(NA_1 (x) ... (x) NA_r),
-    truncated at n_max, to N of the diagonal of A_1 (x) ... (x) A_r;
-    ``aw`` goes back.  The first two factors are compared directly.  Each
-    further factor C is folded in against the diagonal D built so far:
-    sh' o Tot(sh (x) 1) and Tot(aw (x) 1) o aw', where sh' and aw' compare
-    D with C and N(D) is the previous ``shuffle.target``.
+    truncated at n_max, to N of the diagonal D of A_1 (x) ... (x) A_r;
+    ``aw`` goes back.  Both are built for all r factors at once, on basis
+    elements; they equal the iterated two-factor maps, since both maps
+    are associative (Eilenberg-Mac Lane, Ann. Math. 58 (1953)).
+
+    The shuffle sends a_1 (x) ... (x) a_r, deg a_i = p_i, to the signed
+    sum over the ordered partitions of {0, ..., n-1} into blocks B_i with
+    |B_i| = p_i: part i is a_i with the degeneracies at the positions
+    outside B_i applied in ascending order, and the sign is that of the
+    shuffle.  AW sends a nondegenerate x of D_n to the sum over
+    p_1 + ... + p_r = n of the tensors of its parts, part i cut down to
+    the vertices p_1 + ... + p_{i-1} .. p_1 + ... + p_i by last faces,
+    then 0-th faces.  Only degrees where NA_i is nonzero are used, and
+    each cut is made once per call.  Every factor needs masks (see the
+    module docstring); ValueError otherwise.
     """
-    top = As[0].n_max
+    if not all(A.has_masks() for A in As):
+        raise ValueError("eilenberg_zilber needs factors whose masks decide degeneracy")
+    top, one = As[0].n_max, As[0].ring.one()
     normalized = {}  # id -> N(A), so a factor repeated in As is normalized once
     for A in As:
         if id(A) not in normalized:
             normalized[id(A)] = normalize(A)
-    D, ND = As[0], normalized[id(As[0])]
-    sh = aw = None
-    for k in range(1, len(As)):
-        C, NC = As[k], normalized[id(As[k])]
-        E = diagonal_tensor(As[: k + 1])
-        sh_k, aw_k = _ez_pair(D, ND, C, NC, E)
-        if sh is not None:
-            mid = sh_k.source  # Tot(N(D) (x) NC)
-            tot = truncate(total_complex(sh.source, NC), top)
-            sh_k = sh_k.compose(_tot_map_left(sh, tot, mid))
-            aw_k = _tot_map_left(aw, mid, tot).compose(aw_k)
-        sh, aw = sh_k, aw_k
-        D, ND = E, sh.target
-    return sh, aw
+    Ns = [normalized[id(A)] for A in As]
+    tot = Ns[0]
+    for N in Ns[1:]:
+        tot = truncate(total_complex(tot, N), top)
+    D = diagonal_tensor(As)
+    ND = normalize(D)
+    top = min(tot.hi, top)
+    # label of NA_i -> (degree, element); a Tot label nests the factors' labels
+    at = [
+        {
+            lab: (p, e)
+            for p in range(top + 1)
+            for e, lab in zip(A.nondegenerate(p), N.module(p).labels)
+        }
+        for A, N in zip(As, Ns)
+    ]
+    nondeg = [set(a.values()) for a in at]
+
+    def parts_of(lab) -> tuple:
+        parts = []
+        for a in at[:0:-1]:
+            lab, last = lab[1]
+            parts.append(a[last])
+        return (at[0][lab], *reversed(parts))
+
+    src_parts = {n: [parts_of(lab) for lab in tot.module(n).labels] for n in range(top + 1)}
+    tot_row = {n: {parts: c for c, parts in enumerate(ps)} for n, ps in src_parts.items()}
+    nd_row = {n: {e: c for c, e in enumerate(D.nondegenerate(n))} for n in range(top + 1)}
+
+    def add(col, vecs, sign, rows):
+        """col += sign * (tensor of ``vecs``) at rows[key tuple], keys outside ``rows`` dropped."""
+        for combo in product(*(v.items() for v in vecs)):
+            row = rows.get(tuple(e for e, _ in combo))
+            if row is not None:
+                term = prod((q for _, q in combo[1:]), start=combo[0][1])
+                term = term if sign > 0 else -term
+                col[row] = term if row not in col else col[row] + term
+
+    def shuffle_column(n, c):
+        parts, col = src_parts[n][c], {}
+        for w, sign in _shuffles([p for p, _ in parts]):
+            vecs = []
+            for k, (A, (p, a)) in enumerate(zip(As, parts)):
+                vec = {a: one}
+                for level, j in enumerate((t for t in range(n) if w[t] != k), start=p):
+                    vec = _apply_table(A, "degeneracy_table", level, j, vec)
+                vecs.append(vec)
+            add(col, vecs, sign, nd_row[n])
+        return col
+
+    sizes_of: dict = {}  # n -> the degree tuples (p_1, ..., p_r) summing to n
+    for sizes in product(*([p for p in range(top + 1) if N.module(p).rank] for N in Ns)):
+        sizes_of.setdefault(sum(sizes), []).append(sizes)
+    cuts: dict = {}  # (factor, n, element, lo, p) -> {(p, element): poly}, nondegenerate
+
+    def cut(k, n, x, lo, p):
+        key = (id(As[k]), n, x, lo, p)
+        if key not in cuts:
+            vec = {x: one}
+            for level in range(n, lo + p, -1):
+                vec = _apply_table(As[k], "face_table", level, level, vec)
+            for level in range(lo + p, p, -1):
+                vec = _apply_table(As[k], "face_table", level, 0, vec)
+            cuts[key] = {(p, e): q for e, q in vec.items() if (p, e) in nondeg[k]}
+        return cuts[key]
+
+    def aw_column(n, c):
+        x, col = D.nondegenerate(n)[c], {}
+        for sizes in sizes_of.get(n, ()):
+            los = [sum(sizes[:k]) for k in range(len(sizes))]
+            vecs = [cut(k, n, x[k], lo, p) for k, (lo, p) in enumerate(zip(los, sizes))]
+            add(col, vecs, 1, tot_row[n])
+        return col
+
+    return _degreewise_map(tot, ND, top, shuffle_column), _degreewise_map(ND, tot, top, aw_column)

@@ -210,3 +210,51 @@ def test_all_report_does_not_depend_on_jobs(tmp_path):
     assert run_cli(*small, "--out", str(a)).returncode == 1
     assert run_cli(*small, "--jobs", "2", "--out", str(b)).returncode == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_all_starts_at_most_one_worker_per_scenario(monkeypatch, capsys):
+    """`all --jobs` asks the pool for at most one worker per scenario, and
+    --jobs below 1 exits 2 on every command before any scenario runs.  A fake executor
+    records max_workers and runs every call inline, so no process is
+    started."""
+    from concurrent.futures import Future
+
+    from dflab import cli
+
+    asked = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    ran = []
+
+    def run_named(name, cfg_kwargs, kwargs):
+        ran.append(name)
+        return {"name": name, "pass": True, "millis": 0}
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(cli, "_run_named", run_named)
+    monkeypatch.setattr(cli, "_predict_kwargs", lambda done: {})
+    scenarios = len(cli.ALL_ORDER)
+    for jobs, workers in ((1, None), (2, 2), (scenarios, scenarios), (100_000, scenarios)):
+        results = cli._run_all({}, jobs)
+        assert [r["name"] for r in results] == cli.ALL_ORDER, jobs
+        assert asked == ([] if workers is None else [workers]), jobs
+        asked.clear()
+    ran.clear()
+    for command, jobs in ((["all"], "0"), (["all"], "-3"), (["check", "ez"], "0")):
+        assert cli.main([*command, "--jobs", jobs]) == 2
+        assert "configuration error: --jobs must be at least 1" in capsys.readouterr().err
+    assert asked == [] and ran == []
