@@ -5,7 +5,7 @@ Usage:
     python scripts/reproduce_tables.py [outdir]
 
 Writes outdir/report.json and outdir/report.md (default: ./reports).
-Takes a few minutes at the default configuration.
+Takes a few seconds at the default configuration.
 """
 
 import json

@@ -99,16 +99,6 @@ class ChainComplex:
         return f"ChainComplex({self.ranks()})"
 
 
-def shift(C: ChainComplex, s: int) -> ChainComplex:
-    """C[s]_n = C_{n+s}; differentials reused with sign (-1)^s."""
-    modules = {n - s: m for n, m in C.modules.items()}
-    sign = -1 if s % 2 else 1
-    diffs = {}
-    for n, d in C.diffs.items():
-        diffs[n - s] = d if sign == 1 else d.scale(-1)
-    return ChainComplex(C.ring, modules, diffs, check=False)
-
-
 def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     """Tot(C (x) D), built from its differential.
 

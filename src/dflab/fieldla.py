@@ -128,10 +128,6 @@ class ColumnSpace:
         self.rows: list[dict] = []
         self._row_at: dict = {}  # pivot -> its row
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def _reduce(self, v) -> dict:
         """v minus its pivot components; a new dict without zeros.
 

@@ -187,8 +187,7 @@ class MapMatrix:
     """Sparse column-major matrix between labeled free modules.
 
     Columns may be backed by a provider function and are cached on
-    first access, so functor images of huge face matrices never have to
-    materialize fully.
+    first access, so only the columns read are ever built.
     """
 
     __slots__ = ("source", "target", "_cols", "_provider")
@@ -209,17 +208,6 @@ class MapMatrix:
             else:
                 c = self._cols[j] = {}
         return c
-
-    def materialize(self) -> "MapMatrix":
-        for j in range(self.source.rank):
-            self.col(j)
-        self._provider = None
-        return self
-
-    def entries(self):
-        for j in range(self.source.rank):
-            for i, q in self.col(j).items():
-                yield i, j, q
 
     def is_zero(self) -> bool:
         return all(not self.col(j) for j in range(self.source.rank))

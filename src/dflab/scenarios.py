@@ -165,11 +165,13 @@ class Context:
         self.cfg, self.ring, self.res, self.budget = cfg, ring, res, budget
         self.certified = True
 
-    def graded(self, C, ks, section=None, certify=False) -> list:
+    def graded(self, C, ks, section=None, certify=False, top=None) -> list:
         """Ranks of H_k(C) over R/I for k in ks from the graded engine.
 
         The per-degree detail goes to ``per_degree[section]``; with
         ``certify`` the table must carry its certificates for a pass.
+        ``top`` is the level at which C was cut from a simplicial module
+        (see ``_below_truncation``).
         """
         rep = homology_graded(C, self.cfg.t_max)
         if section is not None:
@@ -177,7 +179,17 @@ class Context:
         if certify:
             certified = all(rep.degrees[k].ri_rank is not None for k in ks if k in rep.degrees)
             self.certified = self.certified and certified and rep.euler_ok
-        return rep.rank_vector(ks)
+        return _below_truncation(rep.rank_vector(ks), ks, top)
+
+
+def _below_truncation(ranks: list, ks, top: int | None) -> list:
+    """``ranks`` (one per k in ks) with None at every k >= top.
+
+    A complex normalized from a simplicial module cut at level top has no
+    d_{top+1}, so its H_k for k >= top was never computed: what the
+    engine gives there is an artifact of the cut, not the homology.
+    """
+    return [None if top is not None and k >= top else r for k, r in zip(ks, ranks)]
 
 
 def run(spec: Spec, cfg: ScenarioConfig, **kw) -> ScenarioResult:
@@ -248,12 +260,12 @@ def _gk(ctx: Context) -> bool:
     N = normalize(apply_pointwise_functor(Sym(3), GP))
     ctx.budget.check()
     if cfg.engine in ("graded", "both"):
-        res.computed["ranks"] = ctx.graded(N, ks, "graded", certify=True)
+        res.computed["ranks"] = ctx.graded(N, ks, "graded", certify=True, top=cfg.n_max)
         res.computed["certified"] = ctx.certified
     ctx.budget.check()
     if cfg.engine in ("groebner", "both"):
         rep_g = homology_groebner_report(truncate(N, 7), cfg.t_max)
-        ranks_g = rep_g.rank_vector(ks)
+        ranks_g = _below_truncation(rep_g.rank_vector(ks), ks, cfg.n_max)
         res.per_degree["groebner"] = rep_g.to_dict()["per_degree"]
         res.computed.setdefault("ranks", ranks_g)
         res.computed["groebner_ranks"] = ranks_g
@@ -264,7 +276,7 @@ def _gk(ctx: Context) -> bool:
         D = diagonal_tensor(list(_one_variable_builds(ctx.ring, cfg.n_max)))
         NB = normalize(apply_pointwise_functor(Sym(3), D))
         ctx.budget.check()
-        res.computed["route_b_ranks"] = ctx.graded(NB, ks, "route_b")
+        res.computed["route_b_ranks"] = ctx.graded(NB, ks, "route_b", top=cfg.n_max)
         if cfg.route == "b":
             res.computed["ranks"] = res.computed["route_b_ranks"]
     want = res.expected["ranks"]
@@ -292,14 +304,14 @@ def _same_dim_tables(a: dict, b: dict) -> bool:
 
 
 def _cross2(ctx: Context) -> bool:
-    res = ctx.res
-    GP = gamma(regular_sequence_resolution(ctx.ring), ctx.cfg.n_max)
+    res, top = ctx.res, ctx.cfg.n_max
+    GP = gamma(regular_sequence_resolution(ctx.ring), top)
     S2GP = apply_pointwise_functor(Sym(2), GP)
     sides = {}
     for label, mods in (("left", [S2GP, GP]), ("right", [GP, S2GP])):
         N = normalize(diagonal_tensor(mods))
         ctx.budget.check()
-        sides[label] = ctx.graded(N, range(0, 6), label, certify=True)
+        sides[label] = ctx.graded(N, range(0, 6), label, certify=True, top=top)
         res.computed["certified"] = ctx.certified
     res.computed["per_side"] = sides
     res.computed["totals"] = [
@@ -307,7 +319,7 @@ def _cross2(ctx: Context) -> bool:
     ]
     ctx.budget.check()
     # square-power sub-table on the same resolution
-    res.computed["sym2"] = ctx.graded(normalize(S2GP), range(0, 4), "sym2")
+    res.computed["sym2"] = ctx.graded(normalize(S2GP), range(0, 4), "sym2", top=top)
     return (
         sides["left"] == sides["right"] == res.expected["per_side"]
         and res.computed["totals"] == res.expected["totals"]
@@ -322,7 +334,7 @@ def _cross3(ctx: Context) -> bool:
     GP = gamma(P, ctx.cfg.n_max)
     N = normalize(diagonal_tensor([GP, GP, GP]))
     ctx.budget.check()
-    ranks = res.computed["ranks"] = ctx.graded(N, ks, "diagonal", certify=True)
+    ranks = res.computed["ranks"] = ctx.graded(N, ks, "diagonal", certify=True, top=ctx.cfg.n_max)
     ctx.budget.check()
     # cross-check through the total complex of the triple power
     T = total_complex(total_complex(P, P), P)
@@ -546,13 +558,13 @@ def _l31(ctx: Context) -> bool:
         ctx.budget.check()
         m21, dims_check, sub_N, quot_N = m21_complex(ring, cfg.n_max, ctx.budget.check)
         ks = range(0, 7)
-        res.computed["m21_ranks"] = ctx.graded(m21, ks, "m21", certify=True)
+        res.computed["m21_ranks"] = ctx.graded(m21, ks, "m21", certify=True, top=cfg.n_max)
         res.computed["m21_rank_split"] = dims_check
         ok = ok and res.computed["m21_ranks"] == res.expected["m21_ranks"]
         ok = ok and all(a == b + c for a, b, c in dims_check)
         ctx.budget.check()
-        sub_ranks = ctx.graded(sub_N, ks)
-        quot_ranks = ctx.graded(quot_N, ks)
+        sub_ranks = ctx.graded(sub_N, ks, top=cfg.n_max)
+        quot_ranks = ctx.graded(quot_N, ks, top=cfg.n_max)
         res.computed["wedge_cube_pair_ranks"] = sub_ranks
         res.computed["schur_pair_ranks"] = quot_ranks
         ok = ok and sub_ranks == [0, 0, 0, 0, 1, 0, 0]

@@ -27,27 +27,31 @@ Topology, 22; Goerss-Jardine, Simplicial Homotopy Theory, III.2).
 ``gamma`` records each label's jump set as a bitmask; the mask of a
 composite element is the union of its parts' masks.
 
-What is built, and when.  ``gamma`` builds its levels and faces at
-once; they are small.  Its degeneracies, and everything of a
-``diagonal_tensor`` or ``apply_pointwise_functor`` beyond the level
-ranks, are built on demand.  A basis element of a composite level is the
-tuple of its parts over the factors' level bases, in label order, and
-its mask and label are computed from the factors' and kept.  Face and
-degeneracy columns are built per (level, face) and never kept:
-``face_table(n, i, els)`` gives the columns of face i at level n for a
-list of elements in one pass, from one table per factor for the parts
-those elements use.  ``normalize`` enumerates only the tuples whose
-masks cover [n], builds labels for those alone and builds the
-differential face by face from these tables, so at most one face table
-is alive at a time; it never evaluates a degeneracy.  The
-Eilenberg-Zilber maps, too, apply these tables to basis elements.  The
-full level modules, faces and degeneracies of a composite are built on
-first access, for ``validate`` and the matrix path only.  A module
-without masks (one built directly, or one whose degeneracy maps were
-replaced after construction) takes that matrix path:
-``degenerate_indices`` evaluates every degeneracy column and checks
-that it is a signed basis injection.  The test suite checks the
-masks against that path.
+One interface.  A module is read through its basis elements:
+``elements``, ``label``, ``mask``, ``face_table`` and
+``degeneracy_table``.  ``normalize``, ``validate``,
+``degenerate_indices`` and the Eilenberg-Zilber maps read nothing else.
+The elements of ``gamma``'s levels, or of a module built directly from
+level modules and matrices, are the level positions, and its tables
+read the matrices.  ``gamma`` builds its levels and faces at once; they
+are small.  Its degeneracies are built on demand.
+
+A basis element of a ``diagonal_tensor`` or ``apply_pointwise_functor``
+level is the tuple of its parts over the factors' level bases, in label
+order, and its mask and label are computed from the factors' and kept.
+A composite holds no face or degeneracy matrix: ``face_table(n, i,
+els)`` builds the columns of face i at level n for a list of elements in
+one pass, from one table per factor for the parts those elements use,
+and keeps none of them.  Its level modules give their ranks at once and
+build their labels only when read.  ``normalize`` enumerates only the
+tuples whose masks cover [n], builds labels for those alone and builds
+the differential face by face, so at most one face table is alive at a
+time; it never evaluates a degeneracy.  A module without masks (one
+built directly, one whose degeneracy maps were replaced after
+construction, or a composite over such a module) has its degenerate
+elements read off its degeneracy tables instead: ``degenerate_indices``
+checks that every degeneracy column is a signed basis injection.  The
+test suite checks the masks against that path.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from .linear import (
     LazyModule,
     MapMatrix,
     gam,
-    identity_map,
     tens,
     tensor_column,
     zero_map,
@@ -125,20 +128,8 @@ class SimplicialModule:
         """Whether the masks decide degeneracy (see the module docstring)."""
         return self._masks is not None and not self.degeneracies.replaced
 
-    def jump_masks(self) -> dict | None:
-        """The mask of every basis element, level by level, or None."""
-        if not self.has_masks():
-            return None
-        return {n: [self.mask(n, e) for e in self.elements(n)] for n in range(self.n_max + 1)}
-
     def level(self, n: int) -> LabeledFreeModule:
         return self.levels[n]
-
-    def face(self, n: int, i: int) -> MapMatrix:
-        return self.faces[(n, i)]
-
-    def degeneracy(self, n: int, j: int) -> MapMatrix:
-        return self.degeneracies[(n, j)]
 
     # basis elements ----------------------------------------------------
 
@@ -173,34 +164,48 @@ class SimplicialModule:
         return [e for e in self.elements(n) if self.mask(n, e) == full]
 
     def validate(self, up_to: int | None = None) -> bool:
-        """Check every simplicial identity inside the truncation window."""
+        """Check every simplicial identity inside the truncation window on
+        each basis element.  Each face or degeneracy table is built over
+        its whole level once per call."""
         top = self.n_max if up_to is None else min(up_to, self.n_max)
-        for n in range(2, top + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i).compose(self.face(n, j))
-                    rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                    if not lhs.equals(rhs):
-                        return False
-        for n in range(0, top - 1):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    lhs = self.degeneracy(n + 1, i).compose(self.degeneracy(n, j))
-                    rhs = self.degeneracy(n + 1, j + 1).compose(self.degeneracy(n, i))
-                    if not lhs.equals(rhs):
-                        return False
-        for n in range(0, top):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = self.face(n + 1, i).compose(self.degeneracy(n, j))
-                    if i == j or i == j + 1:
-                        ok = lhs.equals(identity_map(self.level(n)))
-                    elif i < j:
-                        ok = lhs.equals(self.degeneracy(n - 1, j - 1).compose(self.face(n, i)))
-                    else:
-                        ok = lhs.equals(self.degeneracy(n - 1, j).compose(self.face(n, i - 1)))
-                    if not ok:
-                        return False
+        tables: dict = {}
+
+        def op(name, n, i, vec):
+            table = tables.get((name, n, i))
+            if table is None:
+                table = tables[name, n, i] = getattr(self, name)(n, i, self.elements(n))
+            return _apply(table, vec)
+
+        d, s = partial(op, "face_table"), partial(op, "degeneracy_table")
+        one = self.ring.one()
+        for n in range(top + 1):
+            for e in self.elements(n):
+                x = {e: one}
+                # d_i d_j = d_{j-1} d_i for i < j
+                for j in range(n + 1 if n >= 2 else 0):
+                    dj = d(n, j, x)
+                    for i in range(j):
+                        if d(n - 1, i, dj) != d(n - 1, j - 1, d(n, i, x)):
+                            return False
+                # s_i s_j = s_{j+1} s_i for i <= j
+                for j in range(n + 1 if n + 2 <= top else 0):
+                    sj = s(n, j, x)
+                    for i in range(j + 1):
+                        if s(n + 1, i, sj) != s(n + 1, j + 1, s(n, i, x)):
+                            return False
+                # d_i s_j = s_{j-1} d_i (i < j), 1 (i = j, j + 1), s_j d_{i-1} (i > j + 1)
+                for j in range(n + 1 if n + 1 <= top else 0):
+                    sj = s(n, j, x)
+                    for i in range(n + 2):
+                        lhs = d(n + 1, i, sj)
+                        if i < j:
+                            rhs = s(n - 1, j - 1, d(n, i, x))
+                        elif i > j + 1:
+                            rhs = s(n - 1, j, d(n, i - 1, x))
+                        else:
+                            rhs = x
+                        if lhs != rhs:
+                            return False
         return True
 
 
@@ -278,58 +283,50 @@ class DegeneracyShapeError(ValueError):
 
 
 def degenerate_indices(A: SimplicialModule, n: int) -> set:
-    """Rows of level n hit by some degeneracy; DegeneracyShapeError unless
-    every degeneracy column into level n is a single entry +-1."""
-    rows = set()
+    """Elements of level n hit by some degeneracy; DegeneracyShapeError
+    unless every degeneracy column into level n is a single entry +-1."""
+    hit = set()
     fld = A.ring.field
     units = (fld.one, fld.neg(fld.one))
     for j in range(n):
-        s = A.degeneracy(n - 1, j)
-        for idx in range(A.level(n - 1).rank):
-            col = s.col(idx)
+        for col in A.degeneracy_table(n - 1, j, A.elements(n - 1)).values():
             if len(col) != 1:
                 raise DegeneracyShapeError(f"degeneracy s_{j} at level {n - 1} is not monomial")
-            (row, poly), = col.items()
+            (e, poly), = col.items()
             c = poly.terms.get((0,) * A.ring.nvars) if len(poly.terms) == 1 else None
             if c not in units:
                 raise DegeneracyShapeError("degeneracy entry is not +-1")
-            rows.add(row)
-    return rows
+            hit.add(e)
+    return hit
 
 
 def normalize(A: SimplicialModule) -> ChainComplex:
     """Quotient of each level by the degenerate coordinates.
 
     With masks (see the module docstring) the basis is the elements whose
-    mask is full: only they get labels and face columns, and no
-    degeneracy is evaluated.  A face row outside them is dropped once its
-    mask shows it degenerate.  Otherwise the degenerate coordinates are
-    read off the degeneracy matrices, and DegeneracyShapeError is raised
-    when those are not signed basis injections.  Either way d_n is summed
-    one face at a time, i ascending, from a table of that face's columns
-    on the kept elements; the table is dropped before the next is built.
-    Every entry is shared (``entry_pool``) as it enters a column's sum.
+    mask is full, and no degeneracy is evaluated.  A face row outside
+    them is dropped once its mask shows it degenerate.  Otherwise the
+    degenerate elements are read off the degeneracy tables
+    (``degenerate_indices``), and DegeneracyShapeError is raised when
+    those are not signed basis injections.  Either way only the kept
+    elements get labels, and d_n is summed one face at a time, i
+    ascending, from a table of that face's columns on the kept elements;
+    the table is dropped before the next is built.  Every entry is shared
+    (``entry_pool``) as it enters a column's sum.
     """
     masked = A.has_masks()
-    if masked:
-        keep = {n: A.nondegenerate(n) for n in range(A.n_max + 1)}
-        label, table = A.label, A.face_table
-    else:
-        keep = {}
-        for n in range(A.n_max + 1):
-            deg_rows = degenerate_indices(A, n) if n else set()
-            keep[n] = [i for i in range(A.level(n).rank) if i not in deg_rows]
-
-        def label(n, i):
-            return A.level(n).labels[i]
-
-        def table(n, i, els):
-            face = A.face(n, i)
-            return {c: face.col(c) for c in els}
-
+    keep = {}
+    for n in range(A.n_max + 1):
+        if masked:
+            keep[n] = A.nondegenerate(n)
+        else:
+            degenerate = degenerate_indices(A, n) if n else set()
+            keep[n] = [e for e in A.elements(n) if e not in degenerate]
     ring = A.ring
     share = entry_pool()
-    modules = {n: LabeledFreeModule(ring, [label(n, e) for e in kept]) for n, kept in keep.items()}
+    modules = {
+        n: LabeledFreeModule(ring, [A.label(n, e) for e in kept]) for n, kept in keep.items()
+    }
     diffs = {}
     for n in range(1, A.n_max + 1):
         if modules[n].rank == 0 or modules[n - 1].rank == 0:
@@ -338,7 +335,7 @@ def normalize(A: SimplicialModule) -> ChainComplex:
         full = (1 << (n - 1)) - 1
         accs = [{} for _ in keep[n]]
         for i in range(n + 1):
-            face = table(n, i, keep[n])
+            face = A.face_table(n, i, keep[n])
             for e, acc in zip(keep[n], accs):
                 for row, poly in face[e].items():
                     p = pos_of.get(row)
@@ -371,31 +368,31 @@ class _Composite(SimplicialModule):
     of F (see ``functor_parts``) over the factor's level n for a functor.
     Tuples compare in label order.  Labels and masks are built from the
     factors', element by element, and kept; a mask is the union of its
-    parts' masks.  Face and degeneracy columns are built per (level, face)
-    as tables over a list of elements and never kept: each factor gives
-    one table for the parts those elements use, and the operator acts
-    factorwise on them, or through the functor's column kernel.  Equal
-    entries of one table, or of one full map, are one Poly
-    (``entry_pool``).  The full level modules, faces and degeneracies are
-    built only on first access.
+    parts' masks, and the masks decide degeneracy when every factor's do.
+    A composite holds no face or degeneracy matrix.  Face and degeneracy
+    columns are built per (level, face) as tables over a list of elements
+    and never kept: each factor gives one table for the parts those
+    elements use, and the operator acts factorwise on them, or through
+    the functor's column kernel.  Equal entries of one table are one Poly
+    (``entry_pool``).  The level modules give their ranks at once and
+    build their labels only when read.
     """
 
     def __init__(self, factors, tag: FunctorTag | None = None):
         A = factors[0]
+        self.ring, self.n_max = A.ring, A.n_max
         self.factors, self.tag = factors, tag
         self._one = A.ring.one()
         self._slots = factors if tag is None else [A] * tag.arity  # the factor of each part
         self._cache: dict = {}  # ("elements" | "label" | "mask", n) -> list or {element: value}
-        levels = {
+        self._nondeg: dict = {}
+        self.levels = {
             n: LazyModule(A.ring, self._rank(n), partial(self._labels, n))
             for n in range(A.n_max + 1)
         }
-        faces = _Maps(build=partial(self._full_map, "face_table", -1))
-        degeneracies = _Maps(build=partial(self._full_map, "degeneracy_table", 1))
-        super().__init__(A.ring, A.n_max, levels, faces, degeneracies)
 
     def has_masks(self) -> bool:
-        return not self.degeneracies.replaced and all(F.has_masks() for F in self.factors)
+        return all(F.has_masks() for F in self.factors)
 
     def _rank(self, n: int) -> int:
         if self.tag is None:
@@ -482,22 +479,6 @@ class _Composite(SimplicialModule):
         col = getattr(self.factors[0], op)(n, i, {x for e in els for x in e}).__getitem__
         return {e: functor_column(self.tag, col, e, self._one, share) for e in els}
 
-    def _full_map(self, op: str, step: int, n: int, i: int) -> MapMatrix:
-        """The face (step -1) or degeneracy (step +1) ``i`` on level n, on
-        the full level modules."""
-        m = n + step
-        if not (0 <= min(n, m) and max(n, m) <= self.n_max and 0 <= i <= n):
-            raise KeyError((n, i))
-        els = self.elements(n)
-        row_of = {e: p for p, e in enumerate(self.elements(m))}
-        share = entry_pool()
-
-        def provider(c):
-            e = els[c]
-            return {row_of[r]: share(q) for r, q in self._table(op, n, i, [e])[e].items()}
-
-        return MapMatrix(self.levels[n], self.levels[m], provider=provider)
-
 
 def diagonal_tensor(As) -> SimplicialModule:
     """Diagonal of the multi-simplicial tensor: level n is the tensor of
@@ -514,16 +495,21 @@ def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialM
 # --- Eilenberg-Zilber comparison maps ----------------------------------------
 
 
-def _apply_table(A: SimplicialModule, op: str, n: int, i: int, vec: dict) -> dict:
-    """The face or degeneracy ``op`` ("face_table" or "degeneracy_table")
-    i of level n applied to a vector {element: poly}; zeros are dropped."""
-    table = getattr(A, op)(n, i, list(vec))
+def _apply(table: dict, vec: dict) -> dict:
+    """A face or degeneracy table {element: column} applied to a vector
+    {element: poly} of elements it covers; zeros are dropped."""
     out: dict = {}
     for e, c in vec.items():
         for row, q in table[e].items():
             term = q * c
             out[row] = term if row not in out else out[row] + term
     return {r: q for r, q in out.items() if not q.is_zero()}
+
+
+def _apply_table(A: SimplicialModule, op: str, n: int, i: int, vec: dict) -> dict:
+    """The face or degeneracy ``op`` ("face_table" or "degeneracy_table")
+    i of level n applied to a vector, from a table over its elements."""
+    return _apply(getattr(A, op)(n, i, list(vec)), vec)
 
 
 def _shuffles(sizes):

@@ -68,6 +68,11 @@ def engines_complex(ring):
     return truncate(normalize(diagonal_tensor([GP, GP])), 4)
 
 
+def entries(m):
+    """(row, column, entry) for every nonzero entry of the MapMatrix m."""
+    return [(i, j, q) for j in range(m.source.rank) for i, q in m.col(j).items()]
+
+
 def sparse_columns(M):
     """The columns of a dense numpy matrix as sparse dicts {row: coeff} of
     Python ints (or the ``Fraction`` objects of an object array)."""

@@ -179,6 +179,25 @@ def test_mismatch_exit_code(tmp_path):
     assert p.returncode == 1
 
 
+def test_ranks_above_the_truncation_are_null(tmp_path):
+    """A complex normalized from gamma cut at n_max has no d_{n_max + 1},
+    so every rank at k >= n_max is null, never 0 (H_4 of gk is 1), and
+    the run still exits 1.  cross3's total complex is exact and keeps
+    its ranks."""
+    top, computed = 3, {}
+    for name, args in (("cross3", ["cross3"]), ("gk", ["gk", "--engine", "both"])):
+        out = tmp_path / f"{name}.json"
+        p = run_cli(*args, "--nmax", str(top), "--no-timing", "--out", str(out))
+        assert p.returncode == 1, name
+        (s,) = json.loads(out.read_text())["scenarios"]
+        computed[name] = s["computed"]
+    cross3, gk = computed["cross3"], computed["gk"]
+    assert cross3["ranks"] == [1, 4, 6] + [None] * 3
+    assert cross3["total_complex_ranks"] == [1, 4, 6, 4, 1, 0]
+    for key in ("ranks", "groebner_ranks"):
+        assert gk[key] == [1, 0, 1] + [None] * 4, key
+
+
 def test_gk_json_to_stdout():
     p = run_cli("gk", "--tmax", "8")
     assert p.returncode == 0

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import engines_complex, sympy_columns, sympy_matrix, two_term
+from conftest import engines_complex, entries, sympy_columns, sympy_matrix, two_term
 from dflab import complexes, fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
@@ -21,7 +21,6 @@ from dflab.complexes import (
     homology_groebner_report,
     is_quasi_iso,
     reduce_complex,
-    shift,
     total_complex,
     truncate,
 )
@@ -90,7 +89,7 @@ def test_total_complex_blocks_are_kronecker_products(rationals):
                     m = ln.tensor_maps([ln.identity_map(C.module(p)), D.diff(q)])
                     pieces.append((tgt[p, q - 1], m.scale(-1) if p % 2 else m))
                 for row, m in pieces:
-                    for i, j, e in m.entries():
+                    for i, j, e in entries(m):
                         want.setdefault(start + j, {})[row + i] = e
             d = T.diff(n)
             assert {j: d.col(j) for j in range(d.source.rank) if d.col(j)} == want, n
@@ -109,17 +108,6 @@ def test_resolution_homology(resolution):
     assert rep.degrees[0].annihilator_ok == {"x": True, "y": True}
     assert rep.degrees[1].total == 0 and rep.degrees[2].total == 0
     assert rep.euler_ok
-
-
-def test_shift(resolution):
-    S = shift(resolution, -2)
-    assert S.ranks() == {2: 1, 3: 2, 4: 1}
-    rep = homology_graded(S, 4)
-    assert rep.degrees[2].dims == {0: 1}
-    S2 = shift(shift(resolution, 2), -2)
-    assert S2.ranks() == resolution.ranks()
-    for n in resolution.diffs:
-        assert S2.diff(n).equals(resolution.diff(n))
 
 
 def test_cokernel_of_x(ring97):
@@ -421,11 +409,17 @@ def test_reduce_complex_gives_minimal_complexes(ring97):
         assert M.is_homogeneous()
         for n in M.diffs:
             assert M.diff(n).compose(M.diff(n + 1)).is_zero()
-            assert not any(q.is_unit() for _, _, q in M.diff(n).entries())
+            assert not any(q.is_unit() for _, _, q in entries(M.diff(n)))
+
+
+def unit_cone(ring):
+    """R --1--> R in degrees 4, 3."""
+    T = two_term(ring, "u", ring.one(), 0)
+    return ChainComplex(ring, {3: T.module(0), 4: T.module(1)}, {4: T.diff(1)})
 
 
 def test_report_keeps_degrees_the_reduction_empties(ring97, resolution):
-    cone = shift(two_term(ring97, "u", ring97.one(), 0), -3)  # R --1--> R in degrees 4, 3
+    cone = unit_cone(ring97)
     assert reduce_complex(cone).ranks() == {0: 0}
     rep = homology_graded(cone, 4)
     assert sorted(rep.degrees) == [3, 4]
@@ -557,7 +551,7 @@ def _reduced_with(C, queue):
 def _small_complexes(ring):
     x, y = ring.var("x"), ring.var("y")
     resolution = total_complex(two_term(ring, "k", x, 1), two_term(ring, "l", y, 1))
-    cone = shift(two_term(ring, "u", ring.one(), 0), -3)
+    cone = unit_cone(ring)
     stacked = ChainComplex(
         ring,
         {**resolution.modules, 3: cone.module(3), 4: cone.module(4)},

@@ -45,7 +45,7 @@ def rand_map(rng, src, tgt, lo=0, hi=5):
 def test_sym_cube_of_scaling():
     V = km("v", 1)
     c = ln.MapMatrix(V, V, {0: {0: RK.const(5)}})
-    S = fu.functor_on_map(fu.Sym(3), c).materialize()
+    S = fu.functor_on_map(fu.Sym(3), c)
     assert S.col(0)[0] == RK.const(125)
 
 
@@ -74,7 +74,7 @@ def test_schur_dimensions_against_map_oracle():
 
 
 def test_divided_cube_of_identity():
-    D = fu.functor_on_map(fu.Div(3), ln.identity_map(km("v", 2))).materialize()
+    D = fu.functor_on_map(fu.Div(3), ln.identity_map(km("v", 2)))
     assert D.source.rank == 4
     assert D.equals(ln.identity_map(D.source))
 
@@ -85,11 +85,11 @@ def test_functoriality(tag):
     A, B, C = km("a", 2), km("b", 3), km("c", 2)
     f = rand_map(rng, A, B)
     g = rand_map(rng, B, C)
-    Fg = fu.functor_on_map(tag, g).materialize()
-    Ff = fu.functor_on_map(tag, f).materialize()
-    Fgf = fu.functor_on_map(tag, g.compose(f)).materialize()
+    Fg = fu.functor_on_map(tag, g)
+    Ff = fu.functor_on_map(tag, f)
+    Fgf = fu.functor_on_map(tag, g.compose(f))
     assert Fgf.equals(Fg.compose(Ff))
-    Fid = fu.functor_on_map(tag, ln.identity_map(B)).materialize()
+    Fid = fu.functor_on_map(tag, ln.identity_map(B))
     assert Fid.equals(ln.identity_map(Fid.source))
 
 
@@ -192,8 +192,8 @@ def test_delta_map_malformed_epsilon():
 def test_cauchy_rank_identities():
     for np_, nq, expect in [(2, 2, (0, 4, 16)), (3, 3, (1, 64, 100))]:
         P, Q = km("p", np_), km("q", nq)
-        det = fu.cauchy_det_map(P, Q).materialize()
-        m21 = fu.cauchy_m21_map(P, Q).materialize()
+        det = fu.cauchy_det_map(P, Q)
+        m21 = fu.cauchy_m21_map(P, Q)
         r_det, r_union = fieldla.rank_two(F, ln.constant_columns(det), ln.constant_columns(m21))
         total = det.target.rank
         assert (r_det, r_union - r_det, total - r_union) == expect
@@ -202,7 +202,7 @@ def test_cauchy_rank_identities():
 
 def test_cauchy_det_injective_rank3():
     P, Q = km("p", 3), km("q", 3)
-    det = fu.cauchy_det_map(P, Q).materialize()
+    det = fu.cauchy_det_map(P, Q)
     M = ln.constant_columns(det)
     assert fieldla.rank(F, M) == det.source.rank == 1
     vals = {v for col in M for v in col.values()}
@@ -211,7 +211,7 @@ def test_cauchy_det_injective_rank3():
 
 def test_cauchy_m21_rank_2_2():
     P, Q = km("p", 2), km("q", 2)
-    m21 = fu.cauchy_m21_map(P, Q).materialize()
+    m21 = fu.cauchy_m21_map(P, Q)
     assert fieldla.rank(F, ln.constant_columns(m21)) == 4
     det = fu.cauchy_det_map(P, Q)
     assert det.source.rank == 0  # wedge cube of rank 2 vanishes

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import entries
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab.complexes import ChainComplex, homology_graded, truncate
@@ -79,16 +80,16 @@ def test_cokoszul_is_the_transpose_of_koszul_of_the_transpose(fmap, n):
         w, d = lab[1]
         return ln.tens((w, ln.sym(d[1])))
 
-    entries = 0
+    count = 0
     for j in range(n + 1):
         assert sorted(map(match, co.module(j).labels)) == sorted(kos.module(n - j).labels)
     for j in range(1, n + 1):
         d, k = co.diff(j), kos.diff(n - j + 1)
-        got = {(match(d.source.labels[c]), match(d.target.labels[r])): e for r, c, e in d.entries()}
-        want = {(k.target.labels[r], k.source.labels[c]): e for r, c, e in k.entries()}
+        got = {(match(d.source.labels[c]), match(d.target.labels[r])): e for r, c, e in entries(d)}
+        want = {(k.target.labels[r], k.source.labels[c]): e for r, c, e in entries(k)}
         assert got == want, j
-        entries += len(got)
-    assert entries
+        count += len(got)
+    assert count
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -217,6 +217,27 @@ def test_gk_route_independence_small():
     assert r.computed["route_b_ranks"] == r.computed["ranks"]
 
 
+def test_ranks_above_the_truncation_are_null_in_every_pipeline():
+    """At n_max 3 every rank of a complex cut from gamma reads null at
+    k >= 3: gk's route b, cross2's sides, totals and Sym^2 table, and
+    check-l31's m21 stage and its two filtration quotients."""
+    top = 3
+    cfg = ScenarioConfig(n_max=top, route="b")
+    gk, cross2, l31 = (SCENARIOS[name](cfg).computed for name in ("gk", "cross2", "check-l31"))
+    tables = {
+        "route_b": gk["route_b_ranks"],
+        "left": cross2["per_side"]["left"],
+        "right": cross2["per_side"]["right"],
+        "totals": cross2["totals"],
+        "sym2": cross2["sym2"],
+        "m21": l31["m21_ranks"],
+        "wedge_cube_pair": l31["wedge_cube_pair_ranks"],
+        "schur_pair": l31["schur_pair_ranks"],
+    }
+    for name, ranks in tables.items():
+        assert len(ranks) > top and ranks[top:] == [None] * (len(ranks) - top), (name, ranks)
+
+
 def test_m21_rank_split(ring97):
     C, split, sub_N, quot_N = m21_complex(ring97, 5)
     for total, a, b in split:

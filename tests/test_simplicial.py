@@ -79,9 +79,10 @@ def test_gamma_simplicial_identities(kl_pair, resolution):
 
 
 def test_gamma_rejects_negative_support(ring97):
-    from dflab.complexes import shift
+    from dflab.complexes import ChainComplex
 
-    C = shift(two_term(ring97, "m", ring97.var("x"), 1), 1)
+    T = two_term(ring97, "m", ring97.var("x"), 1)
+    C = ChainComplex(ring97, {-1: T.module(0), 0: T.module(1)}, {0: T.diff(1)})
     with pytest.raises(ValueError):
         gamma(C, 3)
 
@@ -122,13 +123,23 @@ def test_diagonal_tensor(kl_pair):
     D = diagonal_tensor([GK, GL])
     for n in range(5):
         assert D.level(n).rank == (1 + n) ** 2
-    assert D.validate(up_to=3)
-    # faces and degeneracies run between the level modules themselves
-    for n in range(1, 5):
-        assert D.face(n, 0).source is D.level(n) and D.face(n, 0).target is D.level(n - 1)
-        assert D.degeneracy(n - 1, 0).source is D.level(n - 1)
-        assert D.degeneracy(n - 1, 0).target is D.level(n)
+        # the elements are the pairs of the factors' elements, in label order
         assert D.level(n) == ln.tensor_modules([GK.level(n), GL.level(n)])
+        assert [D.label(n, e) for e in D.elements(n)] == list(D.level(n).labels)
+    assert D.validate(up_to=3)
+    # faces and degeneracies act factorwise on the pairs
+    for n in range(1, 5):
+        for op, m, maps in (
+            ("face_table", n, "faces"),
+            ("degeneracy_table", n - 1, "degeneracies"),
+        ):
+            table = getattr(D, op)(m, 0, D.elements(m))
+            f, g = getattr(GK, maps)[(m, 0)], getattr(GL, maps)[(m, 0)]
+            for a, b in D.elements(m):
+                want = {
+                    (r, t): p * q for r, p in f.col(a).items() for t, q in g.col(b).items()
+                }
+                assert table[a, b] == want, (op, m, a, b)
     single = diagonal_tensor([GK])
     assert single.level(3).rank == GK.level(3).rank
     with pytest.raises(ValueError):
@@ -185,7 +196,7 @@ def test_normalize_rejects_twisted_degeneracies_over_a_field(field_ring):
     for (n, i), f in A.faces.items():
         faces[(n, i)] = constant_map(levels[n], levels[n - 1], inv[n - 1] * sym(f) * changes[n])
     for n, j in ((n, j) for n in range(3) for j in range(n + 1)):
-        s = A.degeneracy(n, j)
+        s = A.degeneracies[(n, j)]
         degens[(n, j)] = constant_map(levels[n], levels[n + 1], inv[n + 1] * sym(s) * changes[n])
     twisted = SimplicialModule(field_ring, 3, levels, faces, degens)
     with pytest.raises(DegeneracyShapeError):
@@ -201,7 +212,7 @@ def test_moore_fallback_rejected_over_polynomial_ring(ring97, kl_pair):
     K, _ = kl_pair
     A = gamma(K, 3)
     # smear one degeneracy column across two rows
-    s = A.degeneracy(0, 0)
+    s = A.degeneracies[(0, 0)]
     col = dict(s.col(0))
     col[(list(col)[0] + 1) % s.target.rank] = K.ring.one()
     bad = ln.MapMatrix(s.source, s.target, {0: col})
@@ -307,20 +318,10 @@ def test_shuffle_signs_and_counts():
 
 def test_ez_needs_masks(kl_pair):
     K, _ = kl_pair
-    A = without_masks(gamma(K, 3))
+    A = Unmasked(gamma(K, 3))
     for As in ([A], [A, A], [gamma(K, 3), A]):
         with pytest.raises(ValueError):
             eilenberg_zilber(As)
-
-
-def test_check_ez_builds_no_composite_full_map(monkeypatch):
-    """check-ez reads only face and degeneracy tables of composite modules."""
-
-    def refuse(self, *args):
-        raise AssertionError(f"full map {args} of a composite module")
-
-    monkeypatch.setattr(simplicial._Composite, "_full_map", refuse)
-    assert SCENARIOS["check-ez"](ScenarioConfig()).passed
 
 
 def test_unnormalized_alternating_sum_squares_to_zero(resolution):
@@ -329,11 +330,11 @@ def test_unnormalized_alternating_sum_squares_to_zero(resolution):
     for n in range(2, 5):
         total = None
         for i in range(n + 1):
-            f = GP.face(n, i) if i % 2 == 0 else GP.face(n, i).scale(-1)
+            f = GP.faces[(n, i)] if i % 2 == 0 else GP.faces[(n, i)].scale(-1)
             total = f if total is None else total + f
         prev = None
         for i in range(n):
-            f = GP.face(n - 1, i) if i % 2 == 0 else GP.face(n - 1, i).scale(-1)
+            f = GP.faces[(n - 1, i)] if i % 2 == 0 else GP.faces[(n - 1, i)].scale(-1)
             prev = f if prev is None else prev + f
         assert prev.compose(total).is_zero()
 
@@ -361,8 +362,19 @@ def mask_oracle_modules(ring, n_max=5):
     }
 
 
-def without_masks(A):
-    return SimplicialModule(A.ring, A.n_max, A.levels, A.faces, A.degeneracies)
+class Unmasked:
+    """A view of the module A, composite or not, whose masks do not decide
+    degeneracy: normalize and degenerate_indices read its degeneracy
+    tables, and eilenberg_zilber refuses it."""
+
+    def __init__(self, A):
+        self._A = A
+
+    def __getattr__(self, name):
+        return getattr(self._A, name)
+
+    def has_masks(self) -> bool:
+        return False
 
 
 def assert_equal_entries_shared(C, name):
@@ -375,9 +387,9 @@ def assert_equal_entries_shared(C, name):
 
 
 def assert_normalizations_agree(A, name):
-    """normalize(A) from the masks equals normalize from the matrix path,
-    and on both paths equal entries are one Poly."""
-    N, M = normalize(A), normalize(without_masks(A))
+    """normalize(A) from the masks equals normalize from the degeneracy
+    tables, and on both paths equal entries are one Poly."""
+    N, M = normalize(A), normalize(Unmasked(A))
     assert N.ranks() == M.ranks(), name
     for n in range(A.n_max + 1):
         assert N.module(n).labels == M.module(n).labels, (name, n)
@@ -389,16 +401,15 @@ def assert_normalizations_agree(A, name):
 
 @pytest.mark.parametrize("rationals", [False, True])
 def test_masks_give_the_degenerate_labels(rationals):
-    """The mask rule against the matrix path, level by level, and the
-    normalized complexes of both paths: every module up to level 4,
+    """The mask rule against the degeneracy tables, level by level, and
+    the normalized complexes of both paths: every module up to level 4,
     three of them up to level 5."""
     ring = ring_descriptor(rationals=rationals)
     for name, A in mask_oracle_modules(ring).items():
-        masks = A.jump_masks()
-        assert masks is not None, name
+        assert A.has_masks(), name
         for n in range(1, A.n_max + 1):
             full = (1 << n) - 1
-            by_mask = {i for i, m in enumerate(masks[n]) if m != full}
+            by_mask = {e for e in A.elements(n) if A.mask(n, e) != full}
             assert by_mask == degenerate_indices(A, n), (name, n)
         if name in ("Sym2(GP) x GP", "L31(GK)", "Div3(GK)"):
             assert_normalizations_agree(A, name)
@@ -408,8 +419,8 @@ def test_masks_give_the_degenerate_labels(rationals):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_normalize_shares_equal_entries(field):
-    """normalize shares equal entries on the mask path and on the matrix
-    path, and both give the same complex: every mask oracle module up to
+    """normalize shares equal entries on the mask path and on the
+    degeneracy-table path, and both give the same complex: every mask oracle module up to
     level 4, and the normalized cube of GK (x) GL that check l31 filters,
     up to level 5."""
     ring = ring_descriptor(**field)
@@ -452,13 +463,14 @@ def face_table_modules(ring, n_max):
     return modules
 
 
-def oracle_map(A, op, n, i):
-    """The face or degeneracy ``op`` (n, i) of A as ``functor_on_map`` or
-    ``tensor_maps`` of its factors' maps, recursively down to gamma's."""
+def oracle_map(A, maps, n, i):
+    """The face or degeneracy (n, i) of A, from ``maps`` ("faces" or
+    "degeneracies"), as ``functor_on_map`` or ``tensor_maps`` of its
+    factors' maps, recursively down to gamma's matrices."""
     if not isinstance(A, simplicial._Composite):
-        return getattr(A, op)(n, i)
-    maps = [oracle_map(F, op, n, i) for F in A.factors]
-    return ln.tensor_maps(maps) if A.tag is None else fu.functor_on_map(A.tag, maps[0])
+        return getattr(A, maps)[(n, i)]
+    parts = [oracle_map(F, maps, n, i) for F in A.factors]
+    return ln.tensor_maps(parts) if A.tag is None else fu.functor_on_map(A.tag, parts[0])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -467,28 +479,50 @@ def test_face_tables_match_functor_and_tensor_maps(field):
     columns of the maps built by functor_on_map and tensor_maps."""
     ring = ring_descriptor(**field)
     for name, A in face_table_modules(ring, n_max=3).items():
-        for op, step in (("face", -1), ("degeneracy", 1)):
+        for op, step, maps in (("face", -1, "faces"), ("degeneracy", 1, "degeneracies")):
             for n in range(max(0, -step), A.n_max + 1 - max(0, step)):
                 els = A.elements(n)
                 rows = {e: r for r, e in enumerate(A.elements(n + step))}
                 for i in range(n + 1):
                     table = getattr(A, f"{op}_table")(n, i, els)
-                    f = oracle_map(A, op, n, i)
+                    f = oracle_map(A, maps, n, i)
                     for j, e in enumerate(els):
                         col = {rows[key]: q for key, q in table[e].items()}
                         assert col == f.col(j), (name, op, n, i, e)
 
 
 def test_replaced_degeneracy_takes_the_matrix_path(kl_pair):
+    """Once a degeneracy matrix of gamma is replaced, its masks, and those
+    of every composite over it, no longer decide degeneracy; normalize
+    then reads the degeneracy tables and gives the same complex."""
     K, _ = kl_pair
     A = gamma(K, 3)
-    assert A.jump_masks() is not None
-    assert apply_pointwise_functor(fu.Sym(2), A).jump_masks() is not None
-    A.degeneracies[(0, 0)] = ln.MapMatrix(A.level(0), A.level(1), dict(A.degeneracy(0, 0)._cols))
-    assert A.jump_masks() is None
-    assert diagonal_tensor([A, A]).jump_masks() is None
-    assert apply_pointwise_functor(fu.Sym(2), A).jump_masks() is None
-    assert without_masks(gamma(K, 3)).jump_masks() is None
+    assert A.has_masks() and apply_pointwise_functor(fu.Sym(2), A).has_masks()
+    s = A.degeneracies[(0, 0)]
+    A.degeneracies[(0, 0)] = ln.MapMatrix(s.source, s.target, {0: dict(s.col(0))})
+    assert not A.has_masks()
+    assert not diagonal_tensor([A, A]).has_masks()
+    assert not apply_pointwise_functor(fu.Sym(2), A).has_masks()
+    assert not Unmasked(gamma(K, 3)).has_masks()
+    for B, C in ((A, gamma(K, 3)), (diagonal_tensor([A, A]), diagonal_tensor([gamma(K, 3)] * 2))):
+        N, M = normalize(B), normalize(C)
+        assert N.ranks() == M.ranks()
+        assert all(N.diff(n).equals(M.diff(n)) for n in N.diffs)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_validate_rejects_a_scaled_operator(field):
+    """A gamma with one face, or one degeneracy, scaled by 2 fails validate,
+    and so do a diagonal and a square built over it."""
+    ring = ring_descriptor(**field)
+    K = two_term(ring, "k", ring.var("x"), 1)
+    assert gamma(K, 3).validate()
+    for maps, key in (("faces", (2, 1)), ("degeneracies", (1, 0))):
+        bad = gamma(K, 3)
+        getattr(bad, maps)[key] = getattr(bad, maps)[key].scale(2)
+        built = (diagonal_tensor([bad, gamma(K, 3)]), apply_pointwise_functor(fu.Sym(2), bad))
+        for A in (bad, *built):
+            assert not A.validate(), (maps, A)
 
 
 def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
@@ -513,9 +547,10 @@ def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
 
 
 def test_pipelines_evaluate_no_degeneracy_column(monkeypatch):
-    """gk, cross3 and check-l31 build no degeneracy map of any module,
-    gamma's included, so they evaluate no degeneracy column and check
-    no degeneracy's shape."""
+    """gk, cross3 and check-l31 build no degeneracy map of gamma's modules.
+    A composite holds no matrices and builds its degeneracy columns from
+    its factors', so they evaluate no degeneracy column of any module and
+    check no degeneracy's shape."""
     modules = []
     init = SimplicialModule.__init__
 
@@ -526,8 +561,7 @@ def test_pipelines_evaluate_no_degeneracy_column(monkeypatch):
     monkeypatch.setattr(SimplicialModule, "__init__", record)
     for name in ("gk", "cross3", "check-l31"):
         assert SCENARIOS[name](ScenarioConfig()).passed, name
-    composites = [A for A in modules if isinstance(A, simplicial._Composite)]
-    assert composites and len(composites) < len(modules)
+    assert modules and not any(isinstance(A, simplicial._Composite) for A in modules)
     assert all(len(A.degeneracies) == 0 for A in modules)
 
 
