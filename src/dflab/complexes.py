@@ -40,7 +40,7 @@ from .linear import (
     tens,
     zero_map,
 )
-from .ring import entry_pool
+from .ring import EntryPool
 
 
 class NonHomogeneousComplex(ValueError):
@@ -104,11 +104,11 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
 
     Degree n is the direct sum of the blocks C_p (x) D_q with p + q = n,
     in order of p, each with labels tens((a, b)), b fastest.  The column
-    of a (x) b in C_p (x) D_q is d_C(a) (x) b + (-1)^p a (x) d_D(b); the
-    negated entries are shared (``entry_pool``).
+    of a (x) b in C_p (x) D_q is d_C(a) (x) b + (-1)^p a (x) d_D(b); each
+    distinct entry is negated once, through an ``EntryPool``.
     """
     ring = C.ring
-    share = entry_pool()
+    pool = EntryPool()
     blocks: dict[int, list] = {}
     for p in C.support():
         for q in D.support():
@@ -140,7 +140,7 @@ def total_complex(C: ChainComplex, D: ChainComplex) -> ChainComplex:
                             col[left + i * rank_d + b] = e
                     if right is not None:
                         for i, e in dd.col(b).items():
-                            col[right + a * rank_d1 + i] = share(e.scale(-1)) if p % 2 else e
+                            col[right + a * rank_d1 + i] = pool.neg(e) if p % 2 else e
                     col = {i: e for i, e in col.items() if not e.is_zero()}
                     if col:
                         cols[start[p, q] + a * rank_d + b] = col
@@ -238,9 +238,10 @@ def reduce_complex(C: ChainComplex) -> ChainComplex:
 def _reduce_complex(C: ChainComplex, pivots) -> ChainComplex:
     """reduce_complex; ``pivots(rows, cols)`` makes each degree's candidate
     queue (``push``, ``discard``, ``shrunk``, ``pop`` as in ``_PivotHeap``).
-    The entries it makes are shared (``entry_pool``)."""
+    The entries it makes come from one ``EntryPool``, so each distinct
+    product, sum and scalar multiple is computed once."""
     field = C.ring.field
-    share = entry_pool()
+    pool = EntryPool()
     cols = {
         n: {j: dict(d.col(j)) for j in range(d.source.rank) if d.col(j)}
         for n, d in C.diffs.items()
@@ -275,17 +276,17 @@ def _reduce_complex(C: ChainComplex, pivots) -> ChainComplex:
             for b in row_i:
                 cb = cn[b]
                 cand.discard(i, b)
-                factor = cb.pop(i).scale(ratio)
+                factor = pool.scale(cb.pop(i), ratio)
                 for r, p in cj.items():
-                    q = factor * p
+                    q = pool.mul(factor, p)
                     if r in cb:
-                        q = q + cb[r]
+                        q = pool.add(q, cb[r])
                     if q.is_zero():
                         del cb[r]
                         rn[r].discard(b)
                         cand.discard(r, b)
                         continue
-                    cb[r] = share(q)
+                    cb[r] = q
                     rn.setdefault(r, set()).add(b)
                     if is_pivot(r, b, q):
                         cand.push(r, b)

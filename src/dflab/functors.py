@@ -38,7 +38,7 @@ from .linear import (
     wedge,
 )
 from .linear import div as div_label
-from .ring import entry_pool
+from .ring import EntryPool
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,12 @@ def div_module(V: LabeledFreeModule, l: int) -> LabeledFreeModule:
 # element of f's source -> {element of f's target: poly}), and the parts
 # of a basis element of F(source) (see _part_tuples); it returns the
 # column of F(f) there, keyed by the parts of basis elements of F(target).
+# Its products and sums go through ``pool``, the build's ``EntryPool``.
 # Elements are level positions or, inside composite simplicial modules,
 # index tuples; both compare in basis order.
 
 
-def _sym_col(col, parts, one) -> dict:
+def _sym_col(col, parts, one, pool) -> dict:
     """Expand the product of f-images of the multiset ``parts``."""
     combos = {(): one}
     for x in parts:
@@ -169,14 +170,14 @@ def _sym_col(col, parts, one) -> dict:
         for partial, poly in combos.items():
             for r, q in c.items():
                 key = tuple(sorted(partial + (r,)))
-                prod = poly * q
+                prod = pool.mul(poly, q)
                 acc = new.get(key)
-                new[key] = prod if acc is None else acc + prod
+                new[key] = prod if acc is None else pool.add(acc, prod)
         combos = new
     return combos
 
 
-def _ext_col(col, parts, one) -> dict:
+def _ext_col(col, parts, one, pool) -> dict:
     combos = {(): one}
     for x in parts:
         new: dict = {}
@@ -190,14 +191,14 @@ def _ext_col(col, parts, one) -> dict:
                     pos += 1
                 sign = -1 if (len(partial) - pos) % 2 else 1
                 key = partial[:pos] + (r,) + partial[pos:]
-                prod = (poly * q).scale(sign)
+                prod = pool.scale(pool.mul(poly, q), sign)
                 acc = new.get(key)
-                new[key] = prod if acc is None else acc + prod
+                new[key] = prod if acc is None else pool.add(acc, prod)
         combos = new
     return combos
 
 
-def _div_col(col, parts, one) -> dict:
+def _div_col(col, parts, one, pool) -> dict:
     """Column of D(f), the transpose of Sym(f^T): the entry at the
     multiset (r_1 <= ... <= r_l) is the coefficient of prod_t x_(parts_t)
     in prod_t (sum_s f[r_t, s] x_s), a sum over the distinct orderings
@@ -208,14 +209,14 @@ def _div_col(col, parts, one) -> dict:
         for s in seq:
             c = col(s)
             combos = {
-                rows + (r,): poly * q
+                rows + (r,): pool.mul(poly, q)
                 for rows, poly in combos.items()
                 for r, q in c.items()
                 if not rows or rows[-1] <= r
             }
         for key, poly in combos.items():
             acc = out.get(key)
-            out[key] = poly if acc is None else acc + poly
+            out[key] = poly if acc is None else pool.add(acc, poly)
     return out
 
 
@@ -231,7 +232,7 @@ def _schur_straighten(a, b, c):
     return [(-1, (c, a, b)), (1, (c, b, a))]
 
 
-def _schur_col(col, parts, one) -> dict:
+def _schur_col(col, parts, one, pool) -> dict:
     i, j, k = parts
     out: dict = {}
     for r, q1 in col(i).items():
@@ -239,15 +240,15 @@ def _schur_col(col, parts, one) -> dict:
             if r == s:
                 continue
             for t, q3 in col(k).items():
-                poly = q1 * q2 * q3
+                poly = pool.mul(pool.mul(q1, q2), q3)
                 for sign, key in _schur_straighten(r, s, t):
-                    term = poly.scale(sign)
+                    term = pool.scale(poly, sign)
                     acc = out.get(key)
-                    out[key] = term if acc is None else acc + term
+                    out[key] = term if acc is None else pool.add(acc, term)
     return out
 
 
-def _coschur_col(col, parts, one) -> dict:
+def _coschur_col(col, parts, one, pool) -> dict:
     """Column of the co-Schur functor, the transpose of Schur(f^T): the
     triples (r, s, t) whose straightening holds the tableau ``parts``,
     each expanded through f and kept on standard target tableaux."""
@@ -262,9 +263,9 @@ def _coschur_col(col, parts, one) -> dict:
                     continue
                 for c, q3 in col(t).items():
                     if a <= c:
-                        term = (q1 * q2 * q3).scale(sign)
+                        term = pool.scale(pool.mul(pool.mul(q1, q2), q3), sign)
                         acc = out.get((a, b, c))
-                        out[(a, b, c)] = term if acc is None else acc + term
+                        out[(a, b, c)] = term if acc is None else pool.add(acc, term)
     return out
 
 
@@ -277,14 +278,14 @@ _KERNELS = {
 }
 
 
-def functor_column(tag: FunctorTag, col, parts, one, share) -> dict:
+def functor_column(tag: FunctorTag, col, parts, one, pool) -> dict:
     """Column of F(f) at the basis element with the given parts (see
-    above); its nonzero entries go through ``share``, an ``entry_pool``."""
+    above), its nonzero entries; they come from ``pool``, an ``EntryPool``."""
     if tag.kind == "tensor":
-        column = tensor_column([col] * tag.arity, parts)
+        column = tensor_column([col] * tag.arity, parts, pool)
     else:
-        column = _KERNELS[tag.kind](col, parts, one)
-    return {key: share(q) for key, q in column.items() if not q.is_zero()}
+        column = _KERNELS[tag.kind](col, parts, one, pool)
+    return {key: q for key, q in column.items() if not q.is_zero()}
 
 
 def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
@@ -292,10 +293,10 @@ def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
     idx_parts = functor_parts(tag, range(f.source.rank))
     row_of = {parts: i for i, parts in enumerate(functor_parts(tag, range(f.target.rank)))}
     one = f.source.ring.one()
-    share = entry_pool()
+    pool = EntryPool()
 
     def provider(j):
-        column = functor_column(tag, f.col, idx_parts[j], one, share)
+        column = functor_column(tag, f.col, idx_parts[j], one, pool)
         return {row_of[key]: q for key, q in column.items()}
 
     src, tgt = functor_module(tag, f.source), functor_module(tag, f.target)

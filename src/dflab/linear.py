@@ -26,10 +26,11 @@ before its jump set J, so smaller jump sets come first.
 from __future__ import annotations
 
 from .ring import (
+    EntryPool,
     Poly,
     RingDescriptor,
     addmul,
-    entry_pool,
+    addto,
     monomial_key,
     monomial_mul,
     monomials_of_degree,
@@ -218,11 +219,17 @@ class MapMatrix:
         return all(self.col(j) == other.col(j) for j in range(self.source.rank))
 
     def is_homogeneous(self) -> bool:
-        """Entry degrees satisfy deg(target) + deg(entry) = deg(source)."""
+        """Entry degrees satisfy deg(target) + deg(entry) = deg(source).
+
+        Each distinct entry object is examined once."""
         sdeg, tdeg = self.source.degrees, self.target.degrees
+        seen: dict = {}  # id(entry) -> (its degree, None if not homogeneous; entry)
         for j in range(self.source.rank):
             for i, q in self.col(j).items():
-                if not q.is_homogeneous() or q.degree() != sdeg[j] - tdeg[i]:
+                hit = seen.get(id(q))
+                if hit is None:
+                    hit = seen[id(q)] = (q.degree() if q.is_homogeneous() else None, q)
+                if hit[0] != sdeg[j] - tdeg[i]:
                     return False
         return True
 
@@ -231,27 +238,36 @@ class MapMatrix:
     def compose(self, f: "MapMatrix") -> "MapMatrix":
         """self ∘ f (apply f first).
 
-        Each output column accumulates raw term dicts with ``addmul`` and
-        makes one Poly per nonzero entry, shared with the equal entries
-        made before it (``entry_pool``).  Every entry's ring is checked
-        against this map's (identity first, then ``check_compatible``).
+        The terms of each distinct (entry, entry) product are computed
+        once per call (``addmul``), after the rings of both entries are
+        checked against this map's (identity first, then
+        ``check_compatible``).  Each output column accumulates raw term
+        dicts (``addto``) and makes one Poly per nonzero entry, shared
+        with the equal entries made before it (``EntryPool``).
         """
         if f.target.labels != self.source.labels:
             raise ValueError("shape mismatch in compose")
         ring = self.source.ring
         field = ring.field
-        share = entry_pool()
+        pool = EntryPool()
+        products: dict = {}  # (id(r), id(q)) -> (terms of r * q, r, q)
         cols = {}
         for j in range(f.source.rank):
             acc: dict = {}
             for i, q in f.col(j).items():
-                if q.ring is not ring:
-                    ring.check_compatible(q.ring)
                 for k, r in self.col(i).items():
-                    if r.ring is not ring:
-                        ring.check_compatible(r.ring)
-                    addmul(acc.setdefault(k, {}), r.terms, q.terms, field)
-            col = {k: share(Poly(ring, terms)) for k, terms in acc.items() if terms}
+                    hit = products.get((id(r), id(q)))
+                    if hit is None:
+                        for e in (r, q):
+                            if e.ring is not ring:
+                                ring.check_compatible(e.ring)
+                        hit = products[id(r), id(q)] = (addmul({}, r.terms, q.terms, field), r, q)
+                    into = acc.get(k)
+                    if into is None:
+                        acc[k] = dict(hit[0])
+                    else:
+                        addto(into, hit[0], field)
+            col = {k: pool(Poly(ring, terms)) for k, terms in acc.items() if terms}
             if col:
                 cols[j] = col
         return MapMatrix(f.source, self.target, cols)
@@ -313,17 +329,18 @@ def constant_columns(f: MapMatrix) -> list[dict]:
     return cols
 
 
-def tensor_column(cols, parts) -> dict:
+def tensor_column(cols, parts, pool) -> dict:
     """Column of a Kronecker product at the index tuple ``parts``.
 
     ``cols[k](x)`` is the k-th factor's column at x as {row: poly}; the
-    result is keyed by target index tuples (one row per factor).
+    result is keyed by target index tuples (one row per factor), and its
+    entries come from ``pool``, an ``EntryPool``.
     """
     out = {(): None}
     for col, x in zip(cols, parts):
         c = col(x)
         out = {
-            rows + (r,): q if poly is None else poly * q
+            rows + (r,): pool(q) if poly is None else pool.mul(poly, q)
             for rows, poly in out.items()
             for r, q in c.items()
         }
@@ -335,6 +352,7 @@ def tensor_maps(maps) -> MapMatrix:
     src = tensor_modules([f.source for f in maps])
     tgt = tensor_modules([f.target for f in maps])
     cols = [f.col for f in maps]
+    pool = EntryPool()
 
     def provider(j):
         idx = []
@@ -342,7 +360,7 @@ def tensor_maps(maps) -> MapMatrix:
             j, r = divmod(j, f.source.rank)
             idx.append(r)
         out = {}
-        for rows, poly in tensor_column(cols, idx[::-1]).items():
+        for rows, poly in tensor_column(cols, idx[::-1], pool).items():
             flat = 0
             for r, f in zip(rows, maps):
                 flat = flat * f.target.rank + r

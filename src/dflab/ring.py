@@ -5,6 +5,11 @@ residues) or in the rationals (stored as ``fractions.Fraction``).
 Monomials are exponent tuples, one slot per ring variable, ordered by
 degrevlex (``monomial_key``); polynomials
 are sparse ``{monomial: coefficient}`` maps with no zero entries.
+
+Polys are never changed in place.  A builder of matrices makes its
+entries through one ``EntryPool``, which lives as long as the build:
+equal entries are one object, and each distinct product, sum, negation
+or scalar multiple of pooled entries is computed once.
 """
 
 from __future__ import annotations
@@ -248,11 +253,28 @@ class RingDescriptor:
         return base
 
 
+def addto(acc: dict, a: dict, field) -> dict:
+    """acc += a on term dicts, in place; returns acc.
+
+    The one add kernel of the ring layer: ``Poly.__add__`` and
+    ``MapMatrix.compose`` run on it.  A coefficient that sums to zero is
+    removed, so acc never holds a zero term.
+    """
+    zero, fadd = field.zero, field.add
+    for m, c in a.items():
+        s = fadd(acc.get(m, zero), c)
+        if s == zero:
+            acc.pop(m, None)
+        else:
+            acc[m] = s
+    return acc
+
+
 def addmul(acc: dict, a: dict, b: dict, field) -> dict:
     """acc += a * b on term dicts, in place; returns acc.
 
-    The one multiply-accumulate kernel of the ring layer: ``Poly.__mul__``
-    and ``MapMatrix.compose`` both run on it.  A coefficient that sums to
+    The one multiply kernel of the ring layer: ``Poly.__mul__`` and
+    ``MapMatrix.compose`` run on it.  A coefficient that sums to
     zero (a cancellation, or a multiple of p) is removed, so acc never
     holds a zero term.
     """
@@ -268,22 +290,64 @@ def addmul(acc: dict, a: dict, b: dict, field) -> dict:
     return acc
 
 
-def entry_pool():
-    """A pool for one build: ``share(q)`` returns the first Poly it was
-    given with the same terms, in the same order, and q when there is none.
+class EntryPool:
+    """The shared entries of one build and the arithmetic on them.
 
-    A builder passes every entry it keeps through one pool that lives
-    only as long as the build, so equal entries are one object.  Equal
-    terms in another insertion order are not shared, which costs memory
-    but never changes a value.  Sharing relies on Polys never being
-    mutated in place.
+    ``pool(q)`` shares an entry: it returns the first Poly the pool was
+    given with the same terms, in the same order, and q when there is
+    none.  ``mul``, ``add``, ``neg`` and ``scale`` return the pooled
+    result of the operation and compute it once per distinct operands:
+    the memo is keyed on the operands' identities (and the scalar), and
+    each memo value holds its operands, so no id is reused while the pool
+    lives.  A builder passes every entry it makes through one pool that
+    lives only as long as the build, so equal entries are one object and
+    a repeated product or sum is a lookup.  Equal terms in another
+    insertion order are not shared, which costs memory but never changes
+    a value.  Sharing relies on Polys never being mutated in place.
     """
-    pool: dict = {}
 
-    def share(q: "Poly") -> "Poly":
-        return pool.setdefault(tuple(q.terms.items()), q)
+    __slots__ = ("_shared", "_mul", "_add", "_neg", "_scale")
 
-    return share
+    def __init__(self):
+        self._shared: dict = {}
+        self._mul: dict = {}
+        self._add: dict = {}
+        self._neg: dict = {}
+        self._scale: dict = {}
+
+    def __call__(self, q: "Poly") -> "Poly":
+        return self._shared.setdefault(tuple(q.terms.items()), q)
+
+    def mul(self, a: "Poly", b: "Poly") -> "Poly":
+        """a * b, pooled."""
+        key = (id(a), id(b))
+        hit = self._mul.get(key)
+        if hit is None:
+            hit = self._mul[key] = (self(a * b), a, b)
+        return hit[0]
+
+    def add(self, a: "Poly", b: "Poly") -> "Poly":
+        """a + b, pooled."""
+        key = (id(a), id(b))
+        hit = self._add.get(key)
+        if hit is None:
+            hit = self._add[key] = (self(a + b), a, b)
+        return hit[0]
+
+    def neg(self, a: "Poly") -> "Poly":
+        """-a, pooled."""
+        hit = self._neg.get(id(a))
+        if hit is None:
+            hit = self._neg[id(a)] = (self(-a), a)
+        return hit[0]
+
+    def scale(self, a: "Poly", c) -> "Poly":
+        """c * a for a scalar c, pooled."""
+        key = (id(a), c)
+        hit = self._scale.get(key)
+        if hit is None:
+            hit = self._scale[key] = (self(a.scale(c)), a)
+        return hit[0]
 
 
 class Poly:
@@ -291,7 +355,8 @@ class Poly:
 
     A Poly is immutable: no operation changes its terms once it is made,
     so one Poly can stand for many equal matrix entries, and the builders
-    of matrices share equal entries through an ``entry_pool``.
+    of matrices share equal entries, and the arithmetic on them, through
+    an ``EntryPool``.
     """
 
     __slots__ = ("ring", "terms")
@@ -324,15 +389,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if other.ring is not self.ring:
             self.ring.check_compatible(other.ring)
-        F = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = F.add(out.get(m, F.zero), c)
-            if s == F.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(self.ring, out)
+        return Poly(self.ring, addto(dict(self.terms), other.terms, self.ring.field))
 
     def __neg__(self) -> "Poly":
         F = self.ring.field

@@ -42,8 +42,11 @@ order, and its mask and label are computed from the factors' and kept.
 A composite holds no face or degeneracy matrix: ``face_table(n, i,
 els)`` builds the columns of face i at level n for a list of elements in
 one pass, from one table per factor for the parts those elements use,
-and keeps none of them.  Its level modules give their ranks at once and
-build their labels only when read.  ``normalize`` enumerates only the
+and keeps none of them.  One ``EntryPool`` per table makes the entries,
+so equal entries are one Poly and each distinct product or sum of
+factor entries is computed once per table.  Its level modules give
+their ranks at once and build their labels only when read.
+``normalize`` enumerates only the
 tuples whose masks cover [n], builds labels for those alone and builds
 the differential face by face, so at most one face table is alive at a
 time; it never evaluates a degeneracy.  A module without masks (one
@@ -71,7 +74,7 @@ from .linear import (
     tensor_column,
     zero_map,
 )
-from .ring import entry_pool
+from .ring import EntryPool
 
 
 class _Maps(dict):
@@ -312,7 +315,8 @@ def normalize(A: SimplicialModule) -> ChainComplex:
     elements get labels, and d_n is summed one face at a time, i
     ascending, from a table of that face's columns on the kept elements;
     the table is dropped before the next is built.  Every entry is shared
-    (``entry_pool``) as it enters a column's sum.
+    through one ``EntryPool`` for the call as it enters a column's sum, and
+    each distinct negation and sum is computed once.
     """
     masked = A.has_masks()
     keep = {}
@@ -323,7 +327,7 @@ def normalize(A: SimplicialModule) -> ChainComplex:
             degenerate = degenerate_indices(A, n) if n else set()
             keep[n] = [e for e in A.elements(n) if e not in degenerate]
     ring = A.ring
-    share = entry_pool()
+    pool = EntryPool()
     modules = {
         n: LabeledFreeModule(ring, [A.label(n, e) for e in kept]) for n, kept in keep.items()
     }
@@ -343,9 +347,9 @@ def normalize(A: SimplicialModule) -> ChainComplex:
                         if masked and A.mask(n - 1, row) == full:
                             raise RuntimeError("a face hit a nondegenerate element left out")
                         continue
-                    term = poly if i % 2 == 0 else -poly
+                    term = pool(poly) if i % 2 == 0 else pool.neg(pool(poly))
                     cur = acc.get(p)
-                    acc[p] = share(term if cur is None else cur + term)
+                    acc[p] = term if cur is None else pool.add(cur, term)
             del face
         cols = {}
         for cpos, acc in enumerate(accs):
@@ -373,8 +377,9 @@ class _Composite(SimplicialModule):
     columns are built per (level, face) as tables over a list of elements
     and never kept: each factor gives one table for the parts those
     elements use, and the operator acts factorwise on them, or through
-    the functor's column kernel.  Equal entries of one table are one Poly
-    (``entry_pool``).  The level modules give their ranks at once and
+    the functor's column kernel.  One ``EntryPool`` per table makes its
+    entries: equal entries are one Poly, and each distinct product and
+    sum of factor entries is computed once.  The level modules give their ranks at once and
     build their labels only when read.
     """
 
@@ -468,16 +473,16 @@ class _Composite(SimplicialModule):
     def _table(self, op: str, n: int, i: int, els) -> dict:
         """{e: column of the operator ``op`` (i, level n) at e} for e in
         ``els``, from one table per factor over the parts they use; its
-        equal entries are one Poly."""
-        share = entry_pool()
+        entries come from one ``EntryPool``."""
+        pool = EntryPool()
         if self.tag is None:
             cols = [
                 getattr(F, op)(n, i, {e[k] for e in els}).__getitem__
                 for k, F in enumerate(self.factors)
             ]
-            return {e: {r: share(q) for r, q in tensor_column(cols, e).items()} for e in els}
+            return {e: tensor_column(cols, e, pool) for e in els}
         col = getattr(self.factors[0], op)(n, i, {x for e in els for x in e}).__getitem__
-        return {e: functor_column(self.tag, col, e, self._one, share) for e in els}
+        return {e: functor_column(self.tag, col, e, self._one, pool) for e in els}
 
 
 def diagonal_tensor(As) -> SimplicialModule:

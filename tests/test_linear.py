@@ -321,6 +321,43 @@ def test_compose_and_mul_match_naive_products(name):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_compose_of_shared_entries_matches_naive_products(name):
+    """Entries drawn from a few Poly objects, each used many times: compose
+    computes each distinct product once and still gives every entry, and
+    is_homogeneous reads each distinct entry once and still sees a
+    shared non-homogeneous one."""
+    ring = KERNEL_RINGS[name]
+    rng = np.random.default_rng(13)
+    shared = [q for q in (_random_poly(ring, rng) for _ in range(12)) if not q.is_zero()][:4]
+    mods = [ln.LabeledFreeModule(ring, [ln.atom(f"s{k}_{i}", 0) for i in range(6)]) for k in range(3)]
+
+    def shared_map(src, tgt):
+        cols = {j: {i: shared[int(rng.integers(len(shared)))] for i in range(tgt.rank)
+                    if rng.random() < 0.6} for j in range(src.rank)}
+        return ln.MapMatrix(src, tgt, cols)
+
+    for _ in range(5):
+        f, g = shared_map(mods[0], mods[1]), shared_map(mods[1], mods[2])
+        gf = g.compose(f)
+        for j in range(mods[0].rank):
+            want = {}
+            for k in range(mods[2].rank):
+                pairs = [(g.col(i)[k], q) for i, q in f.col(j).items() if k in g.col(i)]
+                terms = _naive_product_terms(ring, pairs)
+                if terms:
+                    want[k] = terms
+            assert {k: q.terms for k, q in gf.col(j).items()} == want
+    x, y, one = ring.var("x"), ring.var("y"), ring.one()
+    A = ln.LabeledFreeModule(ring, [ln.atom(f"a{j}", 1) for j in range(3)])
+    B = ln.LabeledFreeModule(ring, [ln.atom(f"b{i}", 0) for i in range(3)])
+    assert ln.MapMatrix(A, B, {j: {i: x for i in range(3)} for j in range(3)}).is_homogeneous()
+    mixed = {j: {0: x, 1: x, 2: y} for j in range(3)}
+    mixed[2][1] = x + one
+    assert not ln.MapMatrix(A, B, mixed).is_homogeneous()
+    assert not ln.MapMatrix(A, A, {j: {j: x} for j in range(3)}).is_homogeneous()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
 def test_kernel_drops_cancelled_terms(name):
     ring = KERNEL_RINGS[name]
     x, y = ring.var("x"), ring.var("y")
@@ -347,6 +384,10 @@ def test_compose_checks_every_ring():
         ox.compose(my)  # labels match, primes do not
     with pytest.raises(DescriptorError):
         mx.compose(ln.MapMatrix(M2, M1, {0: {0: other.var("y")}}))
+    # a mismatched entry after a good pair that shares its other entry
+    H = ln.LabeledFreeModule(R, [ln.atom("h0", 2), ln.atom("h1", 2)])
+    with pytest.raises(DescriptorError):
+        mx.compose(ln.MapMatrix(H, M1, {0: {0: Y}, 1: {0: other.var("y")}}))
     same = ring_descriptor()  # equal to R, a distinct object
     assert same is not R
     sy = ln.MapMatrix(M2, M1, {0: {0: same.var("y")}})

@@ -1,6 +1,9 @@
 """Scalar and polynomial arithmetic, the monomial order."""
 
+import gc
+import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -9,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from dflab.ring import (
     MR_BOUND,
     DescriptorError,
+    EntryPool,
+    Poly,
     PrimeField,
     is_prime,
     monomial_key,
@@ -176,3 +181,76 @@ def test_order_total_and_antisymmetric(m1, m2):
     k1, k2 = monomial_key(m1), monomial_key(m2)
     assert (k1 < k2) + (k1 == k2) + (k1 > k2) == 1
     assert (k1 == k2) == (m1 == m2)
+
+
+# --- entry pools -------------------------------------------------------------
+
+POOL_RINGS = {
+    "F_2": ring_descriptor(prime=2),
+    "F_97": ring_descriptor(),
+    "QQ": ring_descriptor(rationals=True),
+}
+
+
+def _sparse_poly(ring, rng):
+    """Up to three terms with small exponents; coefficients often cancel mod p."""
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        c = ring.field.coerce(Fraction(rng.randint(-3, 3), rng.choice([1, 3])))
+        if c != ring.field.zero:
+            terms[(rng.randrange(3), rng.randrange(3))] = c
+    return Poly(ring, terms)
+
+
+@pytest.mark.parametrize("name", sorted(POOL_RINGS))
+def test_entry_pool_arithmetic_is_plain_arithmetic_pooled(name):
+    """mul, add, neg and scale give what Poly arithmetic gives, as the
+    pooled object: asked again, or on copies of the operands, the pool
+    returns the same object, and sharing that object returns it."""
+    ring = POOL_RINGS[name]
+    rng = random.Random(11)
+    pool = EntryPool()
+    polys = [_sparse_poly(ring, rng) for _ in range(12)]
+    scalars = [0, 1, -1, 2, Fraction(1, 3), 96]
+    for a in polys:
+        for b in polys:
+            for got, want in ((pool.mul(a, b), a * b), (pool.add(a, b), a + b)):
+                assert got == want and got.terms == want.terms
+                assert pool(got) is got
+            assert pool.mul(a, b) is pool.mul(a, b) and pool.add(a, b) is pool.add(a, b)
+            a2, b2 = Poly(ring, dict(a.terms)), Poly(ring, dict(b.terms))
+            assert pool.mul(a2, b2) is pool.mul(a, b) and pool.add(a2, b2) is pool.add(a, b)
+        neg = pool.neg(a)
+        assert neg == -a and pool(neg) is neg and pool.neg(a) is neg
+        assert (a + neg).is_zero()
+        for c in scalars:
+            scaled = pool.scale(a, c)
+            assert scaled == a.scale(c) and pool(scaled) is scaled and pool.scale(a, c) is scaled
+
+
+def test_entry_pool_checks_rings_on_every_distinct_pair():
+    pool = EntryPool()
+    x97, x5 = ring_descriptor().var("x"), ring_descriptor(prime=5).var("x")
+    for _ in range(2):  # a failed pair is not remembered as computed
+        with pytest.raises(DescriptorError):
+            pool.mul(x97, x5)
+        with pytest.raises(DescriptorError):
+            pool.add(x5, x97)
+    same = ring_descriptor()  # equal to the F_97 ring, a distinct object
+    assert pool.mul(x97, same.var("y")) == x97 * same.var("y")
+
+
+def test_entry_pool_memo_outlives_the_callers_operands():
+    """The memo is keyed on operand ids; it holds its operands, so ids of
+    operands the caller dropped are not reused for new Polys while the
+    pool lives, and a later lookup never returns a stale result."""
+    ring = POOL_RINGS["F_97"]
+    rng = random.Random(5)
+    pool = EntryPool()
+    for _ in range(300):
+        a, b = _sparse_poly(ring, rng), _sparse_poly(ring, rng)
+        want_mul, want_add = a * b, a + b
+        assert pool.mul(a, b) == want_mul and pool.add(a, b) == want_add
+        assert pool.neg(a) == -a and pool.scale(b, 3) == b.scale(3)
+        del a, b
+        gc.collect()

@@ -238,6 +238,31 @@ def test_ranks_above_the_truncation_are_null_in_every_pipeline():
         assert len(ranks) > top and ranks[top:] == [None] * (len(ranks) - top), (name, ranks)
 
 
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_l31_groebner_tables_are_null_above_the_truncation(monkeypatch, n_max):
+    """check-l31 reads its Groebner tables (l31, mixed, cube) from N cut at
+    n_small - 1 = n_max - 1, so H_k is exact only for k < n_max - 1: the
+    degrees above read null and are never computed (at n_max 3 they read
+    "other" and "0")."""
+    degrees = []
+    groebner = scenarios.homology_groebner
+
+    def counted(C, k, *args, **kw):
+        degrees.append(k)
+        return groebner(C, k, *args, **kw)
+
+    monkeypatch.setattr(scenarios, "homology_groebner", counted)
+    r = SCENARIOS["check-l31"](ScenarioConfig(n_max=n_max))
+    top = n_max - 1
+    assert not r.passed
+    for label in ("l31", "mixed", "cube"):
+        table = r.computed[label]
+        assert table[:top] == r.expected[label][:top], (label, table)
+        assert table[top:] == [None] * (4 - top), (label, table)
+        assert r.per_degree[label] == {str(k): v for k, v in enumerate(table)}
+    assert sorted(set(degrees)) == list(range(top))
+
+
 def test_m21_rank_split(ring97):
     C, split, sub_N, quot_N = m21_complex(ring97, 5)
     for total, a, b in split:

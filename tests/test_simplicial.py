@@ -20,7 +20,7 @@ from dflab.complexes import (
     truncate,
 )
 from dflab.koszul import regular_sequence_resolution
-from dflab.ring import ring_descriptor
+from dflab.ring import Poly, ring_descriptor
 from dflab.scenarios import SCENARIOS, ScenarioConfig, _cauchy_sources, _one_variable_builds
 from dflab.simplicial import (
     DegeneracyShapeError,
@@ -596,6 +596,24 @@ def test_check_l31_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 6e6, peak
+
+
+def test_sym3_normalize_computes_each_product_once_per_table(ring97, monkeypatch):
+    """normalize of Sym^3(GP) at n_max 7 makes at most 300 Poly products:
+    171 with each distinct product computed once per table and per
+    compose (``EntryPool``), 3,924 when every product was computed anew."""
+    GP = gamma(regular_sequence_resolution(ring97), 7)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    N = normalize(apply_pointwise_functor(fu.Sym(3), GP))
+    assert N.ranks() == {0: 1, 1: 9, 2: 37, 3: 81, 4: 97, 5: 60, 6: 15}
+    assert 0 < len(calls) <= 300, len(calls)
 
 
 def test_d3_cube_normalize_traced_peak():
