@@ -46,10 +46,10 @@ and keeps none of them.  One ``EntryPool`` per table makes the entries,
 so equal entries are one Poly and each distinct product or sum of
 factor entries is computed once per table.  Its level modules give
 their ranks at once and build their labels only when read.
-``normalize`` enumerates only the
-tuples whose masks cover [n], builds labels for those alone and builds
-the differential face by face, so at most one face table is alive at a
-time; it never evaluates a degeneracy.  A module without masks (one
+``normalize`` enumerates only the tuples whose masks cover [n], builds
+labels for those alone and builds the differential face by face, so at
+most one face table is alive at a time; it never evaluates a
+degeneracy.  A module without masks (one
 built directly, one whose degeneracy maps were replaced after
 construction, or a composite over such a module) has its degenerate
 elements read off its degeneracy tables instead: ``degenerate_indices``
