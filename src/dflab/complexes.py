@@ -58,8 +58,6 @@ class ChainComplex:
         self.hi = degs[-1] if degs else 0
         self.diffs = {}
         for n, d in diffs.items():
-            if d is None:
-                continue
             if n - 1 in self.modules and n in self.modules:
                 self.diffs[n] = d
         if check:
@@ -419,9 +417,10 @@ def homology_graded(C: ChainComplex, t_max: int, annihilators=None) -> HomologyR
     for k in ks:
         deg = report.degrees[k]
         deg.stabilized = all(deg.dims.get(t, 0) == 0 for t in (t_max - 1, t_max))
+        module = C.module(k)
         for f in annihilators:
             fdeg = f.degree()
-            mult = MapMatrix(C.module(k), C.module(k), provider=lambda j, f=f: {j: f})
+            mult = MapMatrix(module, module, {j: {j: f} for j in range(module.rank)})
             deg.annihilator_ok[str(f)] = all(
                 not _induced_rank(C, C, mult, k, t, t + fdeg, ranks[k, t], rank(k + 1, t + fdeg), h)
                 for t, h in deg.dims.items()

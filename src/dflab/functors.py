@@ -289,18 +289,17 @@ def functor_column(tag: FunctorTag, col, parts, one, pool) -> dict:
 
 
 def functor_on_map(tag: FunctorTag, f: MapMatrix) -> MapMatrix:
-    """F(f) on the canonical bases; columns are lazily expanded."""
-    idx_parts = functor_parts(tag, range(f.source.rank))
+    """F(f) on the canonical bases, every column built at once; its
+    entries come from one ``EntryPool``."""
     row_of = {parts: i for i, parts in enumerate(functor_parts(tag, range(f.target.rank)))}
     one = f.source.ring.one()
     pool = EntryPool()
-
-    def provider(j):
-        column = functor_column(tag, f.col, idx_parts[j], one, pool)
-        return {row_of[key]: q for key, q in column.items()}
-
-    src, tgt = functor_module(tag, f.source), functor_module(tag, f.target)
-    return MapMatrix(src, tgt, provider=provider)
+    cols = {}
+    for j, parts in enumerate(functor_parts(tag, range(f.source.rank))):
+        column = functor_column(tag, f.col, parts, one, pool)
+        if column:
+            cols[j] = {row_of[key]: q for key, q in column.items()}
+    return MapMatrix(functor_module(tag, f.source), functor_module(tag, f.target), cols)
 
 
 class ProductFunctor:
@@ -356,16 +355,26 @@ def cross_effect(tag: FunctorTag, args) -> CrossEffect:
 
 
 def _idempotent_matrix(tag, Vsum, k_args) -> MapMatrix:
-    """sum_S (-1)^(k-|S|) F(p_S) on F(Vsum), over the subsets S of the k arguments."""
+    """sum_S (-1)^(k-|S|) F(p_S) on F(Vsum), over the subsets S of the k
+    arguments, summed column by column through one ``EntryPool``."""
     k = len(k_args)
-    total = None
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            term = _f_map(tag, _projection_onto(Vsum, set(subset)))
-            if (k - size) % 2:
-                term = -term
-            total = term if total is None else total + term
-    return total
+    terms = [
+        ((k - size) % 2, _f_map(tag, _projection_onto(Vsum, set(subset))))
+        for size in range(1, k + 1)
+        for subset in combinations(range(k), size)
+    ]
+    pool = EntryPool()
+    cols = {}
+    for j in range(terms[0][1].source.rank):
+        acc: dict = {}
+        for negate, f in terms:
+            for i, q in f.col(j).items():
+                q = pool.neg(pool(q)) if negate else pool(q)
+                acc[i] = pool.add(acc[i], q) if i in acc else q
+        acc = {i: q for i, q in acc.items() if not q.is_zero()}
+        if acc:
+            cols[j] = acc
+    return MapMatrix(terms[0][1].source, terms[0][1].target, cols)
 
 
 def delta_map(tag: FunctorTag, eps, args):
@@ -458,11 +467,13 @@ def _cauchy_map(P, Q, source_mods, source_parts, column) -> MapMatrix:
     pairs = list(product(range(P.rank), range(Q.rank)))
     row_of = {parts: i for i, parts in enumerate(functor_parts(Sym(3), pairs))}
     one = ring.one()
-
-    def provider(j):
-        return {row_of[key]: one.scale(c) for key, c in column(source_parts[j]).items()}
-
-    return MapMatrix(tensor_modules(source_mods), tgt, provider=provider)
+    cols = {}
+    for j, parts in enumerate(source_parts):
+        col = {row_of[key]: one.scale(c) for key, c in column(parts).items()}
+        col = {i: q for i, q in col.items() if not q.is_zero()}
+        if col:
+            cols[j] = col
+    return MapMatrix(tensor_modules(source_mods), tgt, cols)
 
 
 def cauchy_det_map(P: LabeledFreeModule, Q: LabeledFreeModule) -> MapMatrix:

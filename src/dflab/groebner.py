@@ -437,7 +437,7 @@ def hilbert_dims(pres: Presentation, t_max: int):
         local = _staircase_dims(by_pos.get(pos, []), nvars, t_max)
         for t in range(t_max + 1):
             if 0 <= t - offset <= t_max:
-                dims[t] += local[t - offset] if t - offset >= 0 else 0
+                dims[t] += local[t - offset]
     return dims
 
 

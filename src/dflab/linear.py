@@ -25,6 +25,8 @@ before its jump set J, so smaller jump sets come first.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .ring import (
     EntryPool,
     Poly,
@@ -187,28 +189,21 @@ def direct_sum_modules(mods) -> LabeledFreeModule:
 class MapMatrix:
     """Sparse column-major matrix between labeled free modules.
 
-    Columns may be backed by a provider function and are cached on
-    first access, so only the columns read are ever built.
+    ``cols`` maps a column index to its column {row: entry}, built once
+    by the caller, who stores only nonzero entries; a column missing from
+    it is zero.  Reading a column builds and stores nothing.
     """
 
-    __slots__ = ("source", "target", "_cols", "_provider")
+    __slots__ = ("source", "target", "_cols")
 
-    def __init__(self, source, target, cols=None, provider=None):
+    def __init__(self, source, target, cols: dict):
         self.source = source
         self.target = target
-        self._cols = {} if cols is None else cols
-        self._provider = provider
+        self._cols = cols
 
     def col(self, j: int) -> dict:
         c = self._cols.get(j)
-        if c is None:
-            if self._provider is not None:
-                c = self._provider(j)
-                c = {i: q for i, q in c.items() if not q.is_zero()}
-                self._cols[j] = c
-            else:
-                c = self._cols[j] = {}
-        return c
+        return {} if c is None else c
 
     def is_zero(self) -> bool:
         return all(not self.col(j) for j in range(self.source.rank))
@@ -272,33 +267,6 @@ class MapMatrix:
                 cols[j] = col
         return MapMatrix(f.source, self.target, cols)
 
-    def __add__(self, other: "MapMatrix") -> "MapMatrix":
-        cols: dict = {}
-        for j in range(self.source.rank):
-            col = dict(self.col(j))
-            for i, q in other.col(j).items():
-                acc = col.get(i)
-                col[i] = q if acc is None else acc + q
-            col = {i: q for i, q in col.items() if not q.is_zero()}
-            if col:
-                cols[j] = col
-        return MapMatrix(self.source, self.target, cols)
-
-    def scale(self, c) -> "MapMatrix":
-        cols = {}
-        for j in range(self.source.rank):
-            col = {i: q.scale(c) for i, q in self.col(j).items()}
-            col = {i: q for i, q in col.items() if not q.is_zero()}
-            if col:
-                cols[j] = col
-        return MapMatrix(self.source, self.target, cols)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def transpose_raw(self, new_source, new_target) -> "MapMatrix":
         """Transpose entries onto the given relabeled modules."""
         out = MapMatrix(new_source, new_target, {})
@@ -348,26 +316,20 @@ def tensor_column(cols, parts, pool) -> dict:
 
 
 def tensor_maps(maps) -> MapMatrix:
-    """Kronecker product over a flat list of maps, labels tens() words."""
+    """Kronecker product over a flat list of maps, labels tens() words;
+    its entries come from one ``EntryPool``."""
     src = tensor_modules([f.source for f in maps])
     tgt = tensor_modules([f.target for f in maps])
+    row_of = {rows: i for i, rows in enumerate(product(*(range(f.target.rank) for f in maps)))}
     cols = [f.col for f in maps]
     pool = EntryPool()
-
-    def provider(j):
-        idx = []
-        for f in reversed(maps):
-            j, r = divmod(j, f.source.rank)
-            idx.append(r)
-        out = {}
-        for rows, poly in tensor_column(cols, idx[::-1], pool).items():
-            flat = 0
-            for r, f in zip(rows, maps):
-                flat = flat * f.target.rank + r
-            out[flat] = poly
-        return out
-
-    return MapMatrix(src, tgt, provider=provider)
+    out = {}
+    for j, parts in enumerate(product(*(range(f.source.rank) for f in maps))):
+        column = tensor_column(cols, parts, pool)
+        col = {row_of[rows]: q for rows, q in column.items() if not q.is_zero()}
+        if col:
+            out[j] = col
+    return MapMatrix(src, tgt, out)
 
 
 # --- graded slices -------------------------------------------------------
@@ -433,5 +395,5 @@ def multiplication_slice(module: LabeledFreeModule, poly: Poly, t: int, src_basi
         src_basis = slice_basis(module, t)
     if tgt_basis is None:
         tgt_basis = slice_basis(module, t + poly.degree())
-    diagonal = MapMatrix(module, module, provider=lambda j: {j: poly})
-    return graded_slice(diagonal, t, src_basis, tgt_basis)[0]
+    cols = {} if poly.is_zero() else {j: {j: poly} for j in range(module.rank)}
+    return graded_slice(MapMatrix(module, module, cols), t, src_basis, tgt_basis)[0]

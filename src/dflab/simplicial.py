@@ -59,7 +59,7 @@ test suite checks the masks against that path.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, product
 from math import prod
 
@@ -131,9 +131,6 @@ class SimplicialModule:
         """Whether the masks decide degeneracy (see the module docstring)."""
         return self._masks is not None and not self.degeneracies.replaced
 
-    def level(self, n: int) -> LabeledFreeModule:
-        return self.levels[n]
-
     # basis elements ----------------------------------------------------
 
     def elements(self, n: int):
@@ -169,15 +166,17 @@ class SimplicialModule:
     def validate(self, up_to: int | None = None) -> bool:
         """Check every simplicial identity inside the truncation window on
         each basis element.  Each face or degeneracy table is built over
-        its whole level once per call."""
+        its whole level once per call, and one ``EntryPool`` for the call
+        makes the entries of the vectors they are applied to."""
         top = self.n_max if up_to is None else min(up_to, self.n_max)
         tables: dict = {}
+        pool = EntryPool()
 
         def op(name, n, i, vec):
             table = tables.get((name, n, i))
             if table is None:
                 table = tables[name, n, i] = getattr(self, name)(n, i, self.elements(n))
-            return _apply(table, vec)
+            return _apply(table, vec, pool)
 
         d, s = partial(op, "face_table"), partial(op, "degeneracy_table")
         one = self.ring.one()
@@ -500,21 +499,22 @@ def apply_pointwise_functor(tag: FunctorTag, A: SimplicialModule) -> SimplicialM
 # --- Eilenberg-Zilber comparison maps ----------------------------------------
 
 
-def _apply(table: dict, vec: dict) -> dict:
+def _apply(table: dict, vec: dict, pool) -> dict:
     """A face or degeneracy table {element: column} applied to a vector
-    {element: poly} of elements it covers; zeros are dropped."""
+    {element: poly} of elements it covers, its products and sums made by
+    ``pool``, an ``EntryPool``; zeros are dropped."""
     out: dict = {}
     for e, c in vec.items():
         for row, q in table[e].items():
-            term = q * c
-            out[row] = term if row not in out else out[row] + term
+            term = pool.mul(q, c)
+            out[row] = term if row not in out else pool.add(out[row], term)
     return {r: q for r, q in out.items() if not q.is_zero()}
 
 
-def _apply_table(A: SimplicialModule, op: str, n: int, i: int, vec: dict) -> dict:
+def _apply_table(A: SimplicialModule, op: str, n: int, i: int, vec: dict, pool) -> dict:
     """The face or degeneracy ``op`` ("face_table" or "degeneracy_table")
     i of level n applied to a vector, from a table over its elements."""
-    return _apply(getattr(A, op)(n, i, list(vec)), vec)
+    return _apply(getattr(A, op)(n, i, list(vec)), vec, pool)
 
 
 def _shuffles(sizes):
@@ -567,12 +567,14 @@ def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
     p_1 + ... + p_r = n of the tensors of its parts, part i cut down to
     the vertices p_1 + ... + p_{i-1} .. p_1 + ... + p_i by last faces,
     then 0-th faces.  Only degrees where NA_i is nonzero are used, and
-    each cut is made once per call.  Every factor needs masks (see the
-    module docstring); ValueError otherwise.
+    each cut is made once per call.  One ``EntryPool`` for the call makes
+    every product, negation and sum of entries.  Every factor needs masks
+    (see the module docstring); ValueError otherwise.
     """
     if not all(A.has_masks() for A in As):
         raise ValueError("eilenberg_zilber needs factors whose masks decide degeneracy")
     top, one = As[0].n_max, As[0].ring.one()
+    pool = EntryPool()
     normalized = {}  # id -> N(A), so a factor repeated in As is normalized once
     for A in As:
         if id(A) not in normalized:
@@ -611,9 +613,9 @@ def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
         for combo in product(*(v.items() for v in vecs)):
             row = rows.get(tuple(e for e, _ in combo))
             if row is not None:
-                term = prod((q for _, q in combo[1:]), start=combo[0][1])
-                term = term if sign > 0 else -term
-                col[row] = term if row not in col else col[row] + term
+                term = reduce(pool.mul, (q for _, q in combo))
+                term = term if sign > 0 else pool.neg(term)
+                col[row] = term if row not in col else pool.add(col[row], term)
 
     def shuffle_column(n, c):
         parts, col = src_parts[n][c], {}
@@ -622,7 +624,7 @@ def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
             for k, (A, (p, a)) in enumerate(zip(As, parts)):
                 vec = {a: one}
                 for level, j in enumerate((t for t in range(n) if w[t] != k), start=p):
-                    vec = _apply_table(A, "degeneracy_table", level, j, vec)
+                    vec = _apply_table(A, "degeneracy_table", level, j, vec, pool)
                 vecs.append(vec)
             add(col, vecs, sign, nd_row[n])
         return col
@@ -637,9 +639,9 @@ def eilenberg_zilber(As) -> tuple[ChainMap, ChainMap]:
         if key not in cuts:
             vec = {x: one}
             for level in range(n, lo + p, -1):
-                vec = _apply_table(As[k], "face_table", level, level, vec)
+                vec = _apply_table(As[k], "face_table", level, level, vec, pool)
             for level in range(lo + p, p, -1):
-                vec = _apply_table(As[k], "face_table", level, 0, vec)
+                vec = _apply_table(As[k], "face_table", level, 0, vec, pool)
             cuts[key] = {(p, e): q for e, q in vec.items() if (p, e) in nondeg[k]}
         return cuts[key]
 

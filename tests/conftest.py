@@ -15,6 +15,9 @@ from dflab.koszul import cyclic_two_term, regular_sequence_resolution
 from dflab.linear import LabeledFreeModule
 from dflab.simplicial import diagonal_tensor, gamma, normalize
 
+# ring_descriptor keyword arguments of the fields the tests cover
+FIELDS = [{"prime": 2}, {"prime": 97}, {"rationals": True}]
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -71,6 +74,22 @@ def engines_complex(ring):
 def entries(m):
     """(row, column, entry) for every nonzero entry of the MapMatrix m."""
     return [(i, j, q) for j in range(m.source.rank) for i, q in m.col(j).items()]
+
+
+def map_sum(*terms):
+    """The MapMatrix sum of c * f over the (scalar c, MapMatrix f) pairs,
+    all maps between the same modules, in plain Poly arithmetic with zero
+    entries dropped."""
+    cols: dict = {}
+    for c, f in terms:
+        for j in range(f.source.rank):
+            col = cols.setdefault(j, {})
+            for i, q in f.col(j).items():
+                q = q.scale(c)
+                col[i] = q if i not in col else col[i] + q
+    cols = {j: {i: q for i, q in col.items() if not q.is_zero()} for j, col in cols.items()}
+    f = terms[0][1]
+    return ln.MapMatrix(f.source, f.target, {j: col for j, col in cols.items() if col})
 
 
 def sparse_columns(M):

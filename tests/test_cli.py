@@ -27,6 +27,9 @@ GOLDEN = {
     "check-l31": ["check", "l31"],
     "check-schur-rationals": ["check", "schur", "--rationals"],
     "check-cauchy-rationals": ["check", "cauchy", "--rationals"],
+    # p = 2, where a sum of +-1 entries can vanish
+    "check-schur-prime2": ["check", "schur", "--prime", "2"],
+    "check-cauchy-prime2": ["check", "cauchy", "--prime", "2"],
     "tor-powers-rationals": ["tor-powers", "--rationals"],
 }
 

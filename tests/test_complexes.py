@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import engines_complex, entries, sympy_columns, sympy_matrix, two_term
+from conftest import engines_complex, entries, map_sum, sympy_columns, sympy_matrix, two_term
 from dflab import complexes, fieldla
 from dflab import groebner as gb
 from dflab import linear as ln
@@ -87,7 +87,7 @@ def test_total_complex_blocks_are_kronecker_products(rationals):
                     pieces.append((tgt[p - 1, q], m))
                 if (p, q - 1) in tgt:
                     m = ln.tensor_maps([ln.identity_map(C.module(p)), D.diff(q)])
-                    pieces.append((tgt[p, q - 1], m.scale(-1) if p % 2 else m))
+                    pieces.append((tgt[p, q - 1], map_sum((-1, m)) if p % 2 else m))
                 for row, m in pieces:
                     for i, j, e in entries(m):
                         want.setdefault(start + j, {})[row + i] = e

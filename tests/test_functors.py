@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import kmodule, sympy_matrix
+from conftest import FIELDS, entries, kmodule, sympy_matrix
 from dflab import fieldla
 from dflab import functors as fu
 from dflab import linear as ln
@@ -34,9 +34,9 @@ def rand_map(rng, src, tgt, lo=0, hi=5):
     for j in range(src.rank):
         col = {}
         for i in range(tgt.rank):
-            v = int(rng.integers(lo, hi))
-            if v:
-                col[i] = RK.const(v)
+            q = src.ring.const(int(rng.integers(lo, hi)))
+            if not q.is_zero():
+                col[i] = q
         if col:
             cols[j] = col
     return ln.MapMatrix(src, tgt, cols)
@@ -165,12 +165,36 @@ def test_cross_effect_inductive_identity(tag):
     assert lhs == rhs
 
 
-def test_cross_effect_idempotent_is_idempotent():
-    args = [km("a", 2), km("b", 1)]
+@pytest.mark.parametrize("field", FIELDS)
+def test_cross_effect_idempotent_is_idempotent(field):
+    ring = ring_descriptor(variables=(), sequence=(), **field)
+    args = [kmodule(ring, "a", 2), kmodule(ring, "b", 1)]
     Vsum = ln.direct_sum_modules(args)
     e = fu._idempotent_matrix(fu.Sym(3), Vsum, args)
-    E = sympy_matrix(F, ln.constant_columns(e), e.target.rank)
+    E = sympy_matrix(ring.field, ln.constant_columns(e), e.target.rank)
     assert E * E == E
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_built_maps_store_only_nonzero_entries(field):
+    """Every entry that functor_on_map (each functor kind), tensor_maps,
+    the Cauchy maps and the cross-effect idempotent store is nonzero, also
+    where a sum cancels: Sym^2 of the all-ones map sends v0 v1 to
+    w0^2 + 2 w0 w1 + w1^2, whose middle entry is 0 over F_2."""
+    ring = ring_descriptor(variables=(), sequence=(), **field)
+    V, W = kmodule(ring, "v", 3), kmodule(ring, "w", 2)
+    ones = ln.MapMatrix(V, W, {j: {i: ring.one() for i in range(W.rank)} for j in range(V.rank)})
+    drawn = rand_map(np.random.default_rng(7), V, W, lo=-2, hi=3)
+    assert len(fu.functor_on_map(fu.Sym(2), ones).col(1)) == (2 if field == {"prime": 2} else 3)
+    maps = [fu.functor_on_map(tag, f) for tag in ALL_TAGS for f in (ones, drawn)]
+    maps.append(ln.tensor_maps([ones, drawn, ones]))
+    P, Q = kmodule(ring, "p", 3), kmodule(ring, "q", 4)
+    maps += [fu.cauchy_det_map(P, Q), fu.cauchy_m21_map(P, Q)]
+    args = [kmodule(ring, "a", 2), kmodule(ring, "b", 1)]
+    Vsum = ln.direct_sum_modules(args)
+    maps += [fu._idempotent_matrix(tag, Vsum, args) for tag in ALL_TAGS]
+    for m in maps:
+        assert all(not q.is_zero() for _, _, q in entries(m)), m
 
 
 def test_delta_and_plus_examples():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import entries
+from conftest import entries, map_sum
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab.complexes import ChainComplex, homology_graded, truncate
@@ -143,7 +143,7 @@ def test_resolution_of_three_entries_matches_koszul(seq, dim):
     assert [rep.degrees[k].total for k in range(4)] == [dim, 0, 0, 0]  # dim_k R/(seq)
     # the match is not vacuous: flipping the sign of d_2 breaks square 2
     pieces = [cyclic_two_term(R3, name, f) for name, f in zip("klm", R3.regular_sequence)]
-    flipped = ChainComplex(R3, T.modules, {**T.diffs, 2: T.diff(2).scale(-1)})
+    flipped = ChainComplex(R3, T.modules, {**T.diffs, 2: map_sum((-1, T.diff(2)))})
     with pytest.raises(RuntimeError, match="square 2"):
         _check_koszul_match(R3, pieces, flipped)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import sympy_columns, sympy_matrix
+from conftest import map_sum, sympy_columns, sympy_matrix
 from dflab import linear as ln
 from dflab.ring import DescriptorError, Poly, addmul, ring_descriptor
 
@@ -86,7 +86,7 @@ def dense_slice(f, tb, sb):
 
 
 def test_slice_columns_are_the_columns_of_the_dense_slice():
-    c = mx.compose(my) + ln.MapMatrix(M2, M0, {0: {0: X * X}})
+    c = map_sum((1, mx.compose(my)), (1, ln.MapMatrix(M2, M0, {0: {0: X * X}})))
     for f in (mx, my, c):
         for t in range(5):
             M, tb, sb = ln.graded_slice(f, t)

@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import sparse_columns, sympy_columns, sympy_matrix, two_term
+from conftest import FIELDS, map_sum, sparse_columns, sympy_columns, sympy_matrix, two_term
 from dflab import functors as fu
 from dflab import linear as ln
 from dflab import complexes, scenarios, simplicial
@@ -32,9 +32,6 @@ from dflab.simplicial import (
     gamma,
     normalize,
 )
-
-
-FIELDS = [{"prime": 2}, {"prime": 97}, {"rationals": True}]
 
 
 def surjection_count_oracle(ranks_by_deg, n):
@@ -66,10 +63,10 @@ def test_gamma_level_ranks(kl_pair, resolution):
     K, _ = kl_pair
     GK = gamma(K, 5)
     for n in range(6):
-        assert GK.level(n).rank == 1 + n == surjection_count_oracle({0: 1, 1: 1}, n)
+        assert GK.levels[n].rank == 1 + n == surjection_count_oracle({0: 1, 1: 1}, n)
     GP = gamma(resolution, 4)
     for n in range(5):
-        assert GP.level(n).rank == surjection_count_oracle({0: 1, 1: 2, 2: 1}, n)
+        assert GP.levels[n].rank == surjection_count_oracle({0: 1, 1: 2, 2: 1}, n)
 
 
 def test_gamma_simplicial_identities(kl_pair, resolution):
@@ -122,10 +119,10 @@ def test_diagonal_tensor(kl_pair):
     GK, GL = gamma(K, 4), gamma(L, 4)
     D = diagonal_tensor([GK, GL])
     for n in range(5):
-        assert D.level(n).rank == (1 + n) ** 2
+        assert D.levels[n].rank == (1 + n) ** 2
         # the elements are the pairs of the factors' elements, in label order
-        assert D.level(n) == ln.tensor_modules([GK.level(n), GL.level(n)])
-        assert [D.label(n, e) for e in D.elements(n)] == list(D.level(n).labels)
+        assert D.levels[n] == ln.tensor_modules([GK.levels[n], GL.levels[n]])
+        assert [D.label(n, e) for e in D.elements(n)] == list(D.levels[n].labels)
     assert D.validate(up_to=3)
     # faces and degeneracies act factorwise on the pairs
     for n in range(1, 5):
@@ -141,7 +138,7 @@ def test_diagonal_tensor(kl_pair):
                 }
                 assert table[a, b] == want, (op, m, a, b)
     single = diagonal_tensor([GK])
-    assert single.level(3).rank == GK.level(3).rank
+    assert single.levels[3].rank == GK.levels[3].rank
     with pytest.raises(ValueError):
         diagonal_tensor([GK, gamma(L, 3)])
 
@@ -149,12 +146,12 @@ def test_diagonal_tensor(kl_pair):
 def test_pointwise_functor_levels_and_identities(resolution):
     GP = gamma(resolution, 3)
     S2 = apply_pointwise_functor(fu.Sym(2), GP)
-    r2 = GP.level(2).rank
-    assert S2.level(2).rank == r2 * (r2 + 1) // 2
+    r2 = GP.levels[2].rank
+    assert S2.levels[2].rank == r2 * (r2 + 1) // 2
     assert S2.validate(up_to=2)
     E1 = apply_pointwise_functor(fu.Ext(1), GP)
     for n in range(4):
-        assert E1.level(n).rank == GP.level(n).rank
+        assert E1.levels[n].rank == GP.levels[n].rank
 
 
 def test_normalize_rejects_twisted_degeneracies_over_a_field(field_ring):
@@ -183,14 +180,14 @@ def test_normalize_rejects_twisted_degeneracies_over_a_field(field_ring):
 
     changes = {}
     for n in range(4):
-        r = A.level(n).rank
+        r = A.levels[n].rank
         while True:
             M = sympy_matrix(field, sparse_columns(rng.integers(0, 97, (r, r), dtype=np.int64)), r)
             if M.rank() == r:
                 changes[n] = M
                 break
     inv = {n: changes[n].inv() for n in changes}
-    levels = {n: A.level(n) for n in range(4)}
+    levels = {n: A.levels[n] for n in range(4)}
     faces = {}
     degens = {}
     for (n, i), f in A.faces.items():
@@ -328,14 +325,8 @@ def test_unnormalized_alternating_sum_squares_to_zero(resolution):
     """The alternating face sum on full levels is already a differential."""
     GP = gamma(resolution, 4)
     for n in range(2, 5):
-        total = None
-        for i in range(n + 1):
-            f = GP.faces[(n, i)] if i % 2 == 0 else GP.faces[(n, i)].scale(-1)
-            total = f if total is None else total + f
-        prev = None
-        for i in range(n):
-            f = GP.faces[(n - 1, i)] if i % 2 == 0 else GP.faces[(n - 1, i)].scale(-1)
-            prev = f if prev is None else prev + f
+        total = map_sum(*(((-1) ** i, GP.faces[(n, i)]) for i in range(n + 1)))
+        prev = map_sum(*(((-1) ** i, GP.faces[(n - 1, i)]) for i in range(n)))
         assert prev.compose(total).is_zero()
 
 
@@ -519,7 +510,7 @@ def test_validate_rejects_a_scaled_operator(field):
     assert gamma(K, 3).validate()
     for maps, key in (("faces", (2, 1)), ("degeneracies", (1, 0))):
         bad = gamma(K, 3)
-        getattr(bad, maps)[key] = getattr(bad, maps)[key].scale(2)
+        getattr(bad, maps)[key] = map_sum((2, getattr(bad, maps)[key]))
         built = (diagonal_tensor([bad, gamma(K, 3)]), apply_pointwise_functor(fu.Sym(2), bad))
         for A in (bad, *built):
             assert not A.validate(), (maps, A)
@@ -532,13 +523,13 @@ def test_cauchy_columns_skipped_are_those_projecting_to_zero(ring97):
     one = ring97.one()
     sources = _cauchy_sources(GK, GL)
     for n in range(5):
-        level, Nmod = S3.level(n), NS3.module(n)
+        level, Nmod = S3.levels[n], NS3.module(n)
         proj_cols = {level.index(lab): {p: one} for p, lab in enumerate(Nmod.labels)}
         proj = ln.MapMatrix(level, Nmod, proj_cols)
-        P, Q = GK.level(n), GL.level(n)
+        P, Q = GK.levels[n], GL.levels[n]
         gens = (fu.cauchy_det_map(P, Q), fu.cauchy_m21_map(P, Q))
         for gen, src in zip(gens, sources):
-            assert src.level(n).labels == gen.source.labels, n
+            assert src.levels[n].labels == gen.source.labels, n
             position = {e: j for j, e in enumerate(src.elements(n))}
             keep = [position[e] for e in src.nondegenerate(n)]
             M = ln.constant_columns(proj.compose(gen))
@@ -587,7 +578,7 @@ def test_check_l31_traced_peak():
     Python 3.11.7 it peaked at 17.0 MB while composite modules memoized
     every face column they built, at 9.2 MB with face columns built per
     (level, face) and never kept, and at 3.55 MB with equal entries of
-    each built matrix shared (``ring.entry_pool``)."""
+    each built matrix shared (``ring.EntryPool``)."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -616,12 +607,30 @@ def test_sym3_normalize_computes_each_product_once_per_table(ring97, monkeypatch
     assert 0 < len(calls) <= 300, len(calls)
 
 
+@pytest.mark.parametrize("name,bound", [("check-gamma", 1500), ("check-ez", 1000)])
+def test_checks_compute_each_product_once_per_call(monkeypatch, name, bound):
+    """One check-gamma makes at most 1,500 Poly products and one check-ez
+    at most 1,000: 605 and 301 with ``validate`` and ``eilenberg_zilber``
+    applying faces and degeneracies through one ``EntryPool`` per call,
+    22,356 and 6,574 in plain Poly arithmetic."""
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert SCENARIOS[name](ScenarioConfig()).passed
+    assert 0 < len(calls) <= bound, len(calls)
+
+
 def test_d3_cube_normalize_traced_peak():
     """normalize of the diagonal of GP^3 over F_97[x,y,z], with GP the
     Koszul resolution of (x, y, z) at n_max 3, peaks at most 12 MB of
     traced memory.  On Python 3.11.7 it peaked at 13.6 MB while every
     entry was its own Poly, and at 6.2 MB with equal entries shared
-    (``ring.entry_pool``)."""
+    (``ring.EntryPool``)."""
     ring = ring_descriptor(variables=("x", "y", "z"), sequence=("x", "y", "z"))
     GP = gamma(regular_sequence_resolution(ring), 3)
     gc.collect()
